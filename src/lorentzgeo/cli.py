@@ -11,7 +11,6 @@ the input or invocation was malformed.
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from .modelspace import Kappa
 from .parallels import asymptotic_ray, flat_strip_reconstruct, is_line, strip_profile
 from .rigidity import equality_conditions, quadrangle_rigidity
 from .sampled import (
-    Certificate,
     certify_curvature_bound,
     check_angle_inequalities,
     fvf_empirical,
@@ -49,7 +47,6 @@ def _add_common(p):
     p.add_argument("--tol-angle", type=float, default=DEFAULT_TOL_ANGLE)
     p.add_argument("--geo-tol", type=float, default=DEFAULT_GEO_TOL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("-o", "--output", type=Path, default=None)
 
 
@@ -128,25 +125,6 @@ def _finish(args, report, default_name):
     return report_status(report)
 
 
-def _merge_certificates(parts):
-    parts = [p for p in parts if p is not None]
-    first = parts[0]
-    worst = min(parts, key=lambda c: c.max_violation if c.witness else 0.0)
-    return Certificate(
-        direction=first.direction,
-        kappa=first.kappa,
-        passed=all(p.passed for p in parts),
-        n_triangles=sum(p.n_triangles for p in parts),
-        n_pairs=sum(p.n_pairs for p in parts),
-        max_violation=min(p.max_violation for p in parts),
-        max_slack=max(p.max_slack for p in parts),
-        witness=worst.witness,
-        skipped=[s for p in parts for s in p.skipped],
-        side_step=max(p.side_step for p in parts),
-        chronology_mismatches=sum(p.chronology_mismatches for p in parts),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -212,24 +190,15 @@ def cmd_curvature(args):
     t0 = time.time()
     kappa = Kappa(args.k)
     triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
-    if args.threads > 1 and len(triangles) > args.threads:
-        chunks = np.array_split(np.arange(len(triangles)), args.threads)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            parts = list(
-                pool.map(
-                    lambda idx: certify_curvature_bound(
-                        space, [triangles[i] for i in idx], kappa, args.direction
-                    ),
-                    chunks,
-                )
-            )
-        cert = _merge_certificates(parts)
+    cert = certify_curvature_bound(space, triangles, kappa, args.direction)
+    if cert.n_triangles == 0:
+        status = "SKIP"  # nothing was compared, so nothing is certified
     else:
-        cert = certify_curvature_bound(space, triangles, kappa, args.direction)
+        status = "PASS" if cert.passed else "FAIL"
     checks = [
         {
             "name": f"curvature-{args.direction}-by-{args.k:g}",
-            "status": "PASS" if cert.passed else "FAIL",
+            "status": status,
             "n_triangles": cert.n_triangles,
             "n_pairs": cert.n_pairs,
             "max_violation": cert.max_violation,

@@ -242,11 +242,16 @@ def angle_from_sides(kappa, y, t, z, sigma):
     """
     u, ok = angle_from_sides_arr(kappa, y, t, z, sigma)
     if not bool(ok):
-        raise DomainError(
-            f"sides not realizable as a hinge: K={Kappa.of(kappa).k}, "
-            f"y={y}, t={t}, z={z}, sigma={sigma}"
-        )
+        raise unrealizable_sides(kappa, y, t, z, sigma)
     return float(u)
+
+
+def unrealizable_sides(kappa, y, t, z, sigma) -> DomainError:
+    """The error for three sides that determine no hinge."""
+    return DomainError(
+        f"sides not realizable as a hinge: K={Kappa.of(kappa).k}, "
+        f"y={y}, t={t}, z={z}, sigma={sigma}"
+    )
 
 
 def hinge_angle_arr(kappa, y, t, z, sigma):
@@ -261,10 +266,7 @@ def hinge_angle(kappa, y, t, z, sigma) -> float:
     """Hinge angle theta = arccosh(angle_from_sides(...)), computed stably."""
     theta, ok = hinge_angle_arr(kappa, y, t, z, sigma)
     if not bool(ok):
-        raise DomainError(
-            f"sides not realizable as a hinge: K={Kappa.of(kappa).k}, "
-            f"y={y}, t={t}, z={z}, sigma={sigma}"
-        )
+        raise unrealizable_sides(kappa, y, t, z, sigma)
     return float(theta)
 
 

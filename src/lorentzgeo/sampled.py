@@ -9,6 +9,7 @@ against their model-triangle counterparts.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,14 @@ from .errors import (
     NotChronological,
     ShapeError,
 )
-from .modelspace import Kappa, angle_from_sides, hinge_angle_arr, hinge_tau_arr
+from .modelspace import (
+    Kappa,
+    angle_from_sides,
+    angle_from_sides_arr,
+    hinge_angle_arr,
+    hinge_tau_arr,
+    unrealizable_sides,
+)
 from .tolerances import (
     DEFAULT_CERT_TOL,
     DEFAULT_GEO_TOL,
@@ -46,6 +54,8 @@ class SampledSpace:
             )
         if self.labels is not None and len(self.labels) != n:
             raise ShapeError(f"{len(self.labels)} labels for {n} points")
+        if not np.isfinite(self.tau).all():
+            raise ShapeError("tau contains non-finite entries")
         self.tau.flags.writeable = False
         self.causal.flags.writeable = False
 
@@ -151,8 +161,6 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     """
     tau, causal = space.tau, space.causal
     n = space.n
-    if not np.isfinite(tau).all():
-        raise ShapeError("tau contains non-finite entries")
     violations = []
     counts = {}
 
@@ -513,13 +521,24 @@ class Certificate:
         )
 
 
+_PAST_SIDE_END = "side parameters exceed the side length"
+_PAST_MODEL_DOMAIN = "comparison points exceed the model-space domain"
+
+# Side-point pairs compared in one batch of triangles.  A batch's arrays
+# peak at about 57 bytes per pair (0.9 MB at 2**14, 3.6 MB at 2**16);
+# much smaller batches pay numpy's per-call overhead instead (20k
+# tripod-product triangles take 2.6 times as long at 2**12 as at 2**14).
+_BATCH_PAIRS = 1 << 14
+
+
 def _signed_comparison_matrix(kappa, lengths, params):
     """Signed model separations between all sampled side points.
 
     lengths: dict side -> side length; params: dict side -> parameter array
     (arclength from the side's past endpoint).  Entry [i, j] is +tau of the
     comparison points when i precedes j, -tau when j precedes i, 0 when
-    they are spacelike or equal.
+    they are spacelike or equal.  This is the one-triangle reference that
+    the tests hold _batch_comparison to.
     """
     kappa = Kappa.of(kappa)
     l_ab, l_bc, l_ac = lengths["ab"], lengths["bc"], lengths["ac"]
@@ -543,13 +562,13 @@ def _signed_comparison_matrix(kappa, lengths, params):
     def radius(length, p):
         r = length - p
         if np.any(r < -1e-9 * (1.0 + length)):
-            raise DomainError("side parameters exceed the side length")
+            raise DomainError(_PAST_SIDE_END)
         return np.maximum(r, 0.0)
 
     def hinge_block(r1, r2, u, opposite, future_mask):
         tau, timelike, _, ok = hinge_tau_arr(kappa, r1[:, None], r2[None, :], u, opposite)
         if not ok.all():
-            raise DomainError("comparison points exceed the model-space domain")
+            raise DomainError(_PAST_MODEL_DOMAIN)
         sgn = np.where(future_mask, 1.0, -1.0)
         return np.where(timelike, sgn * tau, 0.0)
 
@@ -576,6 +595,178 @@ def _signed_comparison_matrix(kappa, lengths, params):
     return full
 
 
+class _Batch(NamedTuple):
+    tri: np.ndarray  # per pair: its triangle's position in the batch
+    p: np.ndarray  # per pair: sampled point of the row
+    q: np.ndarray  # per pair: sampled point of the column
+    model: np.ndarray  # per pair: signed model separation
+    undefined: dict  # triangle position -> why its comparison is undefined
+    side_step: np.ndarray  # per triangle: largest parameter step along a side
+
+
+def _batch_comparison(kappa, tau, triangles) -> _Batch:
+    """Signed model separations of all side-point pairs of several triangles.
+
+    Each triangle's side points are ordered ab, bc, ac, and its n x n pair
+    matrix is laid out row-major after the previous triangle's: the model
+    entries are _signed_comparison_matrix's, flattened and concatenated.
+    Each unordered cross-side pair is evaluated once and its mirror filled
+    by antisymmetry.  A triangle whose comparison is undefined is listed
+    with the DomainError message _signed_comparison_matrix raises for it;
+    its entries are then meaningless.
+    """
+    chains = [c for t in triangles for c in (t.side_xy, t.side_yz, t.side_xz)]
+    counts = np.array([len(c) for c in chains]).reshape(-1, 3)
+    pts = np.concatenate([c.points for c in chains])
+    par = np.concatenate([c.params for c in chains])
+    n_tri = len(triangles)
+    n = counts.sum(axis=1)
+    owner = np.repeat(np.arange(n_tri), n)
+    side = np.repeat(np.tile(np.arange(3, dtype=np.int8), n_tri), counts.ravel())
+
+    x, y, z = np.array([(t.x, t.y, t.z) for t in triangles]).T
+    lengths = np.stack([tau[x, y], tau[y, z], tau[x, z]], axis=1)
+    l_ab, l_bc, l_ac = lengths.T
+    u_a, ok_a = angle_from_sides_arr(kappa, l_ab, l_ac, l_bc, -1)
+    u_b, ok_b = angle_from_sides_arr(kappa, l_ab, l_bc, l_ac, +1)
+    u_c, ok_c = angle_from_sides_arr(kappa, l_ac, l_bc, l_ab, -1)
+
+    # distance from each side point to the side's future endpoint
+    length = lengths[owner, side]
+    reach = length - par
+    radius = np.maximum(reach, 0.0)
+    overshoot = np.zeros((n_tri, 3), dtype=bool)
+    beyond = reach < -1e-9 * (1.0 + length)
+    overshoot[owner[beyond], side[beyond]] = True
+
+    same_chain = side[1:] == side[:-1]
+    side_step = np.zeros(n_tri)
+    np.maximum.at(side_step, owner[1:][same_chain], np.diff(par)[same_chain])
+
+    # pair -> its triangle and the positions of its two points in pts/par
+    n_sq = n * n
+    tri = np.repeat(np.arange(n_tri), n_sq)
+    i, j = np.divmod(np.arange(n_sq.sum()) - (np.cumsum(n_sq) - n_sq)[tri], n[tri])
+    first = np.cumsum(n) - n
+    i += first[tri]
+    j += first[tri]
+    s_i, s_j = side[i], side[j]
+    model = np.empty(len(tri))
+    within = s_i == s_j
+    model[within] = par[j[within]] - par[i[within]]
+
+    def hinge_block(s1, s2, r1, r2, u, opposite, future):
+        """Fill the (s1, s2) block and its mirror; flag triangles off the domain."""
+        e = np.flatnonzero((s_i == s1) & (s_j == s2))
+        a, b, t = i[e], j[e], tri[e]
+        tau_m, timelike, _, ok = hinge_tau_arr(kappa, r1[a], r2[b], u[t], opposite)
+        value = np.where(timelike, np.where(future(r1[a], r2[b]), 1.0, -1.0) * tau_m, 0.0)
+        model[e] = value
+        model[e + (b - a) * (n[t] - 1)] = -value  # (row, col) -> (col, row)
+        bad = np.zeros(n_tri, dtype=bool)
+        bad[t[~ok]] = True
+        return bad
+
+    # ab x bc share b: past leg against future leg, always ordered
+    bad_ab_bc = hinge_block(0, 1, radius, par, u_b, True, lambda r1, r2: True)
+    # ab x ac share a: both future legs, the farther point is later
+    bad_ab_ac = hinge_block(0, 2, par, par, u_a, False, lambda r1, r2: r2 > r1)
+    # bc x ac share c: both past legs, the farther point is earlier
+    bad_bc_ac = hinge_block(1, 2, radius, radius, u_c, False, lambda r1, r2: r1 > r2)
+
+    # the first failure in _signed_comparison_matrix's order names the reason
+    undefined = {}
+    failing = ~(ok_a & ok_b & ok_c) | overshoot.any(axis=1) | bad_ab_bc | bad_ab_ac | bad_bc_ac
+    for t in np.flatnonzero(failing):
+        ab, bc, ac = (float(v) for v in lengths[t])
+        if not ok_a[t]:
+            reason = str(unrealizable_sides(kappa, ab, ac, bc, -1))
+        elif not ok_b[t]:
+            reason = str(unrealizable_sides(kappa, ab, bc, ac, +1))
+        elif not ok_c[t]:
+            reason = str(unrealizable_sides(kappa, ac, bc, ab, -1))
+        elif overshoot[t, 0]:
+            reason = _PAST_SIDE_END
+        elif bad_ab_bc[t] or bad_ab_ac[t]:
+            reason = _PAST_MODEL_DOMAIN
+        elif overshoot[t, 1] or overshoot[t, 2]:
+            reason = _PAST_SIDE_END
+        else:
+            reason = _PAST_MODEL_DOMAIN
+        undefined[int(t)] = reason
+    return _Batch(tri, pts[i], pts[j], model, undefined, side_step)
+
+
+def _batches(triangles, indices):
+    """Split triangle indices into runs of about _BATCH_PAIRS side-point pairs."""
+    batch, pairs = [], 0
+    for t in indices:
+        tri = triangles[t]
+        size = (len(tri.side_xy) + len(tri.side_yz) + len(tri.side_xz)) ** 2
+        if batch and pairs + size > _BATCH_PAIRS:
+            yield batch
+            batch, pairs = [], 0
+        batch.append(t)
+        pairs += size
+    if batch:
+        yield batch
+
+
+class _BatchResult(NamedTuple):
+    undefined: dict  # triangle position -> why its comparison is undefined
+    side_step: float
+    n_pairs: int
+    chron_miss: int
+    max_slack: float
+    worst: float  # smallest margin; inf when no pair was compared
+    witness: dict  # the pair attaining it
+
+
+def _certify_batch(kappa, tau, triangles, direction, tol) -> _BatchResult:
+    """Compare one batch of triangles and reduce it to counts and its worst pair.
+
+    The worst pair is the first smallest margin in the batch's layout, so
+    ties go to the earliest triangle, then row-major within it.  Returning
+    only these scalars frees the batch's arrays before the next batch is
+    built, which keeps peak memory at one batch.
+    """
+    cmp = _batch_comparison(kappa, tau, triangles)
+    admitted = np.ones(len(triangles), dtype=bool)
+    admitted[list(cmp.undefined)] = False
+    keep = admitted[cmp.tri] & (cmp.p != cmp.q)
+    model_plus = np.maximum(cmp.model, 0.0, out=cmp.model)
+    actual = tau[cmp.p, cmp.q]
+    chron_miss = 0
+    if direction == "above":
+        margin = actual - model_plus
+        chron_bad = keep & (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)
+        chron_miss = int(chron_bad.sum())
+    else:
+        margin = model_plus - actual
+    # |margin| is the slack in either direction
+    slack = np.max(np.abs(margin), where=keep, initial=0.0)
+    margin[~keep] = np.inf
+    k = int(np.argmin(margin))
+    tri = triangles[cmp.tri[k]]
+    witness = {
+        "triangle": (tri.x, tri.y, tri.z),
+        "p": int(cmp.p[k]),
+        "q": int(cmp.q[k]),
+        "tau": float(actual[k]),
+        "tau_model": float(model_plus[k]),
+        "margin": float(margin[k]),
+    }
+    return _BatchResult(
+        undefined=cmp.undefined,
+        side_step=float(cmp.side_step[admitted].max(initial=0.0)),
+        n_pairs=int(keep.sum()),
+        chron_miss=chron_miss,
+        max_slack=float(slack),
+        worst=float(margin[k]),
+        witness=witness,
+    )
+
+
 def certify_curvature_bound(
     space,
     triangles,
@@ -588,7 +779,10 @@ def certify_curvature_bound(
     direction="above" checks tau(p, q) >= tau(comparison) for all sampled
     side-point pairs (and that model chronology implies sampled
     chronology); direction="below" checks tau(p, q) <= tau(comparison).
-    Returns a certificate with the worst margin and a witness on failure.
+    Returns a certificate with the worst margin and a witness on failure:
+    the first triangle attaining it, then the first pair in row-major
+    order of that triangle's side points (ab, bc, ac).  Triangles are
+    compared in batches, so memory stays bounded for any triangle count.
     """
     if direction not in ("above", "below"):
         raise ValueError("direction must be 'above' or 'below'")
@@ -601,51 +795,22 @@ def certify_curvature_bound(
     side_step = 0.0
     chron_miss = 0
     skipped = []
+    sized = []
     for t_idx, tri in enumerate(triangles):
-        lengths = {
-            "ab": float(tau[tri.x, tri.y]),
-            "bc": float(tau[tri.y, tri.z]),
-            "ac": float(tau[tri.x, tri.z]),
-        }
-        if lengths["ac"] >= kappa.dk:
+        if tau[tri.x, tri.z] >= kappa.dk:
             skipped.append((t_idx, "size bounds"))
-            continue
-        params = {s: tri.sides[s].params for s in ("ab", "bc", "ac")}
-        idx = np.concatenate([tri.sides[s].points for s in ("ab", "bc", "ac")])
-        try:
-            model = _signed_comparison_matrix(kappa, lengths, params)
-        except DomainError as e:
-            skipped.append((t_idx, str(e)))
-            continue
-        model_plus = np.maximum(model, 0.0)
-        actual = tau[np.ix_(idx, idx)]
-        distinct = idx[:, None] != idx[None, :]
-        steps = [np.diff(p).max() for p in params.values() if len(p) > 1]
-        if steps:
-            side_step = max(side_step, max(steps))
-
-        if direction == "above":
-            margin = actual - model_plus
-            chron_bad = distinct & (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)
-            chron_miss += int(chron_bad.sum())
         else:
-            margin = model_plus - actual
-        margin = np.where(distinct, margin, np.inf)
-        slack = np.abs(np.where(distinct, actual - model_plus, 0.0)).max()
-        max_slack = max(max_slack, float(slack))
-        n_pairs += int(distinct.sum())
-        mmin = float(margin.min())
-        if mmin < worst:
-            worst = mmin
-            i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
-            witness = {
-                "triangle": (tri.x, tri.y, tri.z),
-                "p": int(idx[i]),
-                "q": int(idx[j]),
-                "tau": float(actual[i, j]),
-                "tau_model": float(model_plus[i, j]),
-                "margin": mmin,
-            }
+            sized.append(t_idx)
+    for batch in _batches(triangles, sized):
+        res = _certify_batch(kappa, tau, [triangles[t] for t in batch], direction, tol)
+        skipped += [(batch[t], reason) for t, reason in res.undefined.items()]
+        side_step = max(side_step, res.side_step)
+        n_pairs += res.n_pairs
+        chron_miss += res.chron_miss
+        max_slack = max(max_slack, res.max_slack)
+        if res.worst < worst:
+            worst, witness = res.worst, res.witness
+    skipped.sort()
     if not np.isfinite(worst):
         worst = 0.0
         witness = None

@@ -5,7 +5,7 @@ import pytest
 
 from lorentzgeo.cli import main
 from lorentzgeo.errors import NoSeries, ShapeError
-from lorentzgeo.fixtures import base_pair, minkowski_grid
+from lorentzgeo.fixtures import base_pair, base_point, minkowski_grid
 from lorentzgeo.io import (
     deterministic_view,
     emit_plotdata,
@@ -158,14 +158,21 @@ class TestCli:
         main(["curvature", str(tripod_fixture), "--direction", "above", "--cap", "300", "-o", str(out2)])
         assert deterministic_view(load_report(out1)) == deterministic_view(load_report(out2))
 
-    def test_threads_match_serial(self, tripod_fixture, tmp_path):
-        a = tmp_path / "serial.json"
-        b = tmp_path / "threads.json"
-        main(["curvature", str(tripod_fixture), "--direction", "below", "--cap", "400", "-o", str(a)])
-        main(["curvature", str(tripod_fixture), "--direction", "below", "--cap", "400", "--threads", "4", "-o", str(b)])
-        ra, rb = load_report(a), load_report(b)
-        assert ra["checks"][0]["max_violation"] == rb["checks"][0]["max_violation"]
-        assert ra["checks"][0]["n_pairs"] == rb["checks"][0]["n_pairs"]
+    @pytest.mark.parametrize("command", ["curvature", "axioms", "lines", "split"])
+    def test_non_finite_tau_exit_2(self, tripod_fixture, command):
+        doc = json.loads(tripod_fixture.read_text())
+        doc["space"]["tau"][0][40] = float("nan")
+        tripod_fixture.write_text(json.dumps(doc))
+        assert main([command, str(tripod_fixture)]) == 2
+
+    def test_vacuous_certificate_is_skip(self, tmp_path):
+        # at K = -4 the timelike diameter pi/2 is below every triangle's longest side
+        path = tmp_path / "chain.json"
+        save_fixture(path, build_product(base_point(), np.arange(0.0, 5.0))[0])
+        assert main(["curvature", str(path), "--k", "-4", "-o", str(tmp_path / "r.json")]) == 0
+        check = load_report(tmp_path / "r.json")["checks"][0]
+        assert check["n_triangles"] == 0
+        assert check["status"] == "SKIP"
 
     def test_usage_error_exit_2(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -1,9 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lorentzgeo.errors import DomainError, NotChronological
+from lorentzgeo import sampled
+from lorentzgeo.errors import DomainError, NotChronological, ShapeError
 from lorentzgeo.fixtures import (
     base_point,
     base_tripod,
@@ -14,8 +18,11 @@ from lorentzgeo.fixtures import (
 )
 from lorentzgeo.modelspace import Kappa
 from lorentzgeo.sampled import (
+    Certificate,
     Chain,
     SampledSpace,
+    SampledTriangle,
+    _signed_comparison_matrix,
     certify_curvature_bound,
     check_angle_inequalities,
     estimate_angle,
@@ -26,6 +33,7 @@ from lorentzgeo.sampled import (
     validate_axioms,
 )
 from lorentzgeo.splitting import build_product
+from lorentzgeo.tolerances import DEFAULT_CERT_TOL, scaled
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +70,12 @@ class TestAxioms:
         bad = SampledSpace(tau=tau, causal=chain3.causal.copy())
         rep = validate_axioms(bad)
         assert rep.counts.get("push-up", 0) > 0
+
+    def test_non_finite_tau_rejected(self, chain3):
+        tau = chain3.tau.copy()
+        tau[0, 2] = np.nan
+        with pytest.raises(ShapeError):
+            SampledSpace(tau=tau, causal=chain3.causal.copy())
 
     def test_antisymmetry_violation(self, chain3):
         tau = chain3.tau.copy()
@@ -208,6 +222,145 @@ class TestCertification:
         assert cert.skipped and cert.n_triangles == 0
 
 
+def reference_certificate(space, triangles, kappa, direction, tol=DEFAULT_CERT_TOL):
+    """certify_curvature_bound one triangle at a time, over _signed_comparison_matrix."""
+    tau = space.tau
+    worst, witness = np.inf, None
+    max_slack, n_pairs, side_step, chron_miss, skipped = 0.0, 0, 0.0, 0, []
+    for t_idx, tri in enumerate(triangles):
+        lengths = {
+            "ab": float(tau[tri.x, tri.y]),
+            "bc": float(tau[tri.y, tri.z]),
+            "ac": float(tau[tri.x, tri.z]),
+        }
+        if lengths["ac"] >= kappa.dk:
+            skipped.append((t_idx, "size bounds"))
+            continue
+        params = {s: c.params for s, c in tri.sides.items()}
+        try:
+            model_plus = np.maximum(_signed_comparison_matrix(kappa, lengths, params), 0.0)
+        except DomainError as e:
+            skipped.append((t_idx, str(e)))
+            continue
+        side_step = max([side_step] + [np.diff(p).max() for p in params.values() if len(p) > 1])
+        idx = np.concatenate([c.points for c in tri.sides.values()])
+        actual = tau[np.ix_(idx, idx)]
+        distinct = idx[:, None] != idx[None, :]
+        if direction == "above":
+            margin = actual - model_plus
+            chron_miss += int((distinct & (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)).sum())
+        else:
+            margin = model_plus - actual
+        margin = np.where(distinct, margin, np.inf)
+        max_slack = max(max_slack, float(np.abs(np.where(distinct, actual - model_plus, 0.0)).max()))
+        n_pairs += int(distinct.sum())
+        if margin.min() < worst:
+            worst = float(margin.min())
+            i, j = np.unravel_index(int(np.argmin(margin)), margin.shape)
+            witness = {
+                "triangle": (tri.x, tri.y, tri.z),
+                "p": int(idx[i]),
+                "q": int(idx[j]),
+                "tau": float(actual[i, j]),
+                "tau_model": float(model_plus[i, j]),
+                "margin": worst,
+            }
+    if not np.isfinite(worst):
+        worst, witness = 0.0, None
+    passed = worst >= -(scaled(tol, witness["tau_model"]) if witness else tol) and chron_miss == 0
+    return Certificate(
+        direction=direction,
+        kappa=kappa.k,
+        passed=bool(passed),
+        n_triangles=len(triangles) - len(skipped),
+        n_pairs=n_pairs,
+        max_violation=min(worst, 0.0),
+        max_slack=max_slack,
+        witness=None if passed else witness,
+        skipped=skipped,
+        side_step=side_step,
+        chronology_mismatches=chron_miss,
+    )
+
+
+def assert_matches_reference(cert, ref, exact):
+    """Counts, skips, verdict and witness indices exactly; floats exactly or to 1e-12."""
+    for name in ("direction", "kappa", "passed", "n_triangles", "n_pairs", "skipped", "chronology_mismatches"):
+        assert getattr(cert, name) == getattr(ref, name), name
+    assert (cert.witness is None) == (ref.witness is None)
+    floats = [(name, getattr(cert, name), getattr(ref, name)) for name in ("max_violation", "max_slack", "side_step")]
+    if ref.witness is not None:
+        for key in ("triangle", "p", "q"):
+            assert cert.witness[key] == ref.witness[key], key
+        floats += [(key, cert.witness[key], ref.witness[key]) for key in ("tau", "tau_model", "margin")]
+    for name, got, want in floats:
+        if exact:
+            assert got == want, name
+        else:
+            assert math.isclose(got, want, rel_tol=1e-12), name
+
+
+@functools.cache
+def small_space(name):
+    if name == "grid":
+        return minkowski_grid(7, 7, 1.0)
+    if name == "desitter":
+        return desitter_sample(6, 9, 1.5)[0]
+    return product_fixture("tripod", step=0.5, window=3.0)[0]
+
+
+@functools.cache
+def broken_grid():
+    """6x6 grid with a sixth of its chronological tau entries shrunk by 20 %.
+
+    The shrunk entries break the reverse triangle inequality, so the
+    triangles through them interleave every domain-skip reason with valid
+    triangles: unrealizable sides, side parameters past the side length,
+    and (at K = -1) comparison points past the model-space domain.
+    """
+    grid = minkowski_grid(6, 6, 1.0)
+    tau = grid.tau.copy()
+    ii, jj = np.nonzero(tau > 0)
+    pick = np.random.default_rng(0).choice(len(ii), len(ii) // 6, replace=False)
+    tau[ii[pick], jj[pick]] *= 0.8
+    return SampledSpace(tau=tau, causal=grid.causal.copy())
+
+
+class TestBatchedCertification:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["grid", "desitter", "tripod"]),
+        cap=st.integers(1, 400),
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([-1.0, 0.0, 1.0]),
+        direction=st.sampled_from(["above", "below"]),
+    )
+    def test_matches_per_triangle_reference(self, name, cap, seed, k, direction):
+        space = small_space(name)
+        tris = sample_triangles(space, cap=cap, seed=seed)
+        kappa = Kappa(k)
+        cert = certify_curvature_bound(space, tris, kappa, direction)
+        assert_matches_reference(cert, reference_certificate(space, tris, kappa, direction), exact=k == 0.0)
+
+    @pytest.mark.parametrize("batch_pairs", [300, 5000])
+    @pytest.mark.parametrize("k", [-1.0, 0.0])
+    def test_domain_skips_do_not_poison_their_batch(self, monkeypatch, batch_pairs, k):
+        monkeypatch.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
+        space = broken_grid()
+        tris = sample_triangles(space, cap=10_000)
+        # undefined (its ac side overshoots), with a longer step than any admitted side
+        long_step = SampledTriangle(
+            0, 6, 30, geodesic_between(space, 0, 6), geodesic_between(space, 6, 30), Chain([0, 30], [0.0, 7.5])
+        )
+        tris.insert(len(tris) // 2, long_step)
+        for direction in ("above", "below"):
+            cert = certify_curvature_bound(space, tris, Kappa(k), direction)
+            ref = reference_certificate(space, tris, Kappa(k), direction)
+            domain = [t for t, reason in ref.skipped if reason != "size bounds"]
+            assert domain and ref.n_triangles > 0
+            assert_matches_reference(cert, ref, exact=k == 0.0)
+
+
 class TestAngleInequalities:
     def test_planar_ray_additivity(self):
         h = 0.5
@@ -308,7 +461,6 @@ class TestComparisonMatrix:
             realize_plane,
             tau_plane,
         )
-        from lorentzgeo.sampled import _signed_comparison_matrix
 
         rng = np.random.default_rng(21)
         worst_flat = worst_ds = 0.0
