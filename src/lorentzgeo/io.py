@@ -23,11 +23,15 @@ REPORT_SCHEMA = 1
 
 
 def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSampleIn | None = None, meta=None) -> dict:
+    # zeros as the JSON integer 0: shorter files, and the parser shares
+    # one int object instead of allocating a float per zero
+    tau = space.tau.astype(object)
+    tau[space.tau == 0] = 0
     doc = {
         "schema_version": FIXTURE_SCHEMA,
         "space": {
             "n": space.n,
-            "tau": space.tau.tolist(),
+            "tau": tau.tolist(),
             "causal": space.causal.astype(int).tolist(),
             "labels": space.labels,
             "meta": _plain(space.meta),
@@ -59,40 +63,90 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
 
 
 def fixture_from_dict(doc: dict):
-    """Validate and rebuild (space, lines, chains, base, meta) from JSON."""
+    """Validate and rebuild (space, lines, chains, base, meta) from JSON.
+
+    Any malformed document raises ShapeError.
+    """
+    doc = _expect(doc, dict, "fixture")
     if doc.get("schema_version") != FIXTURE_SCHEMA:
         raise ShapeError(f"unsupported fixture schema {doc.get('schema_version')!r}")
-    sp = doc["space"]
-    n = int(sp["n"])
-    tau = np.asarray(sp["tau"], dtype=float)
-    causal = np.asarray(sp["causal"], dtype=bool)
+    sp = _expect(doc.get("space"), dict, "space")
+    n = sp.get("n")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ShapeError(f"space.n must be an integer, got {n!r}")
+    tau = _array(sp.get("tau"), float, "space.tau")
+    causal = _array(sp.get("causal"), bool, "space.causal")
     if tau.shape != (n, n) or causal.shape != (n, n):
         raise ShapeError("fixture matrices do not match the declared point count")
-    space = SampledSpace(tau=tau, causal=causal, labels=sp.get("labels"), meta=sp.get("meta", {}))
+    labels = sp.get("labels")
+    if labels is not None:
+        _expect(labels, list, "space.labels")
+    meta = _expect(sp.get("meta", {}), dict, "space.meta")
+    space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
     lines = []
-    for ln in doc.get("lines", []):
-        pts = np.asarray(ln["points"], dtype=int)
-        if pts.size and (pts.min() < 0 or pts.max() >= n):
-            raise ShapeError("line references out-of-range point indices")
+    for ln in _expect(doc.get("lines", []), list, "lines"):
+        ln = _expect(ln, dict, "line")
+        pts = _indices(ln.get("points"), n, "line")
         lines.append(
-            LineSample(points=pts, t0=float(ln["t0"]), step=float(ln["step"]), kind=ln.get("kind", "line"), label=ln.get("label"))
+            LineSample(
+                points=pts,
+                t0=_float(ln.get("t0"), "line t0"),
+                step=_float(ln.get("step"), "line step"),
+                kind=ln.get("kind", "line"),
+                label=ln.get("label"),
+            )
         )
     chains = []
-    for ch in doc.get("chains", []):
-        pts = np.asarray(ch["points"], dtype=int)
-        if pts.size and (pts.min() < 0 or pts.max() >= n):
-            raise ShapeError("chain references out-of-range point indices")
-        chains.append(Chain(points=pts, params=np.asarray(ch["params"], dtype=float)))
+    for ch in _expect(doc.get("chains", []), list, "chains"):
+        ch = _expect(ch, dict, "chain")
+        pts = _indices(ch.get("points"), n, "chain")
+        chains.append(Chain(points=pts, params=_array(ch.get("params"), float, "chain params")))
     base = None
     if doc.get("base"):
-        b = doc["base"]
+        b = _expect(doc["base"], dict, "base")
+        midpoints = {}
+        for row in _expect(b.get("midpoints", []), list, "base.midpoints"):
+            triple = _indices(row, None, "base midpoint")
+            if triple.size != 3:
+                raise ShapeError("base midpoints must be [i, j, m] triples")
+            i, j, m = triple.tolist()
+            midpoints[(i, j)] = m
         base = MetricSampleIn(
-            dist=np.asarray(b["dist"], dtype=float),
+            dist=_array(b.get("dist"), float, "base.dist"),
             labels=b.get("labels"),
-            midpoints={(int(i), int(j)): int(m) for i, j, m in b.get("midpoints", [])},
-            meta=b.get("meta", {}),
+            midpoints=midpoints,
+            meta=_expect(b.get("meta", {}), dict, "base.meta"),
         )
-    return space, lines, chains, base, doc.get("meta", {})
+    return space, lines, chains, base, _expect(doc.get("meta", {}), dict, "meta")
+
+
+def _expect(value, kind, what):
+    if not isinstance(value, kind):
+        raise ShapeError(f"fixture {what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
+def _array(value, dtype, what):
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ShapeError(f"fixture {what} is not a numeric array: {e}") from None
+
+
+def _float(value, what):
+    x = _array(value, float, what)
+    if x.ndim or not np.isfinite(x):
+        raise ShapeError(f"fixture {what} must be a finite number")
+    return float(x)
+
+
+def _indices(value, n, what):
+    pts = _array(value, np.int64, f"{what} points")
+    if pts.ndim != 1:
+        raise ShapeError(f"{what} points must be a flat list")
+    if n is not None and pts.size and (pts.min() < 0 or pts.max() >= n):
+        raise ShapeError(f"{what} references out-of-range point indices")
+    return pts
 
 
 def save_fixture(path, space, lines=(), chains=(), base=None, meta=None):

@@ -1,7 +1,12 @@
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lorentzgeo.cli import main
 from lorentzgeo.errors import NoSeries, ShapeError
@@ -43,6 +48,16 @@ class TestFixtureIO:
     def test_bad_schema_rejected(self):
         with pytest.raises(ShapeError):
             fixture_from_dict({"schema_version": 99})
+
+    def test_zero_tau_written_as_integer(self, tmp_path):
+        space = minkowski_grid(3, 3, 1.0)
+        doc = fixture_to_dict(space)
+        assert all(type(v) is int for row in doc["space"]["tau"] for v in row if v == 0)
+        legacy = copy.deepcopy(doc)
+        legacy["space"]["tau"] = space.tau.tolist()  # zeros as 0.0, as older files have them
+        for loaded in (fixture_from_dict(doc)[0], fixture_from_dict(legacy)[0]):
+            assert loaded.tau.dtype == space.tau.dtype
+            assert np.array_equal(loaded.tau, space.tau)
 
     def test_out_of_range_indices_rejected(self):
         space = minkowski_grid(3, 3, 1.0)
@@ -181,6 +196,40 @@ class TestCli:
         bad.write_text(json.dumps({"schema_version": 1, "space": {"n": 2, "tau": [[0]], "causal": [[1]]}}))
         assert main(["axioms", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["curvature", "axioms"])
+    @pytest.mark.parametrize("entry, value", [((0, 40), -1.0), ((7, 7), 0.5)])
+    def test_negative_tau_or_nonzero_diagonal_exit_2(self, tripod_fixture, command, entry, value):
+        doc = json.loads(tripod_fixture.read_text())
+        doc["space"]["tau"][entry[0]][entry[1]] = value
+        tripod_fixture.write_text(json.dumps(doc))
+        assert main([command, str(tripod_fixture)]) == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: [doc],
+            lambda doc: {**doc, "space": [1]},
+            lambda doc: {**doc, "space": {**doc["space"], "n": [2]}},
+            lambda doc: {**doc, "lines": [1]},
+        ],
+        ids=["root-list", "space-list", "n-list", "line-not-object"],
+    )
+    def test_malformed_fixture_exit_2(self, grid_fixture, mutate):
+        doc = mutate(json.loads(grid_fixture.read_text()))
+        with pytest.raises(ShapeError):
+            fixture_from_dict(doc)
+        grid_fixture.write_text(json.dumps(doc))
+        assert main(["axioms", str(grid_fixture)]) == 2
+
+    def test_axioms_report_diagnostics(self, grid_fixture, tmp_path):
+        assert main(["axioms", str(grid_fixture), "-o", str(tmp_path / "r.json")]) == 0
+        report = load_report(tmp_path / "r.json")
+        causal = load_fixture(grid_fixture)[0].causal
+        check = report["checks"][0]
+        assert check["n_points"] == 49
+        assert check["triples_checked"] == int(causal.sum(axis=0) @ causal.sum(axis=1))
+        assert report["runtime"]["load_s"] >= 0 and report["runtime"]["scan_s"] >= 0
+
     def test_desitter_gen_with_fan(self, tmp_path):
         path = tmp_path / "ds.json"
         assert (
@@ -205,3 +254,67 @@ class TestCli:
             == 0
         )
         assert main(["axioms", str(path)]) == 0
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def valid_fixture():
+    """A 3-point chain with its line, one chain and its one-point base."""
+    space, lines = build_product(base_point(), [0.0, 1.0, 2.0])
+    return fixture_to_dict(space, lines, [Chain([0, 1, 2], [0.0, 1.0, 2.0])], base_point())
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """valid_fixture() with a few nested values replaced by JSON or deleted."""
+    doc = valid_fixture()
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if isinstance(node, dict) and draw(st.booleans()):
+                del node[key]
+            else:
+                node[key] = draw(JSON)
+            break
+    return doc
+
+
+class TestFixtureFuzz:
+    """Any JSON fixture gives exit 0, 1 or 2, never an uncaught exception."""
+
+    @staticmethod
+    def run_commands(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.json"
+            path.write_text(json.dumps(doc))
+            for command in ("axioms", "curvature"):
+                assert main([command, str(path), "-o", str(Path(tmp) / "r.json")]) in (0, 1, 2)
+
+    def test_valid_fixture_runs(self, tmp_path):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(valid_fixture()))
+        assert main(["axioms", str(path)]) == 0
+        assert main(["curvature", str(path)]) == 0
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.just(1), "space": JSON}))
+    def test_arbitrary_json(self, doc):
+        self.run_commands(doc)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=mutated_fixtures())
+    def test_mutated_fixture(self, doc):
+        self.run_commands(doc)

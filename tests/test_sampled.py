@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lorentzgeo.fixtures import (
 )
 from lorentzgeo.modelspace import Kappa
 from lorentzgeo.sampled import (
+    AxiomReport,
     Certificate,
     Chain,
     SampledSpace,
@@ -47,9 +49,133 @@ def grid11():
     return minkowski_grid(11, 11, 1.0)
 
 
+def reference_axioms(space, tol=1e-9):
+    """validate_axioms with its O(n^3) scans as one loop over the middle index."""
+    tau, causal = space.tau, space.causal
+    n = space.n
+    violations = []
+    counts = {}
+
+    def record(kind, idx_arrays, count):
+        counts[kind] = counts.get(kind, 0) + int(count)
+        for w in list(zip(*idx_arrays))[: sampled._WITNESS_CAP]:
+            violations.append({"kind": kind, "witness": tuple(int(i) for i in w)})
+
+    chron = tau > 0
+    m = chron & ~causal
+    if m.any():
+        record("chronological-not-causal", np.nonzero(m), m.sum())
+    refl = ~np.diag(causal)
+    if refl.any():
+        record("causal-not-reflexive", (np.flatnonzero(refl),), refl.sum())
+    anti = chron & chron.T
+    if anti.any():
+        record("chronology-not-antisymmetric", np.nonzero(anti), anti.sum() // 2)
+    reach = (causal.astype(np.float32) @ causal.astype(np.float32)) > 0
+    m = reach & ~causal
+    if m.any():
+        record("causal-not-transitive", np.nonzero(m), m.sum())
+
+    rti_count = push_count = 0
+    rti_witness = push_witness = None
+    for j in range(n):
+        cj_in = causal[:, j][:, None]
+        cj_out = causal[j, :][None, :]
+        both = cj_in & cj_out
+        if both.any():
+            lhs = tau[:, j][:, None] + tau[j, :][None, :]
+            viol = both & (tau < lhs - tol * (1.0 + lhs))
+            c = int(viol.sum())
+            if c and rti_witness is None:
+                i, k = np.argwhere(viol)[0]
+                rti_witness = (int(i), j, int(k))
+            rti_count += c
+        up1 = cj_in & (tau[j, :][None, :] > 0) & (tau <= 0)
+        up2 = (tau[:, j][:, None] > 0) & cj_out & (tau <= 0)
+        viol = up1 | up2
+        c = int(viol.sum())
+        if c and push_witness is None:
+            i, k = np.argwhere(viol)[0]
+            push_witness = (int(i), j, int(k))
+        push_count += c
+    if rti_count:
+        counts["reverse-triangle"] = rti_count
+        violations.append({"kind": "reverse-triangle", "witness": rti_witness})
+    if push_count:
+        counts["push-up"] = push_count
+        violations.append({"kind": "push-up", "witness": push_witness})
+    return AxiomReport(violations=violations, counts=counts)
+
+
+@st.composite
+def broken_spaces(draw):
+    """A small grid, de Sitter or tripod space with tau entries scaled,
+    zeroed or set, and causal entries flipped (diagonal included)."""
+    space = small_space(draw(st.sampled_from(["grid", "desitter", "tripod"])))
+    tau, causal = space.tau.copy(), space.causal.copy()
+    n = space.n
+    for _ in range(draw(st.integers(0, 12))):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["scale", "zero", "set", "flip"]))
+        if edit == "flip":
+            causal[i, k] = not causal[i, k]
+        elif i == k:
+            continue
+        elif edit == "zero":
+            tau[i, k] = 0.0
+        elif edit == "set":
+            tau[i, k] = draw(st.floats(0.0, 3.0))
+        else:
+            tau[i, k] *= draw(st.floats(0.0, 2.0))
+    return SampledSpace(tau=tau, causal=causal)
+
+
 class TestAxioms:
     def test_chain_fixture_clean(self, chain3):
         assert validate_axioms(chain3).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=broken_spaces(), block=st.sampled_from([1, 37, 1 << 20]))
+    def test_matches_per_j_reference(self, space, block):
+        with mock.patch.object(sampled, "_PUSH_BLOCK", block):
+            rep = validate_axioms(space)
+        ref = reference_axioms(space)
+        assert list(rep.counts.items()) == list(ref.counts.items())
+        assert rep.violations == ref.violations
+        assert rep.ok == ref.ok
+
+    def test_diagnostics(self, chain3):
+        rep = validate_axioms(chain3)
+        # pasts of 0 < 1 < 2 have sizes 1, 2, 3 and futures 3, 2, 1
+        assert (rep.n_points, rep.triples_checked) == (3, 10)
+
+    @pytest.mark.parametrize(
+        "drop, counts, witnesses",
+        [
+            # (0,0) -> (2,0) and (0,1) -> (2,1) are chronological
+            (
+                [(0, 8), (1, 9)],
+                {"chronological-not-causal": 2, "causal-not-transitive": 2},
+                [
+                    ("chronological-not-causal", (0, 8)),
+                    ("chronological-not-causal", (1, 9)),
+                    ("causal-not-transitive", (0, 8)),
+                    ("causal-not-transitive", (1, 9)),
+                ],
+            ),
+            ([(5, 5), (10, 10)], {"causal-not-reflexive": 2}, [("causal-not-reflexive", (5,)), ("causal-not-reflexive", (10,))]),
+            # (0,0) -> (2,2) is null, reached through (1,1)
+            ([(0, 10)], {"causal-not-transitive": 1}, [("causal-not-transitive", (0, 10))]),
+        ],
+    )
+    def test_causal_order_violations(self, drop, counts, witnesses):
+        grid = minkowski_grid(4, 4, 1.0)
+        causal = grid.causal.copy()
+        for i, k in drop:
+            causal[i, k] = False
+        rep = validate_axioms(SampledSpace(tau=grid.tau.copy(), causal=causal))
+        assert rep.counts == counts
+        assert [(v["kind"], v["witness"]) for v in rep.violations] == witnesses
 
     def test_reverse_triangle_violation(self, chain3):
         tau = chain3.tau.copy()
@@ -71,9 +197,29 @@ class TestAxioms:
         rep = validate_axioms(bad)
         assert rep.counts.get("push-up", 0) > 0
 
+    def test_push_up_witness_is_row_major(self):
+        # (1,0) is the first middle point for both unchronological pairs
+        # (0,0) -> (3,1) and (0,1) -> (3,0); row-major order picks the former
+        grid = minkowski_grid(4, 4, 1.0)
+        tau = grid.tau.copy()
+        tau[0, 13] = tau[1, 12] = 0.0
+        rep = validate_axioms(SampledSpace(tau=tau, causal=grid.causal.copy()))
+        assert rep.counts == {"reverse-triangle": 8, "push-up": 8}
+        assert [(v["kind"], v["witness"]) for v in rep.violations] == [
+            ("reverse-triangle", (0, 4, 13)),
+            ("push-up", (0, 4, 13)),
+        ]
+
     def test_non_finite_tau_rejected(self, chain3):
         tau = chain3.tau.copy()
         tau[0, 2] = np.nan
+        with pytest.raises(ShapeError):
+            SampledSpace(tau=tau, causal=chain3.causal.copy())
+
+    @pytest.mark.parametrize("entry, value", [((0, 2), -0.5), ((1, 1), 0.25)])
+    def test_negative_tau_or_nonzero_diagonal_rejected(self, chain3, entry, value):
+        tau = chain3.tau.copy()
+        tau[entry] = value
         with pytest.raises(ShapeError):
             SampledSpace(tau=tau, causal=chain3.causal.copy())
 
