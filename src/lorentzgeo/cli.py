@@ -175,7 +175,7 @@ def cmd_axioms(args):
             "status": "PASS" if rep.ok else "FAIL",
             "counts": rep.counts,
             "witnesses": rep.violations[:20],
-            "n_points": rep.n_points,
+            "n_points": space.n,
             "triples_checked": rep.triples_checked,
         }
     ]

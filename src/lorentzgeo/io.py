@@ -78,9 +78,7 @@ def fixture_from_dict(doc: dict):
     causal = _array(sp.get("causal"), bool, "space.causal")
     if tau.shape != (n, n) or causal.shape != (n, n):
         raise ShapeError("fixture matrices do not match the declared point count")
-    labels = sp.get("labels")
-    if labels is not None:
-        _expect(labels, list, "space.labels")
+    labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
     space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
     lines = []
@@ -93,7 +91,7 @@ def fixture_from_dict(doc: dict):
                 t0=_float(ln.get("t0"), "line t0"),
                 step=_float(ln.get("step"), "line step"),
                 kind=ln.get("kind", "line"),
-                label=ln.get("label"),
+                label=_optional(ln.get("label"), str, "line label"),
             )
         )
     chains = []
@@ -113,17 +111,24 @@ def fixture_from_dict(doc: dict):
             midpoints[(i, j)] = m
         base = MetricSampleIn(
             dist=_array(b.get("dist"), float, "base.dist"),
-            labels=b.get("labels"),
+            labels=_optional(b.get("labels"), list, "base.labels"),
             midpoints=midpoints,
             meta=_expect(b.get("meta", {}), dict, "base.meta"),
         )
     return space, lines, chains, base, _expect(doc.get("meta", {}), dict, "meta")
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string"}
+
+
 def _expect(value, kind, what):
     if not isinstance(value, kind):
-        raise ShapeError(f"fixture {what} must be a JSON {'object' if kind is dict else 'array'}")
+        raise ShapeError(f"fixture {what} must be a JSON {_JSON_TYPES[kind]}")
     return value
+
+
+def _optional(value, kind, what):
+    return None if value is None else _expect(value, kind, what)
 
 
 def _array(value, dtype, what):

@@ -221,6 +221,24 @@ class TestCli:
         grid_fixture.write_text(json.dumps(doc))
         assert main(["axioms", str(grid_fixture)]) == 2
 
+    @pytest.mark.parametrize("command", ["lines", "split"])
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["lines"][0].update(label=5),
+            lambda doc: doc["base"].update(labels=5),
+        ],
+        ids=["line-label-number", "base-labels-number"],
+    )
+    def test_wrong_label_type_exit_2(self, tmp_path, command, mutate):
+        doc = valid_fixture()
+        mutate(doc)
+        with pytest.raises(ShapeError):
+            fixture_from_dict(doc)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+
     def test_axioms_report_diagnostics(self, grid_fixture, tmp_path):
         assert main(["axioms", str(grid_fixture), "-o", str(tmp_path / "r.json")]) == 0
         report = load_report(tmp_path / "r.json")
@@ -292,6 +310,9 @@ def mutated_fixtures(draw):
     return doc
 
 
+FUZZ_COMMANDS = ("axioms", "curvature", "lines", "split")
+
+
 class TestFixtureFuzz:
     """Any JSON fixture gives exit 0, 1 or 2, never an uncaught exception."""
 
@@ -300,14 +321,14 @@ class TestFixtureFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.json"
             path.write_text(json.dumps(doc))
-            for command in ("axioms", "curvature"):
+            for command in FUZZ_COMMANDS:
                 assert main([command, str(path), "-o", str(Path(tmp) / "r.json")]) in (0, 1, 2)
 
-    def test_valid_fixture_runs(self, tmp_path):
+    @pytest.mark.parametrize("command", FUZZ_COMMANDS)
+    def test_valid_fixture_runs(self, tmp_path, command):
         path = tmp_path / "f.json"
         path.write_text(json.dumps(valid_fixture()))
-        assert main(["axioms", str(path)]) == 0
-        assert main(["curvature", str(path)]) == 0
+        assert main([command, str(path)]) == 0
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.just(1), "space": JSON}))

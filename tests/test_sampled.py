@@ -1,6 +1,5 @@
 import functools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -135,10 +134,9 @@ class TestAxioms:
         assert validate_axioms(chain3).ok
 
     @settings(max_examples=60, deadline=None)
-    @given(space=broken_spaces(), block=st.sampled_from([1, 37, 1 << 20]))
-    def test_matches_per_j_reference(self, space, block):
-        with mock.patch.object(sampled, "_PUSH_BLOCK", block):
-            rep = validate_axioms(space)
+    @given(space=broken_spaces())
+    def test_matches_per_j_reference(self, space):
+        rep = validate_axioms(space)
         ref = reference_axioms(space)
         assert list(rep.counts.items()) == list(ref.counts.items())
         assert rep.violations == ref.violations
@@ -147,7 +145,7 @@ class TestAxioms:
     def test_diagnostics(self, chain3):
         rep = validate_axioms(chain3)
         # pasts of 0 < 1 < 2 have sizes 1, 2, 3 and futures 3, 2, 1
-        assert (rep.n_points, rep.triples_checked) == (3, 10)
+        assert rep.triples_checked == 10
 
     @pytest.mark.parametrize(
         "drop, counts, witnesses",
