@@ -211,33 +211,19 @@ class TestCli:
             lambda doc: {**doc, "space": [1]},
             lambda doc: {**doc, "space": {**doc["space"], "n": [2]}},
             lambda doc: {**doc, "lines": [1]},
+            lambda doc: {**doc, "lines": [{**doc["lines"][0], "label": 5}]},
+            lambda doc: {**doc, "base": {**doc["base"], "labels": 5}},
         ],
-        ids=["root-list", "space-list", "n-list", "line-not-object"],
+        ids=["root-list", "space-list", "n-list", "line-not-object", "line-label-number", "base-labels-number"],
     )
-    def test_malformed_fixture_exit_2(self, grid_fixture, mutate):
-        doc = mutate(json.loads(grid_fixture.read_text()))
-        with pytest.raises(ShapeError):
-            fixture_from_dict(doc)
-        grid_fixture.write_text(json.dumps(doc))
-        assert main(["axioms", str(grid_fixture)]) == 2
-
-    @pytest.mark.parametrize("command", ["lines", "split"])
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            lambda doc: doc["lines"][0].update(label=5),
-            lambda doc: doc["base"].update(labels=5),
-        ],
-        ids=["line-label-number", "base-labels-number"],
-    )
-    def test_wrong_label_type_exit_2(self, tmp_path, command, mutate):
-        doc = valid_fixture()
-        mutate(doc)
+    def test_malformed_fixture_exit_2(self, tmp_path, mutate):
+        doc = mutate(valid_fixture())
         with pytest.raises(ShapeError):
             fixture_from_dict(doc)
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
-        assert main([command, str(path)]) == 2
+        for command in FUZZ_COMMANDS:
+            assert main([command, str(path)]) == 2
 
     def test_axioms_report_diagnostics(self, grid_fixture, tmp_path):
         assert main(["axioms", str(grid_fixture), "-o", str(tmp_path / "r.json")]) == 0
