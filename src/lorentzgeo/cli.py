@@ -11,6 +11,7 @@ the input or invocation was malformed.
 import argparse
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -195,11 +196,16 @@ def cmd_axioms(args):
 
 
 def cmd_curvature(args):
-    space, *_ = load_fixture(args.fixture)
-    t0 = time.time()
     kappa = Kappa(args.k)
+    t_load = time.perf_counter()
+    space, *_ = load_fixture(args.fixture)
+    t_sample = time.perf_counter()
     triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
+    t_certify = time.perf_counter()
     cert = certify_curvature_bound(space, triangles, kappa, args.direction)
+    t_done = time.perf_counter()
+    # sample_triangles gives triangles that share a side the same Chain
+    chains = {id(c): c for t in triangles for c in (t.side_xy, t.side_yz, t.side_xz)}
     if cert.n_triangles == 0:
         status = "SKIP"  # nothing was compared, so nothing is certified
     else:
@@ -216,6 +222,9 @@ def cmd_curvature(args):
             "chronology_mismatches": cert.chronology_mismatches,
             "witness": cert.witness,
             "skipped": len(cert.skipped),
+            "skipped_by_reason": dict(Counter(reason for _, reason in cert.skipped)),
+            "geodesic_pairs": len(chains),
+            "flagged_chains": sum(c.flagged(args.geo_tol) for c in chains.values()),
         }
     ]
     report = make_report(
@@ -223,7 +232,13 @@ def cmd_curvature(args):
         {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
         _tolerances(args),
         checks,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
+        runtime={
+            "seconds": time.perf_counter() - t_sample,
+            "timestamp": time.time(),
+            "load_s": t_sample - t_load,
+            "sample_s": t_certify - t_sample,
+            "certify_s": t_done - t_certify,
+        },
     )
     return _finish(args, report, f"curvature_{args.direction}")
 
@@ -610,6 +625,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        if getattr(args, "cap", 1) < 1:
+            raise ValueError(f"--cap must be at least 1, got {args.cap}")
         if args.command == "gen":
             return cmd_gen(args)
         return _COMMANDS[args.command](args)

@@ -31,6 +31,10 @@ class Kappa:
 
     k: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.k):
+            raise DomainError(f"curvature k must be finite, got {self.k}")
+
     @property
     def dk(self) -> float:
         """Timelike diameter: pi/sqrt(|k|) in the trigonometric regime, else inf."""

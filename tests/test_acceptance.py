@@ -317,6 +317,45 @@ def test_criterion_06c_desitter_corrected(certification_runs):
     )
 
 
+# The seven certificates as first measured, before chain extraction was
+# batched: (n_triangles, n_pairs, max_violation, max_slack, side_step, witness).
+PINNED_CERTIFICATES = {
+    "grid-above": (20000, 1653384, -5.684341886080802e-14, 5.684341886080802e-14, 19.974984355438178, None),
+    "grid-below": (20000, 1653384, -5.684341886080802e-14, 5.684341886080802e-14, 19.974984355438178, None),
+    "tripod-above": (20000, 6208106, -3.7969627442180354e-14, 1.118033988749895, 15.968719422671311, None),
+    "tripod-below": (
+        20000, 6208106, -1.118033988749895, 1.118033988749895, 15.968719422671311,
+        {"triangle": (75, 53, 124), "p": 17, "q": 53, "tau": 1.118033988749895, "tau_model": 0.0, "margin": -1.118033988749895},
+    ),
+    "ds-above": (20000, 3422236, -8.858469513484124e-13, 1.1595309086693004, 5.93030662285978, None),
+    "ds-below": (
+        20000, 3422236, -1.1595309086693004, 1.1595309086693004, 5.93030662285978,
+        {"triangle": (201, 161, 223), "p": 161, "q": 218, "tau": 1.1595309086693004, "tau_model": 0.0, "margin": -1.1595309086693004},
+    ),
+    "sphere-above": (
+        20000, 3033602, -1.500000000000001, 1.500000000000001, 9.875859400564979,
+        {"triangle": (89, 36, 61), "p": 12, "q": 36, "tau": 0.0, "tau_model": 1.500000000000001, "margin": -1.500000000000001},
+    ),
+}
+
+
+def test_certificates_pinned(certification_runs):
+    """Counts and witness indices exactly; floats to 1e-12 (the near-zero
+    margins are rounding noise of the flat comparison)."""
+    assert set(certification_runs) == set(PINNED_CERTIFICATES)
+    for name, (n_tri, n_pairs, worst, slack, step, witness) in PINNED_CERTIFICATES.items():
+        cert, _ = certification_runs[name]
+        assert (cert.n_triangles, cert.n_pairs) == (n_tri, n_pairs), name
+        for got, want in [(cert.max_violation, worst), (cert.max_slack, slack), (cert.side_step, step)]:
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), name
+        assert (cert.witness is None) == (witness is None), name
+        if witness is not None:
+            for key in ("triangle", "p", "q"):
+                assert cert.witness[key] == witness[key], (name, key)
+            for key in ("tau", "tau_model", "margin"):
+                assert math.isclose(cert.witness[key], witness[key], rel_tol=1e-12, abs_tol=1e-12), (name, key)
+
+
 @pytest.fixture(scope="module")
 def planar_quadrangle_space():
     pts = [(0.0, 0.0), (2.0, 1.0), (6.0, 1.0), (4.0, 0.0)]

@@ -22,7 +22,8 @@ from lorentzgeo.io import (
     save_fixture,
 )
 from lorentzgeo.parallels import LineSample
-from lorentzgeo.sampled import Chain
+from lorentzgeo.modelspace import Kappa
+from lorentzgeo.sampled import Chain, SampledSpace, certify_curvature_bound, sample_triangles
 from lorentzgeo.splitting import build_product
 
 
@@ -233,6 +234,63 @@ class TestCli:
         assert check["n_points"] == 49
         assert check["triples_checked"] == int(causal.sum(axis=0) @ causal.sum(axis=1))
         assert report["runtime"]["load_s"] >= 0 and report["runtime"]["scan_s"] >= 0
+
+    @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["curvature", "angles", "fvf", "rigidity", "quadrangle"])
+    def test_non_finite_k_exit_2(self, grid_fixture, tmp_path, capsys, command, k):
+        out = tmp_path / "r.json"
+        # every command below exits 0 at --k 0 on this fixture
+        extra = {
+            "fvf": ["--point", "0", "--vertex", "7", "--target", "35"],
+            "quadrangle": ["--vertices", "3,16,45,31"],
+        }.get(command, ["--cap", "5"])
+        capsys.readouterr()
+        assert main([command, str(grid_fixture), f"--k={k}", *extra, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "curvature" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["curvature", "angles", "rigidity"])
+    def test_cap_below_one_exit_2(self, grid_fixture, tmp_path, capsys, command, cap):
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main([command, str(grid_fixture), f"--cap={cap}", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "--cap" in err
+        assert not out.exists()
+
+    def test_curvature_report_diagnostics(self, tmp_path):
+        # a 6x6 grid with a sixth of its chronological tau entries shrunk:
+        # some chains fall short of tau and triangles are skipped for
+        # several domain reasons
+        grid = minkowski_grid(6, 6, 1.0)
+        tau = grid.tau.copy()
+        ii, jj = np.nonzero(tau > 0)
+        pick = np.random.default_rng(0).choice(len(ii), len(ii) // 6, replace=False)
+        tau[ii[pick], jj[pick]] *= 0.8
+        space = SampledSpace(tau=tau, causal=grid.causal.copy())
+        path = tmp_path / "broken.json"
+        save_fixture(path, space)
+        main(["curvature", str(path), "--k", "-1", "-o", str(tmp_path / "r.json")])
+        report = load_report(tmp_path / "r.json")
+        check = report["checks"][0]
+
+        tris = sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(-1.0))
+        cert = certify_curvature_bound(space, tris, Kappa(-1.0), "above")
+        chains = {}
+        for t in tris:
+            chains.update({(t.x, t.y): t.side_xy, (t.y, t.z): t.side_yz, (t.x, t.z): t.side_xz})
+        flagged = sum(c.flagged() for c in chains.values())
+        reasons = {}
+        for _, reason in cert.skipped:
+            reasons[reason] = reasons.get(reason, 0) + 1
+        assert check["geodesic_pairs"] == len(chains) > 0
+        assert check["flagged_chains"] == flagged > 0
+        assert check["skipped_by_reason"] == reasons
+        assert len(reasons) >= 2 and sum(reasons.values()) == check["skipped"] == len(cert.skipped)
+        runtime = report["runtime"]
+        assert all(runtime[key] >= 0 for key in ("load_s", "sample_s", "certify_s"))
 
     def test_desitter_gen_with_fan(self, tmp_path):
         path = tmp_path / "ds.json"

@@ -74,6 +74,13 @@ class TestLawOfCosines:
         with pytest.raises(DomainError):
             side_from_hinge(0, 1, 2, 1, -1)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_curvature_rejected(self, k):
+        with pytest.raises(DomainError):
+            Kappa(k)
+        with pytest.raises(DomainError):
+            side_from_hinge(k, 1.0, 1.0, 1.5, +1)
+
     def test_negative_curvature_overflow(self):
         # sides beyond the timelike diameter pi/sqrt|K|
         with pytest.raises(DomainError):

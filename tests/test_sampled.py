@@ -34,7 +34,7 @@ from lorentzgeo.sampled import (
     validate_axioms,
 )
 from lorentzgeo.splitting import build_product
-from lorentzgeo.tolerances import DEFAULT_CERT_TOL, scaled
+from lorentzgeo.tolerances import DEFAULT_CERT_TOL, DEFAULT_GEO_TOL, scaled
 
 
 @pytest.fixture(scope="module")
@@ -648,6 +648,178 @@ class TestComparisonMatrix:
                     worst_ds = max(worst_ds, abs(M1[i, j] - self._signed(*ds_tau(p, q))))
         assert worst_flat <= 1e-12
         assert worst_ds <= 1e-9
+
+
+def reference_geodesic(space, x, y, geo_tol=DEFAULT_GEO_TOL):
+    """One pair's greedy walk, the reference that _geodesics is held to."""
+    tau = space.tau
+    target = float(tau[x, y])
+    if target <= 0.0:
+        raise NotChronological(f"tau({x},{y}) = {target}; no future-directed geodesic")
+    through = tau[x, :] + tau[:, y]
+    on_geo = (tau[x, :] > 0) & (tau[:, y] > 0) & (through >= target - scaled(geo_tol, target))
+    pts = [int(x)]
+    params = [0.0]
+    cur = int(x)
+    acc = 0.0
+    candidates = np.flatnonzero(on_geo)
+    candidates = candidates[np.lexsort((candidates, tau[x, candidates]))]
+    while cur != y:
+        step_tau = tau[cur, candidates]
+        ok = (step_tau > 0) & (tau[x, candidates] > tau[x, cur]) & (
+            tau[x, cur] + step_tau >= tau[x, candidates] - scaled(geo_tol, target)
+        )
+        nxt = candidates[ok]
+        v = int(nxt[0]) if nxt.size else int(y)
+        acc += float(tau[cur, v])
+        pts.append(v)
+        params.append(acc)
+        if v == y:
+            break
+        cur = v
+    return Chain(np.array(pts), np.array(params), deficit=target - acc)
+
+
+def reference_sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0)):
+    """sample_triangles as one loop that extracts each admitted triangle's
+    sides as it goes (memoized per pair) and draws x with rng.choice."""
+    kappa = Kappa.of(kappa)
+    tau = space.tau
+    n = space.n
+    chron = tau > 0
+    futures = [np.flatnonzero(chron[i]) for i in range(n)]
+    counts = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        fi = futures[i]
+        if fi.size:
+            counts[i] = int(chron[np.ix_(fi, fi)].sum())
+    cache = {}
+
+    def side(a, b):
+        if (a, b) not in cache:
+            cache[a, b] = reference_geodesic(space, a, b)
+        return cache[a, b]
+
+    def admit(x, y, z):
+        if tau[x, z] < kappa.dk:
+            triangles.append(SampledTriangle(x, y, z, side(x, y), side(y, z), side(x, z)))
+
+    triangles = []
+    if int(counts.sum()) <= cap:
+        for x in range(n):
+            for y in futures[x]:
+                for z in futures[x][chron[y, futures[x]]]:
+                    admit(x, int(y), int(z))
+        return triangles
+    rng = np.random.default_rng(seed)
+    seen = set()
+    xs = np.flatnonzero(counts > 0)
+    attempts = 0
+    while len(triangles) < cap and attempts < 50 * cap:
+        attempts += 1
+        x = int(xs[attempts % xs.size]) if attempts % 2 else int(rng.choice(xs))
+        fx = futures[x]
+        y = int(fx[rng.integers(fx.size)])
+        zs = fx[chron[y, fx]]
+        if not zs.size:
+            continue
+        z = int(zs[rng.integers(zs.size)])
+        if (x, y, z) in seen:
+            continue
+        seen.add((x, y, z))
+        admit(x, y, z)
+    return triangles
+
+
+def assert_same_chain(got, want):
+    """Bit-equal points, params and deficit."""
+    assert got.points.dtype == want.points.dtype and np.array_equal(got.points, want.points)
+    assert got.params.dtype == want.params.dtype and got.params.tobytes() == want.params.tobytes()
+    assert type(got.deficit) is type(want.deficit)
+    assert np.float64(got.deficit).tobytes() == np.float64(want.deficit).tobytes()
+
+
+@functools.cache
+def oracle_space(name, scaled_frac, seed):
+    """A small grid, de Sitter, tripod or sphere-product space, with a
+    fraction of its chronological tau entries scaled by 0.7-1.3 so that
+    chains fall short (deficit != 0) or jump straight to their end."""
+    if name == "sphere":
+        space = product_fixture("sphere-sample", step=0.5, window=2.0)[0]
+    else:
+        space = small_space(name)
+    if not scaled_frac:
+        return space
+    rng = np.random.default_rng(seed)
+    tau = space.tau.copy()
+    ii, jj = np.nonzero(tau > 0)
+    pick = rng.random(len(ii)) < scaled_frac
+    tau[ii[pick], jj[pick]] *= rng.uniform(0.7, 1.3, int(pick.sum()))
+    return SampledSpace(tau=tau, causal=space.causal.copy())
+
+
+ORACLE_SPACES = st.tuples(
+    st.sampled_from(["grid", "desitter", "tripod", "sphere"]),
+    st.sampled_from([0.0, 0.05, 0.3]),
+    st.integers(0, 3),
+)
+
+
+class TestBatchedGeodesics:
+    @pytest.mark.parametrize("chunk", [1, 7, 128])
+    @pytest.mark.parametrize("name", ["grid", "desitter", "tripod", "sphere"])
+    @pytest.mark.parametrize("scaled_frac", [0.0, 0.3])
+    def test_every_pair_matches_reference_walk(self, monkeypatch, chunk, name, scaled_frac):
+        monkeypatch.setattr(sampled, "_GEODESIC_CHUNK", chunk)
+        space = oracle_space(name, scaled_frac, 0)
+        xs, ys = np.nonzero(space.tau > 0)
+        chains = sampled._geodesics(space, xs, ys)
+        assert len(chains) == len(xs)
+        deficits = 0
+        for x, y, chain in zip(xs, ys, chains):
+            want = reference_geodesic(space, x, y)
+            assert_same_chain(chain, want)
+            deficits += want.deficit != 0.0
+        if scaled_frac:
+            assert deficits > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=ORACLE_SPACES,
+        cap=st.integers(1, 1500) | st.just(10_000),
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    def test_sample_triangles_matches_reference(self, spec, cap, seed, k):
+        space = oracle_space(*spec)
+        got = sample_triangles(space, cap=cap, seed=seed, kappa=Kappa(k))
+        want = reference_sample_triangles(space, cap=cap, seed=seed, kappa=Kappa(k))
+        assert [(t.x, t.y, t.z) for t in got] == [(t.x, t.y, t.z) for t in want]
+        for a, b in zip(got, want):
+            for side in ("side_xy", "side_yz", "side_xz"):
+                assert_same_chain(getattr(a, side), getattr(b, side))
+
+    def test_size_bound_and_enumeration_paths(self):
+        # K = -1 drops every triple whose longest side reaches pi; the grid's
+        # 1409 triples are enumerated below a cap of 2000 and drawn above it
+        space = small_space("grid")
+        for cap in (2000, 1000):
+            got = sample_triangles(space, cap=cap, seed=5, kappa=Kappa(-1.0))
+            want = reference_sample_triangles(space, cap=cap, seed=5, kappa=Kappa(-1.0))
+            assert got and all(space.tau[t.x, t.z] < math.pi for t in got)
+            assert [(t.x, t.y, t.z) for t in got] == [(t.x, t.y, t.z) for t in want]
+        assert len(sample_triangles(space, cap=2000)) == 1409
+
+    def test_rounded_away_step_raises(self):
+        # 1e17 + 1.0 rounds back to 1e17, so the chain 0 -> 1 -> 2 repeats a parameter
+        tau = np.array([[0.0, 1e17, 1e17], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(3, dtype=bool))
+        with pytest.raises(ShapeError):
+            reference_geodesic(space, 0, 2)
+        with pytest.raises(ShapeError):
+            geodesic_between(space, 0, 2)
+        with pytest.raises(ShapeError):
+            sample_triangles(space)
 
 
 class TestTriangleSampling:
