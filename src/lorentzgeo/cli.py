@@ -410,8 +410,9 @@ def cmd_quadrangle(args):
 
 
 def cmd_lines(args):
+    t_load = time.perf_counter()
     space, lines, *_ = load_fixture(args.fixture)
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = []
     for k, ln in enumerate(lines):
         ok, worst = is_line(space, ln, args.geo_tol)
@@ -428,7 +429,7 @@ def cmd_lines(args):
         {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
         _tolerances(args),
         checks,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
+        runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
     )
     return _finish(args, report, "lines")
 
@@ -513,8 +514,9 @@ def cmd_ray(args):
 
 
 def cmd_split(args):
+    t_load = time.perf_counter()
     space, lines, chains, base, meta = load_fixture(args.fixture)
-    t0 = time.time()
+    t0 = time.perf_counter()
     classes = extract_line_classes(space, lines, lines[args.reference], args.tol_tau, args.geo_tol)
     recovered = compute_dS(space, classes, args.tol_tau)
     emb = verify_embedding(space, classes, recovered)
@@ -561,14 +563,15 @@ def cmd_split(args):
                 ],
             }
         },
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
+        runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
     )
     return _finish(args, report, "split")
 
 
 def cmd_roundtrip(args):
+    t_load = time.perf_counter()
     space, lines, chains, base, meta = load_fixture(args.fixture)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if base is None:
         raise LorentzGeoError("fixture carries no base metric; roundtrip needs a product fixture")
     classes = extract_line_classes(space, lines, lines[0], args.tol_tau, args.geo_tol)
@@ -589,7 +592,7 @@ def cmd_roundtrip(args):
         {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
         _tolerances(args),
         checks,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
+        runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
     )
     return _finish(args, report, "roundtrip")
 

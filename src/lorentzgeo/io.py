@@ -18,21 +18,19 @@ from .parallels import LineSample
 from .sampled import Chain, SampledSpace
 from .splitting import MetricSampleIn
 
-FIXTURE_SCHEMA = 1
+FIXTURE_SCHEMA = 2
 REPORT_SCHEMA = 1
 
 
 def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSampleIn | None = None, meta=None) -> dict:
-    # zeros as the JSON integer 0: shorter files, and the parser shares
-    # one int object instead of allocating a float per zero
-    tau = space.tau.astype(object)
-    tau[space.tau == 0] = 0
+    chron = space.chron
     doc = {
         "schema_version": FIXTURE_SCHEMA,
         "space": {
             "n": space.n,
-            "tau": tau.tolist(),
-            "causal": space.causal.astype(int).tolist(),
+            "causal": _bits(space.causal),
+            "chronological": _bits(chron),
+            "tau": space.tau[chron].tolist(),
             "labels": space.labels,
             "meta": _plain(space.meta),
         },
@@ -65,19 +63,34 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
 def fixture_from_dict(doc: dict):
     """Validate and rebuild (space, lines, chains, base, meta) from JSON.
 
-    Any malformed document raises ShapeError.
+    Schema 2 holds `causal` and the chronological mask (tau > 0) as n
+    strings of n '0'/'1' characters each, and `tau` as the row-major list
+    of its positive entries.  Schema 1 holds both matrices dense.  Any
+    malformed document raises ShapeError.
     """
     doc = _expect(doc, dict, "fixture")
-    if doc.get("schema_version") != FIXTURE_SCHEMA:
-        raise ShapeError(f"unsupported fixture schema {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if version not in (1, FIXTURE_SCHEMA):
+        raise ShapeError(f"unsupported fixture schema {version!r}")
     sp = _expect(doc.get("space"), dict, "space")
     n = sp.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ShapeError(f"space.n must be an integer, got {n!r}")
-    tau = _array(sp.get("tau"), float, "space.tau")
-    causal = _array(sp.get("causal"), bool, "space.causal")
-    if tau.shape != (n, n) or causal.shape != (n, n):
-        raise ShapeError("fixture matrices do not match the declared point count")
+    if version == 1:
+        tau = _array(sp.get("tau"), float, "space.tau")
+        causal = _array(sp.get("causal"), bool, "space.causal")
+        if tau.shape != (n, n) or causal.shape != (n, n):
+            raise ShapeError("fixture matrices do not match the declared point count")
+    else:
+        causal = _mask(sp.get("causal"), n, "space.causal")
+        chron = _mask(sp.get("chronological"), n, "space.chronological")
+        values = _array(sp.get("tau"), float, "space.tau")
+        if values.shape != (np.count_nonzero(chron),):
+            raise ShapeError("space.tau must list one value per chronological bit")
+        if not ((values > 0) & (values < np.inf)).all():
+            raise ShapeError("space.tau values must be positive and finite")
+        tau = np.zeros((n, n))
+        tau[chron] = values
     labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
     space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
@@ -136,6 +149,26 @@ def _array(value, dtype, what):
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as e:
         raise ShapeError(f"fixture {what} is not a numeric array: {e}") from None
+
+
+def _bits(mask):
+    """A boolean matrix as one string of '0'/'1' characters per row."""
+    n = mask.shape[1]
+    text = (mask.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+    return [text[i * n : (i + 1) * n] for i in range(mask.shape[0])]
+
+
+def _mask(rows, n, what):
+    """Decode _bits output, checking it is n rows of n '0'/'1' characters."""
+    rows = _expect(rows, list, what)
+    if len(rows) != n or not all(type(r) is str and len(r) == n for r in rows):
+        raise ShapeError(f"fixture {what} must be {n} strings of {n} characters")
+    # "replace" keeps a non-ASCII character at one byte ('?'), rejected below
+    codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+    mask = codes == ord("1")
+    if not (mask | (codes == ord("0"))).all():
+        raise ShapeError(f"fixture {what} may hold only the characters 0 and 1")
+    return mask.reshape(n, n)
 
 
 def _float(value, what):

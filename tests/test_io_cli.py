@@ -50,15 +50,52 @@ class TestFixtureIO:
         with pytest.raises(ShapeError):
             fixture_from_dict({"schema_version": 99})
 
-    def test_zero_tau_written_as_integer(self, tmp_path):
+    def test_only_positive_tau_written(self):
         space = minkowski_grid(3, 3, 1.0)
         doc = fixture_to_dict(space)
-        assert all(type(v) is int for row in doc["space"]["tau"] for v in row if v == 0)
-        legacy = copy.deepcopy(doc)
-        legacy["space"]["tau"] = space.tau.tolist()  # zeros as 0.0, as older files have them
-        for loaded in (fixture_from_dict(doc)[0], fixture_from_dict(legacy)[0]):
+        chron = "".join(doc["space"]["chronological"])
+        assert len(doc["space"]["tau"]) == chron.count("1") == np.count_nonzero(space.tau)
+        assert all(v > 0 for v in doc["space"]["tau"])
+        legacy = dense(doc)  # zeros as 0.0, as files from before the integer-zero writer have them
+        int_zeros = copy.deepcopy(legacy)  # zeros as the integer 0, as the last schema-1 writer had them
+        int_zeros["space"]["tau"] = [[0 if v == 0 else v for v in row] for row in legacy["space"]["tau"]]
+        for d in (doc, legacy, int_zeros):
+            loaded = fixture_from_dict(d)[0]
             assert loaded.tau.dtype == space.tau.dtype
             assert np.array_equal(loaded.tau, space.tau)
+            assert np.array_equal(loaded.causal, space.causal)
+        assert fixture_to_dict(*fixture_from_dict(legacy)) == doc  # re-saving upgrades a schema-1 file
+        # the test helper writes into both layouts alike
+        for d in (doc, legacy):
+            assert fixture_from_dict(set_tau(d, 4, 2, 2.5))[0].tau[4, 2] == 2.5
+            assert fixture_from_dict(set_tau(d, 0, 1, 7.0))[0].tau[0, 1] == 7.0
+        assert np.array_equal(fixture_from_dict(doc)[0].tau, fixture_from_dict(legacy)[0].tau)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_compact_round_trip(self, data):
+        """Schema 2 restores tau and causal bit for bit; schema 1 of the same space decodes alike."""
+        n = data.draw(st.integers(1, 6))
+        order = data.draw(st.permutations(range(n)))
+        value = st.sampled_from([5e-324, 1.7976931348623157e308, 0.30000000000000004, 1 / 3, 0.0, -0.0]) | st.floats(
+            min_value=5e-324, allow_infinity=False
+        )
+        tau = np.zeros((n, n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                tau[order[a], order[b]] = data.draw(value)
+        extra = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(n, dtype=bool) | extra)
+        text = json.dumps(fixture_to_dict(space), sort_keys=True)
+        loaded = fixture_from_dict(json.loads(text))[0]
+        # zeros come back as +0.0: schema 2 stores only the positive entries
+        assert np.array_equal(loaded.tau.view(np.uint64), (space.tau + 0.0).view(np.uint64))
+        assert np.array_equal(loaded.causal, space.causal)
+        assert json.dumps(fixture_to_dict(loaded), sort_keys=True) == text
+        legacy = {"schema_version": 1, "space": {"n": n, "tau": space.tau.tolist(), "causal": space.causal.tolist()}}
+        old = fixture_from_dict(json.loads(json.dumps(legacy)))[0]
+        assert np.array_equal((old.tau + 0.0).view(np.uint64), loaded.tau.view(np.uint64))
+        assert np.array_equal(old.causal, loaded.causal)
 
     def test_out_of_range_indices_rejected(self):
         space = minkowski_grid(3, 3, 1.0)
@@ -177,9 +214,9 @@ class TestCli:
     @pytest.mark.parametrize("command", ["curvature", "axioms", "lines", "split"])
     def test_non_finite_tau_exit_2(self, tripod_fixture, command):
         doc = json.loads(tripod_fixture.read_text())
-        doc["space"]["tau"][0][40] = float("nan")
-        tripod_fixture.write_text(json.dumps(doc))
-        assert main([command, str(tripod_fixture)]) == 2
+        for layout in (doc, dense(doc)):
+            tripod_fixture.write_text(json.dumps(set_tau(layout, 0, 40, float("nan"))))
+            assert main([command, str(tripod_fixture)]) == 2
 
     def test_vacuous_certificate_is_skip(self, tmp_path):
         # at K = -4 the timelike diameter pi/2 is below every triangle's longest side
@@ -201,9 +238,9 @@ class TestCli:
     @pytest.mark.parametrize("entry, value", [((0, 40), -1.0), ((7, 7), 0.5)])
     def test_negative_tau_or_nonzero_diagonal_exit_2(self, tripod_fixture, command, entry, value):
         doc = json.loads(tripod_fixture.read_text())
-        doc["space"]["tau"][entry[0]][entry[1]] = value
-        tripod_fixture.write_text(json.dumps(doc))
-        assert main([command, str(tripod_fixture)]) == 2
+        for layout in (doc, dense(doc)):
+            tripod_fixture.write_text(json.dumps(set_tau(layout, *entry, value)))
+            assert main([command, str(tripod_fixture)]) == 2
 
     @pytest.mark.parametrize(
         "mutate",
@@ -214,8 +251,41 @@ class TestCli:
             lambda doc: {**doc, "lines": [1]},
             lambda doc: {**doc, "lines": [{**doc["lines"][0], "label": 5}]},
             lambda doc: {**doc, "base": {**doc["base"], "labels": 5}},
+            lambda doc: with_space(doc, chronological=["011", "001"]),
+            lambda doc: with_space(doc, causal=["111", "0111", "001"]),
+            lambda doc: with_space(doc, causal=["111", "021", "001"]),
+            lambda doc: with_space(doc, chronological=["01\u00e9", "001", "000"]),
+            lambda doc: with_space(doc, causal=["111", [0, 1, 1], "001"]),
+            lambda doc: with_space(doc, causal=None),
+            lambda doc: with_space(doc, tau=[1.0, 2.0]),
+            lambda doc: with_space(doc, tau=[1.0, 2.0, 1.0, 1.0]),
+            lambda doc: with_space(doc, tau=[1.0, 0.0, 1.0]),
+            lambda doc: with_space(doc, tau=[1.0, -2.0, 1.0]),
+            lambda doc: with_space(doc, tau=[1.0, float("nan"), 1.0]),
+            lambda doc: with_space(doc, tau=[1.0, float("inf"), 1.0]),
+            lambda doc: with_space(doc, chronological=["011", "011", "000"], tau=[1.0, 2.0, 0.5, 1.0]),
         ],
-        ids=["root-list", "space-list", "n-list", "line-not-object", "line-label-number", "base-labels-number"],
+        ids=[
+            "root-list",
+            "space-list",
+            "n-list",
+            "line-not-object",
+            "line-label-number",
+            "base-labels-number",
+            "bits-row-count",
+            "bits-row-length",
+            "bits-char-2",
+            "bits-non-ascii",
+            "bits-row-not-string",
+            "bits-missing",
+            "tau-too-few",
+            "tau-too-many",
+            "tau-zero",
+            "tau-negative",
+            "tau-nan",
+            "tau-inf",
+            "chronological-diagonal",
+        ],
     )
     def test_malformed_fixture_exit_2(self, tmp_path, mutate):
         doc = mutate(valid_fixture())
@@ -234,6 +304,28 @@ class TestCli:
         assert check["n_points"] == 49
         assert check["triples_checked"] == int(causal.sum(axis=0) @ causal.sum(axis=1))
         assert report["runtime"]["load_s"] >= 0 and report["runtime"]["scan_s"] >= 0
+
+    @pytest.mark.parametrize("command", ["lines", "split", "roundtrip"])
+    def test_runtime_load_s(self, tripod_fixture, tmp_path, command):
+        assert main([command, str(tripod_fixture), "-o", str(tmp_path / "r.json")]) == 0
+        runtime = load_report(tmp_path / "r.json")["runtime"]
+        assert runtime["load_s"] > 0 and runtime["seconds"] > 0
+
+    @pytest.mark.parametrize(
+        "argv", [["axioms"], ["curvature", "--cap", "300"], ["lines"], ["split"], ["roundtrip"]], ids=lambda a: a[0]
+    )
+    def test_layouts_give_same_report(self, tripod_fixture, tmp_path, argv):
+        """A schema-1 file and its schema-2 re-save give the same report but for the file digest."""
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(dense(json.loads(tripod_fixture.read_text()))))
+        views = []
+        for path in (tripod_fixture, legacy):
+            out = tmp_path / "r.json"
+            assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) in (0, 1)
+            report = load_report(out)
+            del report["inputs"]["fixture"], report["inputs"]["sha256"]
+            views.append(deterministic_view(report))
+        assert views[0] == views[1]
 
     @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["curvature", "angles", "fvf", "rigidity", "quadrangle"])
@@ -331,10 +423,44 @@ def valid_fixture():
     return fixture_to_dict(space, lines, [Chain([0, 1, 2], [0.0, 1.0, 2.0])], base_point())
 
 
+def dense(doc):
+    """The schema-1 layout of a fixture document: tau and causal as n x n lists."""
+    space = fixture_from_dict(doc)[0]
+    legacy = copy.deepcopy(doc)
+    legacy["schema_version"] = 1
+    sp = legacy["space"]
+    del sp["chronological"]
+    sp["tau"] = space.tau.tolist()
+    sp["causal"] = space.causal.astype(int).tolist()
+    return legacy
+
+
+def set_tau(doc, i, j, value):
+    """Write tau(i, j) = value into a fixture document of either layout, unchecked; returns doc."""
+    sp = doc["space"]
+    if doc["schema_version"] == 1:
+        sp["tau"][i][j] = value
+        return doc
+    row = sp["chronological"][i]
+    k = "".join(sp["chronological"][:i]).count("1") + row[:j].count("1")
+    if row[j] == "1":
+        sp["tau"][k] = value
+    else:
+        sp["tau"].insert(k, value)
+        sp["chronological"][i] = row[:j] + "1" + row[j + 1 :]
+    return doc
+
+
+def with_space(doc, **fields):
+    return {**doc, "space": {**doc["space"], **fields}}
+
+
 @st.composite
 def mutated_fixtures(draw):
-    """valid_fixture() with a few nested values replaced by JSON or deleted."""
+    """valid_fixture(), in either layout, with a few nested values replaced by JSON or deleted."""
     doc = valid_fixture()
+    if draw(st.booleans()):
+        doc = dense(doc)
     for _ in range(draw(st.integers(1, 3))):
         node = doc
         while True:
@@ -354,7 +480,7 @@ def mutated_fixtures(draw):
     return doc
 
 
-FUZZ_COMMANDS = ("axioms", "curvature", "lines", "split")
+FUZZ_COMMANDS = ("axioms", "curvature", "lines", "split", "roundtrip")
 
 
 class TestFixtureFuzz:
@@ -375,7 +501,7 @@ class TestFixtureFuzz:
         assert main([command, str(path)]) == 0
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.just(1), "space": JSON}))
+    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.sampled_from([1, 2]), "space": JSON}))
     def test_arbitrary_json(self, doc):
         self.run_commands(doc)
 
