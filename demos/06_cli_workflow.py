@@ -3,9 +3,11 @@
 Generates fixtures, runs the verification commands, and emits CSV plot
 series, all inside a scratch directory.  Every command writes a JSON
 report; exit code 1 marks found violations (expected for the tree
-product's lower bound).
+product's lower bound).  The demo itself exits 1 if any command's exit
+code differs from the expected one.
 """
 
+import sys
 import tempfile
 from pathlib import Path
 
@@ -31,9 +33,11 @@ steps = [
     (["plotdata", str(grid.with_name("grid_fvf.json")), "-o", str(scratch / "csv")], 0),
 ]
 
+unexpected = 0
 for argv, expected in steps:
     print(f"$ lorentzgeo {' '.join(argv)}")
     code = main(argv)
+    unexpected += code != expected
     marker = "ok" if code == expected else f"UNEXPECTED (wanted {expected})"
     print(f"  -> exit {code}  [{marker}]\n")
 
@@ -42,3 +46,4 @@ for p in sorted(scratch.rglob("*.json")):
     print(f"  {p.relative_to(scratch)}")
 for p in sorted(scratch.rglob("*.csv")):
     print(f"  {p.relative_to(scratch)}")
+sys.exit(1 if unexpected else 0)

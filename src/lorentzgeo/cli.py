@@ -20,7 +20,6 @@ from . import fixtures as fx
 from .errors import LorentzGeoError, StripInconsistent
 from .io import (
     emit_plotdata,
-    file_digest,
     load_fixture,
     load_report,
     make_report,
@@ -166,7 +165,7 @@ def cmd_gen(args):
 
 def cmd_axioms(args):
     t_load = time.perf_counter()
-    space, *_ = load_fixture(args.fixture)
+    space, *_, sha256 = load_fixture(args.fixture)
     t_scan = time.perf_counter()
     rep = validate_axioms(space)
     t_done = time.perf_counter()
@@ -182,7 +181,7 @@ def cmd_axioms(args):
     ]
     report = make_report(
         "axioms",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={
@@ -198,7 +197,7 @@ def cmd_axioms(args):
 def cmd_curvature(args):
     kappa = Kappa(args.k)
     t_load = time.perf_counter()
-    space, *_ = load_fixture(args.fixture)
+    space, *_, sha256 = load_fixture(args.fixture)
     t_sample = time.perf_counter()
     triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
     t_certify = time.perf_counter()
@@ -229,7 +228,7 @@ def cmd_curvature(args):
     ]
     report = make_report(
         "curvature",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={
@@ -281,7 +280,7 @@ def _sample_hinges(space, cap, seed, geo_tol):
 
 
 def cmd_angles(args):
-    space, *_ = load_fixture(args.fixture)
+    space, *_, sha256 = load_fixture(args.fixture)
     t0 = time.time()
     hinges = _sample_hinges(space, args.cap, args.seed, args.geo_tol)
     reports = check_angle_inequalities(space, hinges, Kappa(args.k), args.tol_angle, args.geo_tol)
@@ -303,7 +302,7 @@ def cmd_angles(args):
         )
     report = make_report(
         "angles",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={"seconds": time.time() - t0, "timestamp": time.time()},
@@ -312,7 +311,7 @@ def cmd_angles(args):
 
 
 def cmd_fvf(args):
-    space, *_ = load_fixture(args.fixture)
+    space, *_, sha256 = load_fixture(args.fixture)
     t0 = time.time()
     gamma = geodesic_between(space, args.vertex, args.target, args.geo_tol)
     rep = fvf_empirical(space, gamma, args.point, Kappa(args.k), args.geo_tol)
@@ -339,7 +338,7 @@ def cmd_fvf(args):
     }
     report = make_report(
         "fvf",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         series,
@@ -349,7 +348,7 @@ def cmd_fvf(args):
 
 
 def cmd_rigidity(args):
-    space, *_ = load_fixture(args.fixture)
+    space, *_, sha256 = load_fixture(args.fixture)
     t0 = time.time()
     kappa = Kappa(args.k)
     triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
@@ -375,7 +374,7 @@ def cmd_rigidity(args):
         )
     report = make_report(
         "rigidity",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={"seconds": time.time() - t0, "timestamp": time.time()},
@@ -384,7 +383,7 @@ def cmd_rigidity(args):
 
 
 def cmd_quadrangle(args):
-    space, *_ = load_fixture(args.fixture)
+    space, *_, sha256 = load_fixture(args.fixture)
     t0 = time.time()
     p1, p2, p3, p4 = (int(v) for v in args.vertices.split(","))
     rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)
@@ -401,7 +400,7 @@ def cmd_quadrangle(args):
     ]
     report = make_report(
         "quadrangle",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={"seconds": time.time() - t0, "timestamp": time.time()},
@@ -411,7 +410,7 @@ def cmd_quadrangle(args):
 
 def cmd_lines(args):
     t_load = time.perf_counter()
-    space, lines, *_ = load_fixture(args.fixture)
+    space, lines, *_, sha256 = load_fixture(args.fixture)
     t0 = time.perf_counter()
     checks = []
     for k, ln in enumerate(lines):
@@ -426,7 +425,7 @@ def cmd_lines(args):
         )
     report = make_report(
         "lines",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
@@ -435,7 +434,7 @@ def cmd_lines(args):
 
 
 def cmd_strip(args):
-    space, lines, *_ = load_fixture(args.fixture)
+    space, lines, *_, sha256 = load_fixture(args.fixture)
     t0 = time.time()
     alpha, beta = lines[args.alpha], lines[args.beta]
     profile = strip_profile(space, alpha, beta)
@@ -472,7 +471,7 @@ def cmd_strip(args):
         checks.append({"name": "flat-strip", "status": "FAIL", "reason": str(e)})
     report = make_report(
         "strip",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         series,
@@ -482,7 +481,7 @@ def cmd_strip(args):
 
 
 def cmd_ray(args):
-    space, lines, *_ = load_fixture(args.fixture)
+    space, lines, *_, sha256 = load_fixture(args.fixture)
     t0 = time.time()
     horizons = [float(v) for v in args.horizons.split(",")]
     rep = asymptotic_ray(space, lines[args.line], args.point, horizons, args.geo_tol)
@@ -504,7 +503,7 @@ def cmd_ray(args):
     }
     report = make_report(
         "ray",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         series,
@@ -515,7 +514,7 @@ def cmd_ray(args):
 
 def cmd_split(args):
     t_load = time.perf_counter()
-    space, lines, chains, base, meta = load_fixture(args.fixture)
+    space, lines, chains, base, meta, sha256 = load_fixture(args.fixture)
     t0 = time.perf_counter()
     classes = extract_line_classes(space, lines, lines[args.reference], args.tol_tau, args.geo_tol)
     recovered = compute_dS(space, classes, args.tol_tau)
@@ -549,7 +548,7 @@ def cmd_split(args):
     finite = recovered.dS[np.isfinite(recovered.dS)]
     report = make_report(
         "split",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         {
@@ -570,7 +569,7 @@ def cmd_split(args):
 
 def cmd_roundtrip(args):
     t_load = time.perf_counter()
-    space, lines, chains, base, meta = load_fixture(args.fixture)
+    space, lines, chains, base, meta, sha256 = load_fixture(args.fixture)
     t0 = time.perf_counter()
     if base is None:
         raise LorentzGeoError("fixture carries no base metric; roundtrip needs a product fixture")
@@ -589,7 +588,7 @@ def cmd_roundtrip(args):
     ]
     report = make_report(
         "roundtrip",
-        {"fixture": str(args.fixture), "sha256": file_digest(args.fixture)},
+        {"fixture": str(args.fixture), "sha256": sha256},
         _tolerances(args),
         checks,
         runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},

@@ -1,15 +1,17 @@
 """Fixture and report files.
 
-Fixtures are JSON (schema-versioned, human-diffable): the space matrices,
-optional line samples, chains, and the generator base when the fixture is
-a product.  Reports are JSON with deterministic ordering; the runtime
-block is excluded from the determinism contract.  Plot-ready series are
-emitted as CSV, one file per series, stable column order.
+Fixtures are schema-versioned JSON: the space matrices as base64 binary
+payloads, optional line samples, chains, and the generator base when the
+fixture is a product.  Reports are JSON with deterministic ordering; the
+runtime block is excluded from the determinism contract.  Plot-ready
+series are emitted as CSV, one file per series, stable column order.
 """
 
+import base64
 import hashlib
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,8 +20,19 @@ from .parallels import LineSample
 from .sampled import Chain, SampledSpace
 from .splitting import MetricSampleIn
 
-FIXTURE_SCHEMA = 2
+FIXTURE_SCHEMA = 3
 REPORT_SCHEMA = 1
+
+
+class Fixture(NamedTuple):
+    """A loaded fixture and the sha256 of the bytes it was parsed from."""
+
+    space: SampledSpace
+    lines: list
+    chains: list
+    base: MetricSampleIn | None
+    meta: dict
+    sha256: str
 
 
 def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSampleIn | None = None, meta=None) -> dict:
@@ -28,9 +41,9 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
         "schema_version": FIXTURE_SCHEMA,
         "space": {
             "n": space.n,
-            "causal": _bits(space.causal),
-            "chronological": _bits(chron),
-            "tau": space.tau[chron].tolist(),
+            "causal": _b64encode(np.packbits(space.causal)),
+            "chronological": _b64encode(np.packbits(chron)),
+            "tau": _b64encode(space.tau[chron].astype("<f8")),
             "labels": space.labels,
             "meta": _plain(space.meta),
         },
@@ -63,30 +76,35 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
 def fixture_from_dict(doc: dict):
     """Validate and rebuild (space, lines, chains, base, meta) from JSON.
 
-    Schema 2 holds `causal` and the chronological mask (tau > 0) as n
-    strings of n '0'/'1' characters each, and `tau` as the row-major list
-    of its positive entries.  Schema 1 holds both matrices dense.  Any
-    malformed document raises ShapeError.
+    Schemas 2 and 3 hold `causal`, the chronological mask (tau > 0) and
+    `tau`'s positive entries in row-major order.  Schema 3 holds each mask
+    as base64 of its np.packbits bytes and the entries as base64 of
+    little-endian float64 bytes; schema 2 holds each mask as n strings of
+    n '0'/'1' characters and the entries as a JSON list.  Schema 1 holds
+    both matrices dense.  Any malformed document raises ShapeError.
     """
     doc = _expect(doc, dict, "fixture")
     version = doc.get("schema_version")
-    if version not in (1, FIXTURE_SCHEMA):
+    if type(version) is not int or version not in (1, 2, 3):
         raise ShapeError(f"unsupported fixture schema {version!r}")
     sp = _expect(doc.get("space"), dict, "space")
     n = sp.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ShapeError(f"space.n must be an integer, got {n!r}")
+    if type(n) is not int or n < 0:
+        raise ShapeError(f"space.n must be a non-negative integer, got {n!r}")
     if version == 1:
         tau = _array(sp.get("tau"), float, "space.tau")
         causal = _array(sp.get("causal"), bool, "space.causal")
         if tau.shape != (n, n) or causal.shape != (n, n):
             raise ShapeError("fixture matrices do not match the declared point count")
     else:
-        causal = _mask(sp.get("causal"), n, "space.causal")
-        chron = _mask(sp.get("chronological"), n, "space.chronological")
-        values = _array(sp.get("tau"), float, "space.tau")
+        if version == 2:
+            mask, values = _mask, _array(sp.get("tau"), float, "space.tau")
+        else:
+            mask, values = _packed_mask, _packed_floats(sp.get("tau"), "space.tau")
+        causal = mask(sp.get("causal"), n, "space.causal")
+        chron = mask(sp.get("chronological"), n, "space.chronological")
         if values.shape != (np.count_nonzero(chron),):
-            raise ShapeError("space.tau must list one value per chronological bit")
+            raise ShapeError("space.tau must hold one value per chronological bit")
         if not ((values > 0) & (values < np.inf)).all():
             raise ShapeError("space.tau values must be positive and finite")
         tau = np.zeros((n, n))
@@ -151,15 +169,40 @@ def _array(value, dtype, what):
         raise ShapeError(f"fixture {what} is not a numeric array: {e}") from None
 
 
-def _bits(mask):
-    """A boolean matrix as one string of '0'/'1' characters per row."""
-    n = mask.shape[1]
-    text = (mask.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-    return [text[i * n : (i + 1) * n] for i in range(mask.shape[0])]
+def _b64encode(array):
+    return base64.b64encode(array.tobytes()).decode("ascii")
+
+
+def _b64decode(text, what):
+    """Canonical base64 (no whitespace, padding required, unused bits zero) to bytes."""
+    try:
+        raw = base64.b64decode(_expect(text, str, what), validate=True)
+    except ValueError as e:  # binascii.Error, or a non-ASCII string
+        raise ShapeError(f"fixture {what} is not valid base64: {e}") from None
+    tail = len(raw) % 3  # only a padded last group has unused bits
+    if tail and base64.b64encode(raw[-tail:]).decode() != text[-4:]:
+        raise ShapeError(f"fixture {what} has nonzero unused bits in its last base64 group")
+    return raw
+
+
+def _packed_mask(text, n, what):
+    """Decode an n x n np.packbits mask, checking its byte count and zero padding."""
+    raw = _b64decode(text, what)
+    spare = -(n * n) % 8  # padding bits in the last byte
+    if len(raw) != (n * n + spare) // 8 or (spare and raw[-1] & ((1 << spare) - 1)):
+        raise ShapeError(f"fixture {what} must be {n}x{n} packed bits with zero padding")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n * n).view(bool).reshape(n, n)
+
+
+def _packed_floats(text, what):
+    raw = _b64decode(text, what)
+    if len(raw) % 8:
+        raise ShapeError(f"fixture {what} must be whole little-endian float64 values")
+    return np.frombuffer(raw, "<f8")
 
 
 def _mask(rows, n, what):
-    """Decode _bits output, checking it is n rows of n '0'/'1' characters."""
+    """Decode a schema-2 mask, checking it is n rows of n '0'/'1' characters."""
     rows = _expect(rows, list, what)
     if len(rows) != n or not all(type(r) is str and len(r) == n for r in rows):
         raise ShapeError(f"fixture {what} must be {n} strings of {n} characters")
@@ -193,8 +236,10 @@ def save_fixture(path, space, lines=(), chains=(), base=None, meta=None):
     return path
 
 
-def load_fixture(path):
-    return fixture_from_dict(json.loads(Path(path).read_text()))
+def load_fixture(path) -> Fixture:
+    """Read, validate and hash a fixture file, reading it once."""
+    data = Path(path).read_bytes()
+    return Fixture(*fixture_from_dict(json.loads(data)), hashlib.sha256(data).hexdigest())
 
 
 def _plain(obj):

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .modelspace import (
     Kappa,
-    angle_from_sides,
+    angle_from_sides,  # noqa: F401 (bench/test_bench.py traces it through this module)
     angle_from_sides_arr,
     hinge_angle_arr,
     hinge_tau_arr,
@@ -626,70 +626,6 @@ _PAST_MODEL_DOMAIN = "comparison points exceed the model-space domain"
 _BATCH_PAIRS = 1 << 14
 
 
-def _signed_comparison_matrix(kappa, lengths, params):
-    """Signed model separations between all sampled side points.
-
-    lengths: dict side -> side length; params: dict side -> parameter array
-    (arclength from the side's past endpoint).  Entry [i, j] is +tau of the
-    comparison points when i precedes j, -tau when j precedes i, 0 when
-    they are spacelike or equal.  This is the one-triangle reference that
-    the tests hold _batch_comparison to.
-    """
-    kappa = Kappa.of(kappa)
-    l_ab, l_bc, l_ac = lengths["ab"], lengths["bc"], lengths["ac"]
-    u_a = angle_from_sides(kappa, l_ab, l_ac, l_bc, -1)
-    u_b = angle_from_sides(kappa, l_ab, l_bc, l_ac, +1)
-    u_c = angle_from_sides(kappa, l_ac, l_bc, l_ab, -1)
-
-    sides = ("ab", "bc", "ac")
-    sizes = [len(params[s]) for s in sides]
-    offs = np.cumsum([0] + sizes)
-    n = offs[-1]
-    out = np.zeros((n, n))
-
-    def block(si, sj, value):
-        out[offs[si] : offs[si + 1], offs[sj] : offs[sj + 1]] = value
-
-    for i, s in enumerate(sides):
-        p = params[s]
-        block(i, i, p[None, :] - p[:, None])
-
-    def radius(length, p):
-        r = length - p
-        if np.any(r < -1e-9 * (1.0 + length)):
-            raise DomainError(_PAST_SIDE_END)
-        return np.maximum(r, 0.0)
-
-    def hinge_block(r1, r2, u, opposite, future_mask):
-        tau, timelike, _, ok = hinge_tau_arr(kappa, r1[:, None], r2[None, :], u, opposite)
-        if not ok.all():
-            raise DomainError(_PAST_MODEL_DOMAIN)
-        sgn = np.where(future_mask, 1.0, -1.0)
-        return np.where(timelike, sgn * tau, 0.0)
-
-    # ab x bc share b: past leg against future leg, always ordered
-    r1 = radius(l_ab, params["ab"])
-    r2 = params["bc"]
-    m = hinge_block(r1, r2, u_b, True, np.ones((len(r1), len(r2)), dtype=bool))
-    block(0, 1, m)
-    # ab x ac share a: both future legs, the farther point is later
-    r1 = params["ab"]
-    r2 = params["ac"]
-    m = hinge_block(r1, r2, u_a, False, r2[None, :] > r1[:, None])
-    block(0, 2, m)
-    # bc x ac share c: both past legs, the farther point is earlier
-    r1 = radius(l_bc, params["bc"])
-    r2 = radius(l_ac, params["ac"])
-    m = hinge_block(r1, r2, u_c, False, r1[:, None] > r2[None, :])
-    block(1, 2, m)
-
-    lower = np.tril_indices(n, -1)
-    outT = -out.T
-    full = out.copy()
-    full[lower] = outT[lower]
-    return full
-
-
 class _Batch(NamedTuple):
     tri: np.ndarray  # per pair: its triangle's position in the batch
     p: np.ndarray  # per pair: sampled point of the row
@@ -703,12 +639,13 @@ def _batch_comparison(kappa, tau, triangles) -> _Batch:
     """Signed model separations of all side-point pairs of several triangles.
 
     Each triangle's side points are ordered ab, bc, ac, and its n x n pair
-    matrix is laid out row-major after the previous triangle's: the model
-    entries are _signed_comparison_matrix's, flattened and concatenated.
-    Each unordered cross-side pair is evaluated once and its mirror filled
-    by antisymmetry.  A triangle whose comparison is undefined is listed
-    with the DomainError message _signed_comparison_matrix raises for it;
-    its entries are then meaningless.
+    matrix is laid out row-major after the previous triangle's.  Entry
+    [i, j] is +tau of the comparison points when i precedes j, -tau when j
+    precedes i, 0 when they are spacelike or equal.  Each unordered
+    cross-side pair is evaluated once and its mirror filled by
+    antisymmetry.  A triangle whose comparison is undefined is listed with
+    its reason (_PAST_SIDE_END, _PAST_MODEL_DOMAIN or the unrealizable
+    side lengths); its entries are then meaningless.
     """
     chains = [c for t in triangles for c in (t.side_xy, t.side_yz, t.side_xz)]
     counts = np.array([len(c) for c in chains]).reshape(-1, 3)
@@ -769,7 +706,7 @@ def _batch_comparison(kappa, tau, triangles) -> _Batch:
     # bc x ac share c: both past legs, the farther point is earlier
     bad_bc_ac = hinge_block(1, 2, radius, radius, u_c, False, lambda r1, r2: r1 > r2)
 
-    # the first failure in _signed_comparison_matrix's order names the reason
+    # the first failure in the one-triangle reference's order names the reason
     undefined = {}
     failing = ~(ok_a & ok_b & ok_c) | overshoot.any(axis=1) | bad_ab_bc | bad_ab_ac | bad_bc_ac
     for t in np.flatnonzero(failing):

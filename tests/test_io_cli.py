@@ -1,3 +1,4 @@
+import base64
 import copy
 import json
 import tempfile
@@ -14,6 +15,7 @@ from lorentzgeo.fixtures import base_pair, base_point, minkowski_grid
 from lorentzgeo.io import (
     deterministic_view,
     emit_plotdata,
+    file_digest,
     fixture_from_dict,
     fixture_to_dict,
     load_fixture,
@@ -33,7 +35,8 @@ class TestFixtureIO:
         chain = Chain([0, 1, 2], [0.0, 0.5, 1.0])
         path = tmp_path / "f.json"
         save_fixture(path, space, lines, [chain], base_pair(1.5), {"note": 1})
-        space2, lines2, chains2, base2, meta2 = load_fixture(path)
+        space2, lines2, chains2, base2, meta2, sha256 = load_fixture(path)
+        assert sha256 == file_digest(path)
         assert np.array_equal(space2.tau, space.tau)
         assert np.array_equal(space2.causal, space.causal)
         assert len(lines2) == len(lines)
@@ -53,20 +56,23 @@ class TestFixtureIO:
     def test_only_positive_tau_written(self):
         space = minkowski_grid(3, 3, 1.0)
         doc = fixture_to_dict(space)
-        chron = "".join(doc["space"]["chronological"])
-        assert len(doc["space"]["tau"]) == chron.count("1") == np.count_nonzero(space.tau)
-        assert all(v > 0 for v in doc["space"]["tau"])
+        assert doc["schema_version"] == 3
+        chron, values = unpack(doc)
+        assert len(values) == chron.sum() == np.count_nonzero(space.tau)
+        assert all(v > 0 for v in values)
         legacy = dense(doc)  # zeros as 0.0, as files from before the integer-zero writer have them
         int_zeros = copy.deepcopy(legacy)  # zeros as the integer 0, as the last schema-1 writer had them
         int_zeros["space"]["tau"] = [[0 if v == 0 else v for v in row] for row in legacy["space"]["tau"]]
-        for d in (doc, legacy, int_zeros):
+        for d in (doc, compact(doc), legacy, int_zeros):
             loaded = fixture_from_dict(d)[0]
             assert loaded.tau.dtype == space.tau.dtype
             assert np.array_equal(loaded.tau, space.tau)
             assert np.array_equal(loaded.causal, space.causal)
-        assert fixture_to_dict(*fixture_from_dict(legacy)) == doc  # re-saving upgrades a schema-1 file
-        # the test helper writes into both layouts alike
-        for d in (doc, legacy):
+        # re-saving a schema-1 or schema-2 file upgrades it
+        assert fixture_to_dict(*fixture_from_dict(legacy)) == doc
+        assert fixture_to_dict(*fixture_from_dict(compact(doc))) == doc
+        # the test helper writes into every layout alike
+        for d in (doc, compact(doc), legacy):
             assert fixture_from_dict(set_tau(d, 4, 2, 2.5))[0].tau[4, 2] == 2.5
             assert fixture_from_dict(set_tau(d, 0, 1, 7.0))[0].tau[0, 1] == 7.0
         assert np.array_equal(fixture_from_dict(doc)[0].tau, fixture_from_dict(legacy)[0].tau)
@@ -74,7 +80,7 @@ class TestFixtureIO:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_compact_round_trip(self, data):
-        """Schema 2 restores tau and causal bit for bit; schema 1 of the same space decodes alike."""
+        """Schema 3 restores tau and causal bit for bit; schemas 1 and 2 of the same space decode alike."""
         n = data.draw(st.integers(1, 6))
         order = data.draw(st.permutations(range(n)))
         value = st.sampled_from([5e-324, 1.7976931348623157e308, 0.30000000000000004, 1 / 3, 0.0, -0.0]) | st.floats(
@@ -86,16 +92,20 @@ class TestFixtureIO:
                 tau[order[a], order[b]] = data.draw(value)
         extra = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
         space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(n, dtype=bool) | extra)
-        text = json.dumps(fixture_to_dict(space), sort_keys=True)
+        doc = fixture_to_dict(space)
+        assert doc["schema_version"] == 3
+        text = json.dumps(doc, sort_keys=True)
         loaded = fixture_from_dict(json.loads(text))[0]
-        # zeros come back as +0.0: schema 2 stores only the positive entries
+        # zeros come back as +0.0: schema 3 stores only the positive entries
         assert np.array_equal(loaded.tau.view(np.uint64), (space.tau + 0.0).view(np.uint64))
         assert np.array_equal(loaded.causal, space.causal)
         assert json.dumps(fixture_to_dict(loaded), sort_keys=True) == text
         legacy = {"schema_version": 1, "space": {"n": n, "tau": space.tau.tolist(), "causal": space.causal.tolist()}}
-        old = fixture_from_dict(json.loads(json.dumps(legacy)))[0]
-        assert np.array_equal((old.tau + 0.0).view(np.uint64), loaded.tau.view(np.uint64))
-        assert np.array_equal(old.causal, loaded.causal)
+        for old_doc in (legacy, compact(doc)):
+            old = fixture_from_dict(json.loads(json.dumps(old_doc)))[0]
+            assert np.array_equal((old.tau + 0.0).view(np.uint64), loaded.tau.view(np.uint64))
+            assert np.array_equal(old.causal, loaded.causal)
+            assert json.dumps(fixture_to_dict(old), sort_keys=True) == text
 
     def test_out_of_range_indices_rejected(self):
         space = minkowski_grid(3, 3, 1.0)
@@ -214,7 +224,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["curvature", "axioms", "lines", "split"])
     def test_non_finite_tau_exit_2(self, tripod_fixture, command):
         doc = json.loads(tripod_fixture.read_text())
-        for layout in (doc, dense(doc)):
+        for layout in (doc, compact(doc), dense(doc)):
             tripod_fixture.write_text(json.dumps(set_tau(layout, 0, 40, float("nan"))))
             assert main([command, str(tripod_fixture)]) == 2
 
@@ -238,7 +248,7 @@ class TestCli:
     @pytest.mark.parametrize("entry, value", [((0, 40), -1.0), ((7, 7), 0.5)])
     def test_negative_tau_or_nonzero_diagonal_exit_2(self, tripod_fixture, command, entry, value):
         doc = json.loads(tripod_fixture.read_text())
-        for layout in (doc, dense(doc)):
+        for layout in (doc, compact(doc), dense(doc)):
             tripod_fixture.write_text(json.dumps(set_tau(layout, *entry, value)))
             assert main([command, str(tripod_fixture)]) == 2
 
@@ -251,19 +261,47 @@ class TestCli:
             lambda doc: {**doc, "lines": [1]},
             lambda doc: {**doc, "lines": [{**doc["lines"][0], "label": 5}]},
             lambda doc: {**doc, "base": {**doc["base"], "labels": 5}},
-            lambda doc: with_space(doc, chronological=["011", "001"]),
-            lambda doc: with_space(doc, causal=["111", "0111", "001"]),
-            lambda doc: with_space(doc, causal=["111", "021", "001"]),
-            lambda doc: with_space(doc, chronological=["01\u00e9", "001", "000"]),
-            lambda doc: with_space(doc, causal=["111", [0, 1, 1], "001"]),
+            # schema 2
+            lambda doc: v2(doc, chronological=["011", "001"]),
+            lambda doc: v2(doc, causal=["111", "0111", "001"]),
+            lambda doc: v2(doc, causal=["111", "021", "001"]),
+            lambda doc: v2(doc, chronological=["01\u00e9", "001", "000"]),
+            lambda doc: v2(doc, causal=["111", [0, 1, 1], "001"]),
+            lambda doc: v2(doc, causal=None),
+            lambda doc: v2(doc, tau=[1.0, 2.0]),
+            lambda doc: v2(doc, tau=[1.0, 2.0, 1.0, 1.0]),
+            lambda doc: v2(doc, tau=[1.0, 0.0, 1.0]),
+            lambda doc: v2(doc, tau=[1.0, -2.0, 1.0]),
+            lambda doc: v2(doc, tau=[1.0, float("nan"), 1.0]),
+            lambda doc: v2(doc, tau=[1.0, float("inf"), 1.0]),
+            lambda doc: v2(doc, chronological=["011", "011", "000"], tau=[1.0, 2.0, 0.5, 1.0]),
+            # the version must be the integer 1, 2 or 3
+            lambda doc: {**dense(doc), "schema_version": True},
+            lambda doc: {**compact(doc), "schema_version": 2.0},
+            lambda doc: {**doc, "schema_version": 3.0},
+            # schema 3: causal 111/011/001 packs to EC 80, chronological 011/001/000 to 64 00
+            lambda doc: with_space(doc, causal="7I*="),
+            lambda doc: with_space(doc, chronological="ZA\u00e9="),
+            lambda doc: with_space(doc, causal="7IA"),
+            lambda doc: with_space(doc, causal="7IB="),
+            lambda doc: with_space(doc, tau=doc["space"]["tau"][:16] + "\n" + doc["space"]["tau"][16:]),
+            lambda doc: with_space(doc, tau=[1.0, 2.0, 1.0]),
+            lambda doc: with_space(doc, chronological=["011", "001", "000"]),
             lambda doc: with_space(doc, causal=None),
-            lambda doc: with_space(doc, tau=[1.0, 2.0]),
-            lambda doc: with_space(doc, tau=[1.0, 2.0, 1.0, 1.0]),
-            lambda doc: with_space(doc, tau=[1.0, 0.0, 1.0]),
-            lambda doc: with_space(doc, tau=[1.0, -2.0, 1.0]),
-            lambda doc: with_space(doc, tau=[1.0, float("nan"), 1.0]),
-            lambda doc: with_space(doc, tau=[1.0, float("inf"), 1.0]),
-            lambda doc: with_space(doc, chronological=["011", "011", "000"], tau=[1.0, 2.0, 0.5, 1.0]),
+            lambda doc: with_space(doc, causal=b64([0xEC])),
+            lambda doc: with_space(doc, causal=b64([0xEC, 0x80, 0x00])),
+            lambda doc: with_space(doc, chronological=b64([0x64, 0x01])),
+            lambda doc: with_space(doc, causal=b64([0xEC, 0xC0])),
+            lambda doc: with_space(doc, tau=b64(np.array([1.0, 2.0, 1.0], "<f8").tobytes()[:-1])),
+            lambda doc: with_space(doc, tau=floats(1.0, 2.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, 2.0, 1.0, 1.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, float("nan"), 1.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, float("inf"), 1.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, float("-inf"), 1.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, -2.0, 1.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, 0.0, 1.0)),
+            lambda doc: with_space(doc, tau=floats(1.0, -0.0, 1.0)),
+            lambda doc: with_space(doc, chronological=b64([0x6C, 0x00]), tau=floats(1.0, 2.0, 0.5, 1.0)),
         ],
         ids=[
             "root-list",
@@ -285,16 +323,44 @@ class TestCli:
             "tau-nan",
             "tau-inf",
             "chronological-diagonal",
+            "schema-true",
+            "schema-2.0",
+            "schema-3.0",
+            "b64-bad-char",
+            "b64-non-ascii",
+            "b64-no-padding",
+            "b64-unused-bits",
+            "b64-newline",
+            "b64-tau-list",
+            "b64-mask-list",
+            "b64-missing",
+            "packed-bytes-too-few",
+            "packed-bytes-too-many",
+            "packed-padding-bit",
+            "packed-causal-padding-bit",
+            "packed-tau-partial-value",
+            "packed-tau-too-few",
+            "packed-tau-too-many",
+            "packed-tau-nan",
+            "packed-tau-inf",
+            "packed-tau-minus-inf",
+            "packed-tau-negative",
+            "packed-tau-zero",
+            "packed-tau-minus-zero",
+            "packed-chronological-diagonal",
         ],
     )
-    def test_malformed_fixture_exit_2(self, tmp_path, mutate):
+    def test_malformed_fixture_exit_2(self, tmp_path, capsys, mutate):
         doc = mutate(valid_fixture())
         with pytest.raises(ShapeError):
             fixture_from_dict(doc)
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
         for command in FUZZ_COMMANDS:
+            capsys.readouterr()
             assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_axioms_report_diagnostics(self, grid_fixture, tmp_path):
         assert main(["axioms", str(grid_fixture), "-o", str(tmp_path / "r.json")]) == 0
@@ -315,17 +381,20 @@ class TestCli:
         "argv", [["axioms"], ["curvature", "--cap", "300"], ["lines"], ["split"], ["roundtrip"]], ids=lambda a: a[0]
     )
     def test_layouts_give_same_report(self, tripod_fixture, tmp_path, argv):
-        """A schema-1 file and its schema-2 re-save give the same report but for the file digest."""
-        legacy = tmp_path / "legacy.json"
-        legacy.write_text(json.dumps(dense(json.loads(tripod_fixture.read_text()))))
+        """A schema-3 file and its schema-1 and schema-2 layouts give the same report but for the file digest."""
+        doc = json.loads(tripod_fixture.read_text())
+        paths = [tripod_fixture]
+        for layout in (dense, compact):
+            paths.append(tmp_path / f"{layout.__name__}.json")
+            paths[-1].write_text(json.dumps(layout(doc)))
         views = []
-        for path in (tripod_fixture, legacy):
+        for path in paths:
             out = tmp_path / "r.json"
             assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) in (0, 1)
             report = load_report(out)
             del report["inputs"]["fixture"], report["inputs"]["sha256"]
             views.append(deterministic_view(report))
-        assert views[0] == views[1]
+        assert views[0] == views[1] == views[2]
 
     @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["curvature", "angles", "fvf", "rigidity", "quadrangle"])
@@ -435,19 +504,53 @@ def dense(doc):
     return legacy
 
 
+def compact(doc):
+    """The schema-2 layout of a fixture document: masks as n strings of n '0'/'1', tau as a list."""
+    space = fixture_from_dict(doc)[0]
+    legacy = copy.deepcopy(doc)
+    legacy["schema_version"] = 2
+    sp = legacy["space"]
+    sp.update(causal=bit_rows(space.causal), chronological=bit_rows(space.chron), tau=space.tau[space.chron].tolist())
+    return legacy
+
+
+def bit_rows(mask):
+    return ["".join("1" if b else "0" for b in row) for row in mask]
+
+
+def b64(data):
+    return base64.b64encode(bytes(data)).decode("ascii")
+
+
+def unpack(doc):
+    """The chronological mask and the listed tau values of a schema-2 or schema-3 document, unchecked."""
+    sp = doc["space"]
+    if doc["schema_version"] == 2:
+        return np.array([[c == "1" for c in row] for row in sp["chronological"]]), list(sp["tau"])
+    n = sp["n"]
+    chron = np.unpackbits(np.frombuffer(base64.b64decode(sp["chronological"]), np.uint8), count=n * n)
+    return chron.astype(bool).reshape(n, n), np.frombuffer(base64.b64decode(sp["tau"]), "<f8").tolist()
+
+
 def set_tau(doc, i, j, value):
-    """Write tau(i, j) = value into a fixture document of either layout, unchecked; returns doc."""
+    """Write tau(i, j) = value into a fixture document of any layout, unchecked; returns doc."""
     sp = doc["space"]
     if doc["schema_version"] == 1:
         sp["tau"][i][j] = value
         return doc
-    row = sp["chronological"][i]
-    k = "".join(sp["chronological"][:i]).count("1") + row[:j].count("1")
-    if row[j] == "1":
-        sp["tau"][k] = value
+    chron, values = unpack(doc)
+    k = int(np.count_nonzero(chron.ravel()[: i * sp["n"] + j]))
+    if chron[i, j]:
+        values[k] = value
     else:
-        sp["tau"].insert(k, value)
-        sp["chronological"][i] = row[:j] + "1" + row[j + 1 :]
+        values.insert(k, value)
+        chron[i, j] = True
+    if doc["schema_version"] == 2:
+        sp["chronological"] = bit_rows(chron)
+        sp["tau"] = values
+    else:
+        sp["chronological"] = b64(np.packbits(chron))
+        sp["tau"] = b64(np.array(values, "<f8"))
     return doc
 
 
@@ -455,12 +558,20 @@ def with_space(doc, **fields):
     return {**doc, "space": {**doc["space"], **fields}}
 
 
+def v2(doc, **fields):
+    """The schema-2 layout of doc with some space fields replaced."""
+    return with_space(compact(doc), **fields)
+
+
+def floats(*values):
+    """Values as a schema-3 tau payload."""
+    return b64(np.array(values, "<f8").tobytes())
+
+
 @st.composite
 def mutated_fixtures(draw):
-    """valid_fixture(), in either layout, with a few nested values replaced by JSON or deleted."""
-    doc = valid_fixture()
-    if draw(st.booleans()):
-        doc = dense(doc)
+    """valid_fixture(), in any layout, with a few nested values replaced by JSON or deleted."""
+    doc = draw(st.sampled_from([dense, compact, lambda d: d]))(valid_fixture())
     for _ in range(draw(st.integers(1, 3))):
         node = doc
         while True:
@@ -501,7 +612,7 @@ class TestFixtureFuzz:
         assert main([command, str(path)]) == 0
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.sampled_from([1, 2]), "space": JSON}))
+    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.sampled_from([1, 2, 3]), "space": JSON}))
     def test_arbitrary_json(self, doc):
         self.run_commands(doc)
 

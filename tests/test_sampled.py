@@ -16,14 +16,13 @@ from lorentzgeo.fixtures import (
     product_fixture,
     space_from_plane_points,
 )
-from lorentzgeo.modelspace import Kappa
+from lorentzgeo.modelspace import Kappa, angle_from_sides, hinge_tau_arr
 from lorentzgeo.sampled import (
     AxiomReport,
     Certificate,
     Chain,
     SampledSpace,
     SampledTriangle,
-    _signed_comparison_matrix,
     certify_curvature_bound,
     check_angle_inequalities,
     estimate_angle,
@@ -366,8 +365,72 @@ class TestCertification:
         assert cert.skipped and cert.n_triangles == 0
 
 
+def reference_comparison_matrix(kappa, lengths, params):
+    """Signed model separations between all sampled side points.
+
+    lengths: dict side -> side length; params: dict side -> parameter array
+    (arclength from the side's past endpoint).  Entry [i, j] is +tau of the
+    comparison points when i precedes j, -tau when j precedes i, 0 when
+    they are spacelike or equal.  This is the one-triangle reference that
+    sampled._batch_comparison is held to, down to its DomainError messages.
+    """
+    kappa = Kappa.of(kappa)
+    l_ab, l_bc, l_ac = lengths["ab"], lengths["bc"], lengths["ac"]
+    u_a = angle_from_sides(kappa, l_ab, l_ac, l_bc, -1)
+    u_b = angle_from_sides(kappa, l_ab, l_bc, l_ac, +1)
+    u_c = angle_from_sides(kappa, l_ac, l_bc, l_ab, -1)
+
+    sides = ("ab", "bc", "ac")
+    sizes = [len(params[s]) for s in sides]
+    offs = np.cumsum([0] + sizes)
+    n = offs[-1]
+    out = np.zeros((n, n))
+
+    def block(si, sj, value):
+        out[offs[si] : offs[si + 1], offs[sj] : offs[sj + 1]] = value
+
+    for i, s in enumerate(sides):
+        p = params[s]
+        block(i, i, p[None, :] - p[:, None])
+
+    def radius(length, p):
+        r = length - p
+        if np.any(r < -1e-9 * (1.0 + length)):
+            raise DomainError(sampled._PAST_SIDE_END)
+        return np.maximum(r, 0.0)
+
+    def hinge_block(r1, r2, u, opposite, future_mask):
+        tau, timelike, _, ok = hinge_tau_arr(kappa, r1[:, None], r2[None, :], u, opposite)
+        if not ok.all():
+            raise DomainError(sampled._PAST_MODEL_DOMAIN)
+        sgn = np.where(future_mask, 1.0, -1.0)
+        return np.where(timelike, sgn * tau, 0.0)
+
+    # ab x bc share b: past leg against future leg, always ordered
+    r1 = radius(l_ab, params["ab"])
+    r2 = params["bc"]
+    m = hinge_block(r1, r2, u_b, True, np.ones((len(r1), len(r2)), dtype=bool))
+    block(0, 1, m)
+    # ab x ac share a: both future legs, the farther point is later
+    r1 = params["ab"]
+    r2 = params["ac"]
+    m = hinge_block(r1, r2, u_a, False, r2[None, :] > r1[:, None])
+    block(0, 2, m)
+    # bc x ac share c: both past legs, the farther point is earlier
+    r1 = radius(l_bc, params["bc"])
+    r2 = radius(l_ac, params["ac"])
+    m = hinge_block(r1, r2, u_c, False, r1[:, None] > r2[None, :])
+    block(1, 2, m)
+
+    lower = np.tril_indices(n, -1)
+    outT = -out.T
+    full = out.copy()
+    full[lower] = outT[lower]
+    return full
+
+
 def reference_certificate(space, triangles, kappa, direction, tol=DEFAULT_CERT_TOL):
-    """certify_curvature_bound one triangle at a time, over _signed_comparison_matrix."""
+    """certify_curvature_bound one triangle at a time, over reference_comparison_matrix."""
     tau = space.tau
     worst, witness = np.inf, None
     max_slack, n_pairs, side_step, chron_miss, skipped = 0.0, 0, 0.0, 0, []
@@ -382,7 +445,7 @@ def reference_certificate(space, triangles, kappa, direction, tol=DEFAULT_CERT_T
             continue
         params = {s: c.params for s, c in tri.sides.items()}
         try:
-            model_plus = np.maximum(_signed_comparison_matrix(kappa, lengths, params), 0.0)
+            model_plus = np.maximum(reference_comparison_matrix(kappa, lengths, params), 0.0)
         except DomainError as e:
             skipped.append((t_idx, str(e)))
             continue
@@ -626,7 +689,7 @@ class TestComparisonMatrix:
                 for s in ("ab", "bc", "ac")
                 for v in params[s]
             ]
-            M = _signed_comparison_matrix(K_FLAT, lengths, params)
+            M = reference_comparison_matrix(K_FLAT, lengths, params)
             for i, p in enumerate(pts):
                 for j, q in enumerate(pts):
                     worst_flat = max(worst_flat, abs(M[i, j] - self._signed(*tau_plane(p, q))))
@@ -642,7 +705,7 @@ class TestComparisonMatrix:
                 for s in ("ab", "bc", "ac")
                 for v in params[s]
             ]
-            M1 = _signed_comparison_matrix(Kappa(1.0), lengths, params)
+            M1 = reference_comparison_matrix(Kappa(1.0), lengths, params)
             for i, p in enumerate(qpts):
                 for j, q in enumerate(qpts):
                     worst_ds = max(worst_ds, abs(M1[i, j] - self._signed(*ds_tau(p, q))))
