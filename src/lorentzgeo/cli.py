@@ -31,6 +31,7 @@ from .modelspace import Kappa
 from .parallels import asymptotic_ray, flat_strip_reconstruct, is_line, strip_profile
 from .rigidity import equality_conditions, quadrangle_rigidity
 from .sampled import (
+    _geodesics,
     certify_curvature_bound,
     check_angle_inequalities,
     fvf_empirical,
@@ -203,8 +204,6 @@ def cmd_curvature(args):
     t_certify = time.perf_counter()
     cert = certify_curvature_bound(space, triangles, kappa, args.direction)
     t_done = time.perf_counter()
-    # sample_triangles gives triangles that share a side the same Chain
-    chains = {id(c): c for t in triangles for c in (t.side_xy, t.side_yz, t.side_xz)}
     if cert.n_triangles == 0:
         status = "SKIP"  # nothing was compared, so nothing is certified
     else:
@@ -222,8 +221,8 @@ def cmd_curvature(args):
             "witness": cert.witness,
             "skipped": len(cert.skipped),
             "skipped_by_reason": dict(Counter(reason for _, reason in cert.skipped)),
-            "geodesic_pairs": len(chains),
-            "flagged_chains": sum(c.flagged(args.geo_tol) for c in chains.values()),
+            "geodesic_pairs": len(triangles.chains),
+            "flagged_chains": int(np.count_nonzero(triangles.chains.flagged(args.geo_tol))),
         }
     ]
     report = make_report(
@@ -243,12 +242,13 @@ def cmd_curvature(args):
 
 
 def _sample_hinges(space, cap, seed, geo_tol):
+    """Draw every hinge's vertex and leg ends, then extract all legs in one walk."""
     rng = np.random.default_rng(seed)
     chron = space.tau > 0
-    hinges = []
+    vertices, legs = [], []  # legs: three (start, end) pairs per hinge
     candidates = np.flatnonzero(chron.sum(axis=1) >= 3)
     attempts = 0
-    while len(hinges) < cap and attempts < 50 * max(cap, 1):
+    while len(vertices) < cap and attempts < 50 * max(cap, 1):
         attempts += 1
         if not candidates.size:
             break
@@ -257,26 +257,16 @@ def _sample_hinges(space, cap, seed, geo_tol):
         past = np.flatnonzero(chron[:, x])
         if fut.size >= 3:
             a, b, c = (int(v) for v in rng.choice(fut, 3, replace=False))
-            hinges.append(
-                (
-                    geodesic_between(space, x, a, geo_tol),
-                    geodesic_between(space, x, b, geo_tol),
-                    geodesic_between(space, x, c, geo_tol),
-                    x,
-                )
-            )
-        if past.size and fut.size >= 2 and len(hinges) < cap:
+            vertices.append(x)
+            legs += [(x, a), (x, b), (x, c)]
+        if past.size and fut.size >= 2 and len(vertices) < cap:
             a, b = (int(v) for v in rng.choice(fut, 2, replace=False))
             g = int(rng.choice(past))
-            hinges.append(
-                (
-                    geodesic_between(space, x, a, geo_tol),
-                    geodesic_between(space, x, b, geo_tol),
-                    geodesic_between(space, g, x, geo_tol),
-                    x,
-                )
-            )
-    return hinges
+            vertices.append(x)
+            legs += [(x, a), (x, b), (g, x)]
+    starts, ends = np.array(legs, dtype=np.int64).reshape(-1, 2).T
+    chains = list(_geodesics(space, starts, ends, geo_tol))
+    return [(*chains[3 * h : 3 * h + 3], x) for h, x in enumerate(vertices)]
 
 
 def cmd_angles(args):

@@ -8,8 +8,8 @@ certifies timelike curvature bounds by comparing sampled separations
 against their model-triangle counterparts.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -109,13 +109,47 @@ class Chain:
         return int(self.points[-1])
 
     def flagged(self, geo_tol: float = DEFAULT_GEO_TOL) -> bool:
-        # the scaled tolerance is never below geo_tol, so most chains are
-        # cleared without reading their params
-        d = abs(self.deficit)
-        return d > geo_tol and d > scaled(geo_tol, self.total)
+        return bool(_deficit_flagged(self.deficit, self.total, geo_tol))
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _deficit_flagged(deficit, total, geo_tol):
+    """Whether a chain's deficit exceeds geo_tol, absolutely and scaled by its total."""
+    d = np.abs(deficit)
+    return (d > geo_tol) & (d > scaled(geo_tol, total))
+
+
+@dataclass(frozen=True, eq=False)
+class ChainStore(Sequence):
+    """Chains in one CSR layout, read as a sequence of Chain views.
+
+    Chain c is points[offsets[c]:offsets[c + 1]] with the params of the
+    same slice and deficits[c]; its views share the store's arrays.
+    """
+
+    points: np.ndarray  # int64, every chain's points, chain after chain
+    params: np.ndarray  # float64, their parameters
+    offsets: np.ndarray  # int64, len(self) + 1 chain boundaries
+    deficits: np.ndarray  # float64, one per chain
+
+    def __len__(self) -> int:
+        return len(self.deficits)
+
+    def __getitem__(self, c) -> Chain:
+        c = range(len(self))[c]
+        a, b = self.offsets[c], self.offsets[c + 1]
+        chain = object.__new__(Chain)  # the store's arrays are checked already
+        object.__setattr__(chain, "points", self.points[a:b])
+        object.__setattr__(chain, "params", self.params[a:b])
+        object.__setattr__(chain, "deficit", float(self.deficits[c]))
+        return chain
+
+    def flagged(self, geo_tol: float = DEFAULT_GEO_TOL) -> np.ndarray:
+        """Chain.flagged of every chain."""
+        total = self.params[self.offsets[1:] - 1] - self.params[self.offsets[:-1]]
+        return _deficit_flagged(self.deficits, total, geo_tol)
 
 
 @dataclass(frozen=True)
@@ -132,6 +166,50 @@ class SampledTriangle:
     @property
     def sides(self):
         return {"ab": self.side_xy, "bc": self.side_yz, "ac": self.side_xz}
+
+
+@dataclass(frozen=True, eq=False)
+class TriangleSet(Sequence):
+    """Sampled triangles as arrays, read as a sequence of SampledTriangle views.
+
+    Triangle t has vertices x[t] << y[t] << z[t] and the side chains
+    chains[sides[t, 0]] (ab), chains[sides[t, 1]] (bc) and
+    chains[sides[t, 2]] (ac).  Iterating hands triangles that share a
+    chain index the same Chain.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    sides: np.ndarray  # (len(self), 3) int64 chain indices
+    chains: ChainStore
+
+    @classmethod
+    def of(cls, triangles) -> "TriangleSet":
+        """A TriangleSet as is; any other sequence of SampledTriangle with a chain per side."""
+        if isinstance(triangles, cls):
+            return triangles
+        x, y, z = np.array([(t.x, t.y, t.z) for t in triangles], dtype=np.int64).reshape(-1, 3).T
+        chains = [c for t in triangles for c in (t.side_xy, t.side_yz, t.side_xz)]
+        store = ChainStore(
+            np.concatenate([np.zeros(0, dtype=np.int64)] + [c.points for c in chains]),
+            np.concatenate([np.zeros(0)] + [c.params for c in chains]),
+            np.cumsum([0] + [len(c) for c in chains]),
+            np.array([c.deficit for c in chains], dtype=float),
+        )
+        return cls(x, y, z, np.arange(3 * len(x)).reshape(-1, 3), store)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, t) -> SampledTriangle:
+        t = range(len(self))[t]
+        return SampledTriangle(int(self.x[t]), int(self.y[t]), int(self.z[t]), *(self.chains[c] for c in self.sides[t]))
+
+    def __iter__(self):
+        chains = list(self.chains)
+        for x, y, z, (ab, bc, ac) in zip(self.x.tolist(), self.y.tolist(), self.z.tolist(), self.sides.tolist()):
+            yield SampledTriangle(x, y, z, chains[ab], chains[bc], chains[ac])
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +351,7 @@ def _push_up_witness(chron, causal, bad_rows, bad_cols):
 _GEODESIC_CHUNK = 128
 
 
-def _trusted_chain(points, params, deficit) -> Chain:
-    """A Chain whose arrays _geodesics has already checked (no re-validation)."""
-    chain = object.__new__(Chain)
-    object.__setattr__(chain, "points", points)
-    object.__setattr__(chain, "params", params)
-    object.__setattr__(chain, "deficit", deficit)
-    return chain
-
-
-def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) -> list:
+def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) -> ChainStore:
     """Maximal chains from xs[i] to ys[i] over the chronological relation.
 
     Every pair must be chronological.  On a space satisfying the reverse
@@ -292,17 +361,20 @@ def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) ->
     picks up every sampled point lying on the geodesic.  A chain's deficit
     records any shortfall.  Pairs are walked in lockstep, _GEODESIC_CHUNK
     at a time; the result is the same as walking each pair on its own.
+    Chain i of the returned store runs from xs[i] to ys[i].
     """
     tau = space.tau
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    chains = []
-    for lo in range(0, xs.size, _GEODESIC_CHUNK):
-        chains += _geodesic_chunk(tau, xs[lo : lo + _GEODESIC_CHUNK], ys[lo : lo + _GEODESIC_CHUNK], geo_tol)
-    return chains
+    chunks = [  # at least one, so that no pairs give an empty store
+        _geodesic_chunk(tau, xs[lo : lo + _GEODESIC_CHUNK], ys[lo : lo + _GEODESIC_CHUNK], geo_tol)
+        for lo in range(0, max(xs.size, 1), _GEODESIC_CHUNK)
+    ]
+    points, params, sizes, deficits = (np.concatenate(part) for part in zip(*chunks))
+    return ChainStore(points, params, np.concatenate([[0], np.cumsum(sizes)]), deficits)
 
 
-def _geodesic_chunk(tau, xs, ys, geo_tol) -> list:
+def _geodesic_chunk(tau, xs, ys, geo_tol):
     """One lockstep walk over a chunk of pairs.
 
     Each pair's on-geodesic candidates are sorted by (tau from x, index).
@@ -310,7 +382,7 @@ def _geodesic_chunk(tau, xs, ys, geo_tol) -> list:
     ahead of each pair's current point and moves each pair to its first
     hit, or to its end y when there is none.  A candidate at or behind
     the current point can never pass the test again, so only the ones
-    ahead are evaluated.
+    ahead are evaluated.  Returns (points, params, sizes, deficits).
     """
     m = xs.size
     target = tau[xs, ys]
@@ -362,12 +434,7 @@ def _geodesic_chunk(tau, xs, ys, geo_tol) -> list:
     params = np.concatenate(rec_param)[order]
     if np.any(np.diff(params)[owner[1:] == owner[:-1]] <= 0):
         raise ShapeError("chain parameters must be strictly increasing")
-    stop = np.cumsum(np.bincount(owner, minlength=m)).tolist()
-    start = [0] + stop[:-1]
-    return [
-        _trusted_chain(points[a:b], params[a:b], d)
-        for a, b, d in zip(start, stop, (target - acc).tolist())
-    ]
+    return points, params, np.bincount(owner, minlength=m), target - acc
 
 
 def geodesic_between(space: SampledSpace, x: int, y: int, geo_tol: float = DEFAULT_GEO_TOL) -> Chain:
@@ -395,11 +462,9 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
     n = tau.shape[0]
     chron = tau > 0
     futures = [np.flatnonzero(chron[i]) for i in range(n)]
-    counts = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        fi = futures[i]
-        if fi.size:
-            counts[i] = int(chron[np.ix_(fi, fi)].sum())
+    # triples x << y << z per x; H @ H is exact in float32 while n < 2**24
+    h = chron.astype(np.float32)
+    counts = ((h @ h) * h).sum(axis=1, dtype=np.float64).astype(np.int64)
     triples = []
     if int(counts.sum()) <= cap:
         for x in range(n):
@@ -436,24 +501,17 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
 def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0)):
     """Deterministic triangle enumeration, stratified random beyond the cap.
 
-    Returns a list of SampledTriangle whose longest side respects the size
+    Returns a TriangleSet whose triangles' longest sides respect the size
     bounds for the given curvature; triples violating them are skipped.
-    Triangles sharing a side share its Chain, and every distinct side is
-    extracted once, in one _geodesics call.
+    Its chain store holds every distinct side once, extracted in one
+    _geodesics call.
     """
     kappa = Kappa.of(kappa)
     triples = _triangle_triples(space.tau, cap, seed, kappa)
-    if not triples:
-        return []
     n = space.n
-    x, y, z = np.array(triples, dtype=np.int64).T
+    x, y, z = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     sides, which = np.unique(np.concatenate([x * n + y, y * n + z, x * n + z]), return_inverse=True)
-    chains = _geodesics(space, sides // n, sides % n)
-    ab, bc, ac = which.reshape(3, -1).tolist()
-    return [
-        SampledTriangle(*t, chains[i], chains[j], chains[k])
-        for t, i, j, k in zip(triples, ab, bc, ac)
-    ]
+    return TriangleSet(x, y, z, which.reshape(3, -1).T, _geodesics(space, sides // n, sides % n))
 
 
 # ---------------------------------------------------------------------------
@@ -619,184 +677,108 @@ class Certificate:
 _PAST_SIDE_END = "side parameters exceed the side length"
 _PAST_MODEL_DOMAIN = "comparison points exceed the model-space domain"
 
-# Side-point pairs compared in one batch of triangles.  A batch's arrays
-# peak at about 57 bytes per pair (0.9 MB at 2**14, 3.6 MB at 2**16);
-# much smaller batches pay numpy's per-call overhead instead (20k
-# tripod-product triangles take 2.6 times as long at 2**12 as at 2**14).
+# Unordered side-point pairs compared in one batch of triangles; a batch
+# holds at most this many plus one triangle's.  A batch's arrays peak at
+# about 130 bytes per pair (2.0 MB at 2**14); much smaller batches pay
+# numpy's per-call overhead instead (20k tripod-product triangles take
+# 1.9 times as long at 2**12 as at 2**14).
 _BATCH_PAIRS = 1 << 14
 
 
-class _Batch(NamedTuple):
-    tri: np.ndarray  # per pair: its triangle's position in the batch
-    p: np.ndarray  # per pair: sampled point of the row
-    q: np.ndarray  # per pair: sampled point of the column
-    model: np.ndarray  # per pair: signed model separation
-    undefined: dict  # triangle position -> why its comparison is undefined
-    side_step: np.ndarray  # per triangle: largest parameter step along a side
+def _certify_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction, tol):
+    """Compare one batch of triangles; return (bad, n_pairs, chron_miss, max_slack, worst, witness).
 
-
-def _batch_comparison(kappa, tau, triangles) -> _Batch:
-    """Signed model separations of all side-point pairs of several triangles.
-
-    Each triangle's side points are ordered ab, bc, ac, and its n x n pair
-    matrix is laid out row-major after the previous triangle's.  Entry
-    [i, j] is +tau of the comparison points when i precedes j, -tau when j
-    precedes i, 0 when they are spacelike or equal.  Each unordered
-    cross-side pair is evaluated once and its mirror filled by
-    antisymmetry.  A triangle whose comparison is undefined is listed with
-    its reason (_PAST_SIDE_END, _PAST_MODEL_DOMAIN or the unrealizable
-    side lengths); its entries are then meaningless.
+    Each pair i < j of a triangle's side points (ab, bc, ac, in order) is
+    evaluated once, for both orientations: within each side, then in the
+    ab x bc, ab x ac and bc x ac hinge blocks; size[t] holds the side
+    chains' point counts and u[t] the cosh of the hinge angles at a, b, c.  bad[t, k] marks hinge block k of
+    triangle t off the model domain; such triangles and failing ones are
+    left out.  The witness of the worst margin (inf if nothing was
+    compared) is the first in row-major order of the triangles' pair
+    matrices.  Returning only these frees the batch's arrays early.
     """
-    chains = [c for t in triangles for c in (t.side_xy, t.side_yz, t.side_xz)]
-    counts = np.array([len(c) for c in chains]).reshape(-1, 3)
-    pts = np.concatenate([c.points for c in chains])
-    par = np.concatenate([c.params for c in chains])
-    n_tri = len(triangles)
-    n = counts.sum(axis=1)
-    owner = np.repeat(np.arange(n_tri), n)
-    side = np.repeat(np.tile(np.arange(3, dtype=np.int8), n_tri), counts.ravel())
-
-    x, y, z = np.array([(t.x, t.y, t.z) for t in triangles]).T
-    lengths = np.stack([tau[x, y], tau[y, z], tau[x, z]], axis=1)
-    l_ab, l_bc, l_ac = lengths.T
-    u_a, ok_a = angle_from_sides_arr(kappa, l_ab, l_ac, l_bc, -1)
-    u_b, ok_b = angle_from_sides_arr(kappa, l_ab, l_bc, l_ac, +1)
-    u_c, ok_c = angle_from_sides_arr(kappa, l_ac, l_bc, l_ab, -1)
-
-    # distance from each side point to the side's future endpoint
-    length = lengths[owner, side]
-    reach = length - par
-    radius = np.maximum(reach, 0.0)
-    overshoot = np.zeros((n_tri, 3), dtype=bool)
-    beyond = reach < -1e-9 * (1.0 + length)
-    overshoot[owner[beyond], side[beyond]] = True
-
-    same_chain = side[1:] == side[:-1]
-    side_step = np.zeros(n_tri)
-    np.maximum.at(side_step, owner[1:][same_chain], np.diff(par)[same_chain])
-
-    # pair -> its triangle and the positions of its two points in pts/par
-    n_sq = n * n
-    tri = np.repeat(np.arange(n_tri), n_sq)
-    i, j = np.divmod(np.arange(n_sq.sum()) - (np.cumsum(n_sq) - n_sq)[tri], n[tri])
+    per_side = size.ravel()
+    n = size.sum(axis=1)
     first = np.cumsum(n) - n
-    i += first[tri]
-    j += first[tri]
-    s_i, s_j = side[i], side[j]
-    model = np.empty(len(tri))
-    within = s_i == s_j
-    model[within] = par[j[within]] - par[i[within]]
+    # the batch's side points, triangle after triangle
+    src = np.arange(n.sum()) + np.repeat(chains.offsets[sides].ravel() - np.cumsum(per_side) + per_side, per_side)
+    pt, par = chains.points[src], chains.params[src]
+    owner = np.repeat(np.arange(len(sides)), n)
+    side = np.repeat(np.tile(np.arange(3), len(sides)), per_side)
+    radius = np.maximum(np.repeat(lengths.ravel(), per_side) - par, 0.0)  # to the side's future end
 
-    def hinge_block(s1, s2, r1, r2, u, opposite, future):
-        """Fill the (s1, s2) block and its mirror; flag triangles off the domain."""
-        e = np.flatnonzero((s_i == s1) & (s_j == s2))
-        a, b, t = i[e], j[e], tri[e]
-        tau_m, timelike, _, ok = hinge_tau_arr(kappa, r1[a], r2[b], u[t], opposite)
-        value = np.where(timelike, np.where(future(r1[a], r2[b]), 1.0, -1.0) * tau_m, 0.0)
-        model[e] = value
-        model[e + (b - a) * (n[t] - 1)] = -value  # (row, col) -> (col, row)
-        bad = np.zeros(n_tri, dtype=bool)
-        bad[t[~ok]] = True
-        return bad
+    # each row i takes a run of columns j: the rest of its side, then for an
+    # ab point all of bc, then all of ac, and for a bc point all of ac
+    g = np.arange(len(pt))
+    on_ab, on_bc = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    t_ab, t_bc = owner[on_ab], owner[on_bc]
+    bc_start = first + size[:, 0]
+    ac_start = bc_start + size[:, 1]
+    runs = [
+        (g, g + 1, np.repeat(np.cumsum(per_side), per_side) - g - 1),
+        (on_ab, bc_start[t_ab], size[t_ab, 1]),
+        (on_ab, ac_start[t_ab], size[t_ab, 2]),
+        (on_bc, ac_start[t_bc], size[t_bc, 2]),
+    ]
+    rows, cols, count = (np.concatenate(r) for r in zip(*runs))
+    i = np.repeat(rows, count)
+    j = np.arange(len(i)) + np.repeat(cols - np.cumsum(count) + count, count)
+    ends = np.cumsum([0] + [int(r[2].sum()) for r in runs])
+
+    model = np.empty(len(i))
+    model[: ends[1]] = par[j[: ends[1]]] - par[i[: ends[1]]]
+    bad = np.zeros((len(sides), 3), dtype=bool)
+
+    def hinge_block(k, r1, r2, u, opposite, future):
+        """Signed model separations of hinge block k; flag triangles off the domain."""
+        block = slice(ends[k + 1], ends[k + 2])
+        t = owner[i[block]]
+        r1, r2 = r1[i[block]], r2[j[block]]
+        tau_m, timelike, _, ok = hinge_tau_arr(kappa, r1, r2, u[t], opposite)
+        model[block] = np.where(timelike, np.where(future(r1, r2), tau_m, -tau_m), 0.0)
+        bad[t[~ok], k] = True
 
     # ab x bc share b: past leg against future leg, always ordered
-    bad_ab_bc = hinge_block(0, 1, radius, par, u_b, True, lambda r1, r2: True)
+    hinge_block(0, radius, par, u[:, 1], True, lambda r1, r2: True)
     # ab x ac share a: both future legs, the farther point is later
-    bad_ab_ac = hinge_block(0, 2, par, par, u_a, False, lambda r1, r2: r2 > r1)
+    hinge_block(1, par, par, u[:, 0], False, lambda r1, r2: r2 > r1)
     # bc x ac share c: both past legs, the farther point is earlier
-    bad_bc_ac = hinge_block(1, 2, radius, radius, u_c, False, lambda r1, r2: r1 > r2)
+    hinge_block(2, radius, radius, u[:, 2], False, lambda r1, r2: r1 > r2)
 
-    # the first failure in the one-triangle reference's order names the reason
-    undefined = {}
-    failing = ~(ok_a & ok_b & ok_c) | overshoot.any(axis=1) | bad_ab_bc | bad_ab_ac | bad_bc_ac
-    for t in np.flatnonzero(failing):
-        ab, bc, ac = (float(v) for v in lengths[t])
-        if not ok_a[t]:
-            reason = str(unrealizable_sides(kappa, ab, ac, bc, -1))
-        elif not ok_b[t]:
-            reason = str(unrealizable_sides(kappa, ab, bc, ac, +1))
-        elif not ok_c[t]:
-            reason = str(unrealizable_sides(kappa, ac, bc, ab, -1))
-        elif overshoot[t, 0]:
-            reason = _PAST_SIDE_END
-        elif bad_ab_bc[t] or bad_ab_ac[t]:
-            reason = _PAST_MODEL_DOMAIN
-        elif overshoot[t, 1] or overshoot[t, 2]:
-            reason = _PAST_SIDE_END
-        else:
-            reason = _PAST_MODEL_DOMAIN
-        undefined[int(t)] = reason
-    return _Batch(tri, pts[i], pts[j], model, undefined, side_step)
-
-
-def _batches(triangles, indices):
-    """Split triangle indices into runs of about _BATCH_PAIRS side-point pairs."""
-    batch, pairs = [], 0
-    for t in indices:
-        tri = triangles[t]
-        size = (len(tri.side_xy) + len(tri.side_yz) + len(tri.side_xz)) ** 2
-        if batch and pairs + size > _BATCH_PAIRS:
-            yield batch
-            batch, pairs = [], 0
-        batch.append(t)
-        pairs += size
-    if batch:
-        yield batch
-
-
-class _BatchResult(NamedTuple):
-    undefined: dict  # triangle position -> why its comparison is undefined
-    side_step: float
-    n_pairs: int
-    chron_miss: int
-    max_slack: float
-    worst: float  # smallest margin; inf when no pair was compared
-    witness: dict  # the pair attaining it
-
-
-def _certify_batch(kappa, tau, triangles, direction, tol) -> _BatchResult:
-    """Compare one batch of triangles and reduce it to counts and its worst pair.
-
-    The worst pair is the first smallest margin in the batch's layout, so
-    ties go to the earliest triangle, then row-major within it.  Returning
-    only these scalars frees the batch's arrays before the next batch is
-    built, which keeps peak memory at one batch.
-    """
-    cmp = _batch_comparison(kappa, tau, triangles)
-    admitted = np.ones(len(triangles), dtype=bool)
-    admitted[list(cmp.undefined)] = False
-    keep = admitted[cmp.tri] & (cmp.p != cmp.q)
-    model_plus = np.maximum(cmp.model, 0.0, out=cmp.model)
-    actual = tau[cmp.p, cmp.q]
+    p, q = pt[i], pt[j]
+    failing = failing | bad.any(axis=1)
+    drop = np.flatnonzero((p == q) | failing[owner[i]] if failing.any() else p == q)
+    # row 0 holds orientation (i, j), row 1 (j, i)
+    actual = tau.ravel()[np.stack([p * tau.shape[0] + q, q * tau.shape[0] + p])]
+    model_plus = np.maximum(np.stack([model, -model]), 0.0)
     chron_miss = 0
     if direction == "above":
         margin = actual - model_plus
-        chron_bad = keep & (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)
-        chron_miss = int(chron_bad.sum())
+        chron_bad = (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)
+        chron_miss = int(np.count_nonzero(chron_bad) - np.count_nonzero(chron_bad[:, drop]))
     else:
         margin = model_plus - actual
-    # |margin| is the slack in either direction
-    slack = np.max(np.abs(margin), where=keep, initial=0.0)
-    margin[~keep] = np.inf
-    k = int(np.argmin(margin))
-    tri = triangles[cmp.tri[k]]
-    witness = {
-        "triangle": (tri.x, tri.y, tri.z),
-        "p": int(cmp.p[k]),
-        "q": int(cmp.q[k]),
-        "tau": float(actual[k]),
-        "tau_model": float(model_plus[k]),
-        "margin": float(margin[k]),
-    }
-    return _BatchResult(
-        undefined=cmp.undefined,
-        side_step=float(cmp.side_step[admitted].max(initial=0.0)),
-        n_pairs=int(keep.sum()),
-        chron_miss=chron_miss,
-        max_slack=float(slack),
-        worst=float(margin[k]),
-        witness=witness,
-    )
+    margin[:, drop] = -np.inf
+    top = float(margin.max())
+    margin[:, drop] = np.inf
+    worst = float(margin.min())
+    witness = None
+    if worst < np.inf:
+        # the first of the tied minima in row-major order
+        tied = np.flatnonzero(margin == worst)
+        swap, e = np.divmod(tied, len(i))
+        row, col = np.where(swap, j[e], i[e]), np.where(swap, i[e], j[e])
+        t = owner[row]
+        w = int(np.argmin((np.cumsum(n * n) - n * n)[t] + (row - first[t]) * n[t] + col - first[t]))
+        witness = {
+            "triangle": int(t[w]),
+            "p": int(pt[row[w]]),
+            "q": int(pt[col[w]]),
+            "tau": float(actual.flat[tied[w]]),
+            "tau_model": float(model_plus.flat[tied[w]]),
+            "margin": worst,
+        }
+    return bad, 2 * (len(i) - len(drop)), chron_miss, max(0.0, top, -worst), worst, witness
 
 
 def certify_curvature_bound(
@@ -811,37 +793,65 @@ def certify_curvature_bound(
     direction="above" checks tau(p, q) >= tau(comparison) for all sampled
     side-point pairs (and that model chronology implies sampled
     chronology); direction="below" checks tau(p, q) <= tau(comparison).
+    triangles is a TriangleSet or any sequence of SampledTriangle.
     Returns a certificate with the worst margin and a witness on failure:
     the first triangle attaining it, then the first pair in row-major
     order of that triangle's side points (ab, bc, ac).  Triangles are
-    compared in batches, so memory stays bounded for any triangle count.
+    compared in batches of about _BATCH_PAIRS unordered pairs, each
+    evaluated once for both orientations, so memory stays bounded for any
+    triangle count.
     """
     if direction not in ("above", "below"):
         raise ValueError("direction must be 'above' or 'below'")
     kappa = Kappa.of(kappa)
     tau = space.tau
-    worst = np.inf
-    witness = None
-    max_slack = 0.0
-    n_pairs = 0
-    side_step = 0.0
-    chron_miss = 0
-    skipped = []
-    sized = []
-    for t_idx, tri in enumerate(triangles):
-        if tau[tri.x, tri.z] >= kappa.dk:
-            skipped.append((t_idx, "size bounds"))
+    tri = TriangleSet.of(triangles)
+    chains = tri.chains
+    # per chain: its largest parameter step (0 for one point) and last parameter
+    step = np.diff(chains.params, append=0.0)
+    step[chains.offsets[1:] - 1] = 0.0
+    step = np.maximum.reduceat(step, chains.offsets[:-1])
+    last = chains.params[chains.offsets[1:] - 1]
+
+    lengths = np.stack([tau[tri.x, tri.y], tau[tri.y, tri.z], tau[tri.x, tri.z]], axis=1)
+    too_big = lengths[:, 2] >= kappa.dk
+    skipped = [(t, "size bounds") for t in np.flatnonzero(too_big).tolist()]
+    sized = np.flatnonzero(~too_big)
+    sides, lengths = tri.sides[sized], lengths[sized]
+    l_ab, l_bc, l_ac = lengths.T
+    hinges = [(l_ab, l_ac, l_bc, -1), (l_ab, l_bc, l_ac, +1), (l_ac, l_bc, l_ab, -1)]  # at a, b and c
+    u, ok = (np.stack(v, axis=1) for v in zip(*(angle_from_sides_arr(kappa, *h) for h in hinges)))
+    # params increase along a chain, so its last point is the farthest along
+    overshoot = lengths - last[sides] < -1e-9 * (1.0 + lengths)
+    failing = ~ok.all(axis=1) | overshoot.any(axis=1)
+    bad = np.zeros((len(sized), 3), dtype=bool)
+
+    worst, witness, max_slack, n_pairs, chron_miss = np.inf, None, 0.0, 0, 0
+    size = np.diff(chains.offsets)[sides]
+    n = size.sum(axis=1)
+    cum = np.cumsum(n * (n - 1) // 2)
+    marks = np.arange(_BATCH_PAIRS, cum[-1] if cum.size else 0, _BATCH_PAIRS)
+    bounds = np.unique(np.concatenate([[0], np.searchsorted(cum, marks, side="right"), [cum.size]])).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        bad[lo:hi], pairs, miss, slack, batch_worst, batch_witness = _certify_batch(
+            kappa, tau, chains, sides[lo:hi], size[lo:hi], lengths[lo:hi], u[lo:hi], failing[lo:hi], direction, tol
+        )
+        n_pairs += pairs
+        chron_miss += miss
+        max_slack = max(max_slack, slack)
+        if batch_worst < worst:
+            t = int(sized[lo + batch_witness["triangle"]])
+            worst, witness = batch_worst, {**batch_witness, "triangle": (int(tri.x[t]), int(tri.y[t]), int(tri.z[t]))}
+
+    # the first failure in the one-triangle reference's order names the reason
+    failing |= bad.any(axis=1)
+    order = [*~ok.T, overshoot[:, 0], bad[:, 0] | bad[:, 1], overshoot[:, 1] | overshoot[:, 2], bad[:, 2]]
+    for t, k in zip(np.flatnonzero(failing).tolist(), np.argmax(order, axis=0)[failing].tolist()):
+        if k < 3:  # the hinge at a, b or c is unrealizable
+            reason = str(unrealizable_sides(kappa, *(float(v[t]) for v in hinges[k][:3]), hinges[k][3]))
         else:
-            sized.append(t_idx)
-    for batch in _batches(triangles, sized):
-        res = _certify_batch(kappa, tau, [triangles[t] for t in batch], direction, tol)
-        skipped += [(batch[t], reason) for t, reason in res.undefined.items()]
-        side_step = max(side_step, res.side_step)
-        n_pairs += res.n_pairs
-        chron_miss += res.chron_miss
-        max_slack = max(max_slack, res.max_slack)
-        if res.worst < worst:
-            worst, witness = res.worst, res.witness
+            reason = _PAST_SIDE_END if k in (3, 5) else _PAST_MODEL_DOMAIN
+        skipped.append((int(sized[t]), reason))
     skipped.sort()
     if not np.isfinite(worst):
         worst = 0.0
@@ -852,13 +862,13 @@ def certify_curvature_bound(
         direction=direction,
         kappa=kappa.k,
         passed=bool(passed),
-        n_triangles=len(triangles) - len(skipped),
+        n_triangles=len(tri) - len(skipped),
         n_pairs=n_pairs,
         max_violation=float(min(worst, 0.0)),
         max_slack=max_slack,
         witness=None if passed else witness,
         skipped=skipped,
-        side_step=side_step,
+        side_step=float(step[sides[~failing]].max(initial=0.0)),
         chronology_mismatches=chron_miss,
     )
 

@@ -533,6 +533,27 @@ def broken_grid():
     return SampledSpace(tau=tau, causal=grid.causal.copy())
 
 
+@st.composite
+def integer_spaces(draw):
+    """A small space whose tau is the longest-path closure of integer weights
+    on a random order of its points, with some entries made two-way: both
+    orientations of a pair can then be chronological, and margins tie
+    exactly across triangles that share a side."""
+    n = draw(st.integers(4, 9))
+    upper = np.triu_indices(n, 1)
+    tau = np.zeros((n, n))
+    tau[upper] = draw(st.lists(st.integers(0, 3), min_size=len(upper[0]), max_size=len(upper[0])))
+    for k in range(n):
+        through = (tau[:, k] > 0)[:, None] & (tau[k, :] > 0)[None, :]
+        tau = np.where(through, np.maximum(tau, tau[:, k][:, None] + tau[k, :][None, :]), tau)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
+        if i > j:
+            tau[i, j] = draw(st.integers(1, 3))
+    order = np.array(draw(st.permutations(range(n))))
+    tau = tau[np.ix_(order, order)]
+    return SampledSpace(tau=tau, causal=(tau > 0) | np.eye(n, dtype=bool))
+
+
 class TestBatchedCertification:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -549,12 +570,58 @@ class TestBatchedCertification:
         cert = certify_curvature_bound(space, tris, kappa, direction)
         assert_matches_reference(cert, reference_certificate(space, tris, kappa, direction), exact=k == 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        space=integer_spaces(),
+        cap=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+        batch_pairs=st.integers(1, 500),
+        direction=st.sampled_from(["above", "below"]),
+    )
+    def test_two_way_tau_and_exact_ties_match_reference(self, space, cap, seed, batch_pairs, direction):
+        # tau[q, p] > 0 beside tau[p, q] > 0 exercises the mirrored orientation,
+        # integer margins tie across orientations and batch boundaries
+        tris = sample_triangles(space, cap=cap, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
+            cert = certify_curvature_bound(space, tris, Kappa(0.0), direction)
+        assert_matches_reference(cert, reference_certificate(space, tris, Kappa(0.0), direction), exact=True)
+
+    @pytest.mark.parametrize("batch_pairs", [1, 1 << 14])
+    def test_tied_minima_go_to_the_first_in_row_major_order(self, monkeypatch, batch_pairs):
+        # points 0..4 on one line, except that tau(0, 4) = 10 skips them; the
+        # two-way tau(3, 1) = 100 makes every (3, 1) pair a -100 margin below.
+        # (0, 2, 4) has one, across ab x bc; (1, 3, 4) has several, the
+        # first within ab, others across ab x ac and bc x ac
+        monkeypatch.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
+        tau = np.zeros((5, 5))
+        for i, j in zip(*np.triu_indices(5, 1)):
+            tau[i, j] = j - i
+        tau[0, 4], tau[3, 1] = 10.0, 100.0
+        space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(5, dtype=bool))
+        wide = SampledTriangle(0, 2, 4, Chain([0, 1, 2], [0, 1, 2]), Chain([2, 3, 4], [0, 1, 2]), Chain([0, 4], [0, 10]))
+        line = SampledTriangle(1, 3, 4, Chain([1, 2, 3], [0, 1, 2]), Chain([3, 4], [0, 1]), Chain([1, 2, 3, 4], [0, 1, 2, 3]))
+        for tris in ([wide, line], [line, wide]):
+            cert = certify_curvature_bound(space, tris, Kappa(0.0), "below")
+            assert cert.witness["triangle"] == (tris[0].x, tris[0].y, tris[0].z)
+            assert (cert.witness["p"], cert.witness["q"], cert.witness["margin"]) == (3, 1, -100.0)
+            assert_matches_reference(cert, reference_certificate(space, tris, Kappa(0.0), "below"), exact=True)
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("name", ["grid", "desitter", "tripod", "broken"])
+    def test_sequence_of_triangles_matches_triangle_set(self, name, k):
+        space = broken_grid() if name == "broken" else small_space(name)
+        tris = sample_triangles(space, cap=600, seed=3)
+        for direction in ("above", "below"):
+            cert = certify_curvature_bound(space, tris, Kappa(k), direction)
+            assert certify_curvature_bound(space, list(tris), Kappa(k), direction) == cert
+
     @pytest.mark.parametrize("batch_pairs", [300, 5000])
     @pytest.mark.parametrize("k", [-1.0, 0.0])
     def test_domain_skips_do_not_poison_their_batch(self, monkeypatch, batch_pairs, k):
         monkeypatch.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
         space = broken_grid()
-        tris = sample_triangles(space, cap=10_000)
+        tris = list(sample_triangles(space, cap=10_000))
         # undefined (its ac side overshoots), with a longer step than any admitted side
         long_step = SampledTriangle(
             0, 6, 30, geodesic_between(space, 0, 6), geodesic_between(space, 6, 30), Chain([0, 30], [0.0, 7.5])
@@ -861,6 +928,22 @@ class TestBatchedGeodesics:
         for a, b in zip(got, want):
             for side in ("side_xy", "side_yz", "side_xz"):
                 assert_same_chain(getattr(a, side), getattr(b, side))
+
+    @pytest.mark.parametrize("name", ["grid", "desitter", "tripod", "sphere"])
+    def test_triangle_set_views_match_reference(self, name):
+        space = oracle_space(name, 0.3, 1)
+        got = sample_triangles(space, cap=400, seed=6)
+        want = reference_sample_triangles(space, cap=400, seed=6)
+        assert len(got) == len(want) > 0
+        assert len(got.chains) == len({(t.x, t.y) for t in want} | {(t.y, t.z) for t in want} | {(t.x, t.z) for t in want})
+        for t in range(-len(got), len(got)):
+            a, b = got[t], want[t]
+            assert (a.x, a.y, a.z) == (b.x, b.y, b.z) and type(a.x) is int
+            for side in ("side_xy", "side_yz", "side_xz"):
+                assert_same_chain(getattr(a, side), getattr(b, side))
+                assert type(getattr(a, side).deficit) is float
+        with pytest.raises(IndexError):
+            got[len(got)]
 
     def test_size_bound_and_enumeration_paths(self):
         # K = -1 drops every triple whose longest side reaches pi; the grid's
