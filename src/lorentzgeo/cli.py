@@ -3,15 +3,17 @@
 Non-interactive verification runs over JSON fixtures: generation,
 axiom validation, curvature certification, angle inequalities, first
 variation, rigidity and quadrangle checks, line/strip/ray diagnostics,
-and the splitting pipeline.  Every command writes a JSON report; exit
-code 0 means all checks passed, 1 means violations were found, 2 means
-the input or invocation was malformed.
+and the splitting pipeline.  Every fixture command goes through one runner
+that loads the fixture, times it, and writes a JSON report; exit code 0
+means all checks passed, 1 means violations were found, 2 means the input
+or invocation was malformed.
 """
 
 import argparse
 import sys
 import time
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -81,26 +83,11 @@ def build_parser():
     pr.add_argument("--spacing", type=float, default=None, help="grid spacing")
     _add_common(pr)
 
-    for name, extra in {
-        "axioms": [],
-        "curvature": [("--k", float, 0.0), ("--direction", str, "above"), ("--cap", int, 20_000)],
-        "angles": [("--k", float, 0.0), ("--cap", int, 60)],
-        "fvf": [("--point", int, None), ("--vertex", int, None), ("--target", int, None), ("--k", float, 0.0)],
-        "rigidity": [("--k", float, 0.0), ("--cap", int, 100)],
-        "quadrangle": [("--vertices", str, None), ("--k", float, 0.0)],
-        "lines": [],
-        "strip": [("--alpha", int, 0), ("--beta", int, 1)],
-        "ray": [("--line", int, 0), ("--point", int, None), ("--horizons", str, None)],
-        "split": [("--reference", int, 0)],
-        "roundtrip": [],
-    }.items():
+    for name, (_, extra) in FIXTURE_COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("fixture", type=Path)
         for flag, typ, default in extra:
-            kwargs = {"type": typ, "default": default}
-            if default is None:
-                kwargs["required"] = True
-            p.add_argument(flag, **kwargs)
+            p.add_argument(flag, type=typ, default=default, required=default is None)
         _add_common(p)
 
     pd = sub.add_parser("plotdata", help="emit CSV series from a report")
@@ -109,12 +96,37 @@ def build_parser():
     return ap
 
 
-def _tolerances(args):
-    return {"tol_tau": args.tol_tau, "tol_angle": args.tol_angle, "geo_tol": args.geo_tol}
+def run_fixture_command(args, command) -> int:
+    """Load args.fixture, run command(args, fixture, stage), write and summarise its report.
 
+    The command returns (checks, series).  stage(name) is a context manager
+    that records the perf_counter seconds of its block as runtime
+    "<name>_s"; the load is stage "load", and "seconds" is the command's
+    work after it.  Returns the report's exit status.
+    """
+    runtime = {}
 
-def _finish(args, report, default_name):
-    out = args.output or args.fixture.with_name(args.fixture.stem + f"_{default_name}.json")
+    @contextmanager
+    def stage(name):
+        start = time.perf_counter()
+        yield
+        runtime[f"{name}_s"] = time.perf_counter() - start
+
+    with stage("load"):
+        fixture = load_fixture(args.fixture)
+    start = time.perf_counter()
+    checks, series = command(args, fixture, stage)
+    runtime.update(seconds=time.perf_counter() - start, timestamp=time.time())
+    report = make_report(
+        args.command,
+        {"fixture": str(args.fixture), "sha256": fixture.sha256},
+        {"tol_tau": args.tol_tau, "tol_angle": args.tol_angle, "geo_tol": args.geo_tol},
+        checks,
+        series,
+        runtime,
+    )
+    name = f"curvature_{args.direction}" if args.command == "curvature" else args.command
+    out = args.output or args.fixture.with_name(f"{args.fixture.stem}_{name}.json")
     save_report(out, report)
     for c in report["checks"]:
         bits = [f"{c['name']}: {c['status']}"]
@@ -124,6 +136,13 @@ def _finish(args, report, default_name):
         print("  ".join(bits))
     print(f"report -> {out}")
     return report_status(report)
+
+
+def _index(flag, value, count, what):
+    """value, checked as an index into the fixture's count points or lines."""
+    if not 0 <= value < count:
+        raise ValueError(f"{flag} {value} is out of range: the fixture has {count} {what}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +163,8 @@ def cmd_gen(args):
         space, lines, fan_info = fx.desitter_sample(args.n_angles, args.n_times, args.t_max, fan)
         meta["fan"] = fan_info
     else:
-        kwargs = {}
-        if args.d is not None:
-            kwargs["d"] = args.d
-        if args.edge is not None:
-            kwargs["edge"] = args.edge
-        if args.subdiv is not None:
-            kwargs["subdiv"] = args.subdiv
-        if args.m is not None:
-            kwargs["m"] = args.m
-        if args.spacing is not None:
-            kwargs["spacing"] = args.spacing
+        given = {key: getattr(args, key) for key in ("d", "edge", "subdiv", "m", "spacing")}
+        kwargs = {key: value for key, value in given.items() if value is not None}
         if args.base == "hyperbolic-sample":
             kwargs["seed"] = args.seed
         space, lines, base = fx.product_fixture(args.base, step=args.step, window=args.window, **kwargs)
@@ -164,12 +174,10 @@ def cmd_gen(args):
     return 0
 
 
-def cmd_axioms(args):
-    t_load = time.perf_counter()
-    space, *_, sha256 = load_fixture(args.fixture)
-    t_scan = time.perf_counter()
-    rep = validate_axioms(space)
-    t_done = time.perf_counter()
+def cmd_axioms(args, fixture, stage):
+    space = fixture.space
+    with stage("scan"):
+        rep = validate_axioms(space)
     checks = [
         {
             "name": "axioms",
@@ -180,30 +188,16 @@ def cmd_axioms(args):
             "triples_checked": rep.triples_checked,
         }
     ]
-    report = make_report(
-        "axioms",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={
-            "seconds": time.perf_counter() - t_scan,
-            "timestamp": time.time(),
-            "load_s": t_scan - t_load,
-            "scan_s": t_done - t_scan,
-        },
-    )
-    return _finish(args, report, "axioms")
+    return checks, None
 
 
-def cmd_curvature(args):
+def cmd_curvature(args, fixture, stage):
     kappa = Kappa(args.k)
-    t_load = time.perf_counter()
-    space, *_, sha256 = load_fixture(args.fixture)
-    t_sample = time.perf_counter()
-    triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
-    t_certify = time.perf_counter()
-    cert = certify_curvature_bound(space, triangles, kappa, args.direction)
-    t_done = time.perf_counter()
+    space = fixture.space
+    with stage("sample"):
+        triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
+    with stage("certify"):
+        cert = certify_curvature_bound(space, triangles, kappa, args.direction)
     if cert.n_triangles == 0:
         status = "SKIP"  # nothing was compared, so nothing is certified
     else:
@@ -225,20 +219,7 @@ def cmd_curvature(args):
             "flagged_chains": int(np.count_nonzero(triangles.chains.flagged(args.geo_tol))),
         }
     ]
-    report = make_report(
-        "curvature",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={
-            "seconds": time.perf_counter() - t_sample,
-            "timestamp": time.time(),
-            "load_s": t_sample - t_load,
-            "sample_s": t_certify - t_sample,
-            "certify_s": t_done - t_certify,
-        },
-    )
-    return _finish(args, report, f"curvature_{args.direction}")
+    return checks, None
 
 
 def _sample_hinges(space, cap, seed, geo_tol):
@@ -269,9 +250,8 @@ def _sample_hinges(space, cap, seed, geo_tol):
     return [(*chains[3 * h : 3 * h + 3], x) for h, x in enumerate(vertices)]
 
 
-def cmd_angles(args):
-    space, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.time()
+def cmd_angles(args, fixture, stage):
+    space = fixture.space
     hinges = _sample_hinges(space, args.cap, args.seed, args.geo_tol)
     reports = check_angle_inequalities(space, hinges, Kappa(args.k), args.tol_angle, args.geo_tol)
     checks = []
@@ -290,21 +270,16 @@ def cmd_angles(args):
                 "skipped": rep.skipped,
             }
         )
-    report = make_report(
-        "angles",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
-    )
-    return _finish(args, report, "angles")
+    return checks, None
 
 
-def cmd_fvf(args):
-    space, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.time()
-    gamma = geodesic_between(space, args.vertex, args.target, args.geo_tol)
-    rep = fvf_empirical(space, gamma, args.point, Kappa(args.k), args.geo_tol)
+def cmd_fvf(args, fixture, stage):
+    space = fixture.space
+    point = _index("--point", args.point, space.n, "points")
+    vertex = _index("--vertex", args.vertex, space.n, "points")
+    target = _index("--target", args.target, space.n, "points")
+    gamma = geodesic_between(space, vertex, target, args.geo_tol)
+    rep = fvf_empirical(space, gamma, point, Kappa(args.k), args.geo_tol)
     decreasing = bool(np.all(np.diff(rep.errors[::-1]) <= args.tol_angle))
     checks = [
         {
@@ -326,20 +301,11 @@ def cmd_fvf(args):
             "rows": [[float(t), float(e)] for t, e in zip(rep.ts, rep.errors)],
         },
     }
-    report = make_report(
-        "fvf",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        series,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
-    )
-    return _finish(args, report, "fvf")
+    return checks, series
 
 
-def cmd_rigidity(args):
-    space, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.time()
+def cmd_rigidity(args, fixture, stage):
+    space = fixture.space
     kappa = Kappa(args.k)
     triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
     checks = []
@@ -362,20 +328,12 @@ def cmd_rigidity(args):
                 "tau_gap_max": rep.tau_gap_max if np.isfinite(rep.tau_gap_max) else None,
             }
         )
-    report = make_report(
-        "rigidity",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
-    )
-    return _finish(args, report, "rigidity")
+    return checks, None
 
 
-def cmd_quadrangle(args):
-    space, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.time()
-    p1, p2, p3, p4 = (int(v) for v in args.vertices.split(","))
+def cmd_quadrangle(args, fixture, stage):
+    space = fixture.space
+    p1, p2, p3, p4 = (_index("--vertices", int(v), space.n, "points") for v in args.vertices.split(","))
     rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)
     checks = [
         {
@@ -388,23 +346,13 @@ def cmd_quadrangle(args):
             "causal_mismatches": rep.fill_in.causal_mismatches if rep.fill_in else None,
         }
     ]
-    report = make_report(
-        "quadrangle",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
-    )
-    return _finish(args, report, "quadrangle")
+    return checks, None
 
 
-def cmd_lines(args):
-    t_load = time.perf_counter()
-    space, lines, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.perf_counter()
+def cmd_lines(args, fixture, stage):
     checks = []
-    for k, ln in enumerate(lines):
-        ok, worst = is_line(space, ln, args.geo_tol)
+    for k, ln in enumerate(fixture.lines):
+        ok, worst = is_line(fixture.space, ln, args.geo_tol)
         checks.append(
             {
                 "name": f"line[{k}]{('=' + ln.label) if ln.label else ''}",
@@ -413,20 +361,13 @@ def cmd_lines(args):
                 "worst": worst,
             }
         )
-    report = make_report(
-        "lines",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
-    )
-    return _finish(args, report, "lines")
+    return checks, None
 
 
-def cmd_strip(args):
-    space, lines, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.time()
-    alpha, beta = lines[args.alpha], lines[args.beta]
+def cmd_strip(args, fixture, stage):
+    space, lines = fixture.space, fixture.lines
+    alpha = lines[_index("--alpha", args.alpha, len(lines), "lines")]
+    beta = lines[_index("--beta", args.beta, len(lines), "lines")]
     profile = strip_profile(space, alpha, beta)
     checks = [
         {
@@ -459,22 +400,15 @@ def cmd_strip(args):
         )
     except StripInconsistent as e:
         checks.append({"name": "flat-strip", "status": "FAIL", "reason": str(e)})
-    report = make_report(
-        "strip",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        series,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
-    )
-    return _finish(args, report, "strip")
+    return checks, series
 
 
-def cmd_ray(args):
-    space, lines, *_, sha256 = load_fixture(args.fixture)
-    t0 = time.time()
+def cmd_ray(args, fixture, stage):
+    space, lines = fixture.space, fixture.lines
+    line = lines[_index("--line", args.line, len(lines), "lines")]
+    point = _index("--point", args.point, space.n, "points")
     horizons = [float(v) for v in args.horizons.split(",")]
-    rep = asymptotic_ray(space, lines[args.line], args.point, horizons, args.geo_tol)
+    rep = asymptotic_ray(space, line, point, horizons, args.geo_tol)
     checks = [
         {
             "name": "asymptotic-ray",
@@ -491,22 +425,13 @@ def cmd_ray(args):
             "rows": [[float(t), float(d)] for t, d in zip(horizons[1:], rep.drifts)],
         }
     }
-    report = make_report(
-        "ray",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        series,
-        runtime={"seconds": time.time() - t0, "timestamp": time.time()},
-    )
-    return _finish(args, report, "ray")
+    return checks, series
 
 
-def cmd_split(args):
-    t_load = time.perf_counter()
-    space, lines, chains, base, meta, sha256 = load_fixture(args.fixture)
-    t0 = time.perf_counter()
-    classes = extract_line_classes(space, lines, lines[args.reference], args.tol_tau, args.geo_tol)
+def cmd_split(args, fixture, stage):
+    space, lines, base = fixture.space, fixture.lines, fixture.base
+    reference = lines[_index("--reference", args.reference, len(lines), "lines")]
+    classes = extract_line_classes(space, lines, reference, args.tol_tau, args.geo_tol)
     recovered = compute_dS(space, classes, args.tol_tau)
     emb = verify_embedding(space, classes, recovered)
     checks = [
@@ -535,32 +460,22 @@ def cmd_split(args):
                 "skipped": cat0.skipped_no_midpoint,
             }
         )
-    finite = recovered.dS[np.isfinite(recovered.dS)]
-    report = make_report(
-        "split",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        {
-            "dS": {
-                "columns": ["i", "j", "dS"],
-                "rows": [
-                    [int(i), int(j), float(recovered.dS[i, j])]
-                    for i in range(recovered.m)
-                    for j in range(recovered.m)
-                    if np.isfinite(recovered.dS[i, j])
-                ],
-            }
-        },
-        runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
-    )
-    return _finish(args, report, "split")
+    series = {
+        "dS": {
+            "columns": ["i", "j", "dS"],
+            "rows": [
+                [int(i), int(j), float(recovered.dS[i, j])]
+                for i in range(recovered.m)
+                for j in range(recovered.m)
+                if np.isfinite(recovered.dS[i, j])
+            ],
+        }
+    }
+    return checks, series
 
 
-def cmd_roundtrip(args):
-    t_load = time.perf_counter()
-    space, lines, chains, base, meta, sha256 = load_fixture(args.fixture)
-    t0 = time.perf_counter()
+def cmd_roundtrip(args, fixture, stage):
+    space, lines, base = fixture.space, fixture.lines, fixture.base
     if base is None:
         raise LorentzGeoError("fixture carries no base metric; roundtrip needs a product fixture")
     classes = extract_line_classes(space, lines, lines[0], args.tol_tau, args.geo_tol)
@@ -576,14 +491,7 @@ def cmd_roundtrip(args):
             "cross_check": float(np.abs(recovered.dS - recovered.dS_alt).max()),
         }
     ]
-    report = make_report(
-        "roundtrip",
-        {"fixture": str(args.fixture), "sha256": sha256},
-        _tolerances(args),
-        checks,
-        runtime={"seconds": time.perf_counter() - t0, "timestamp": time.time(), "load_s": t0 - t_load},
-    )
-    return _finish(args, report, "roundtrip")
+    return checks, None
 
 
 def cmd_plotdata(args):
@@ -594,19 +502,20 @@ def cmd_plotdata(args):
     return 0
 
 
-_COMMANDS = {
-    "axioms": cmd_axioms,
-    "curvature": cmd_curvature,
-    "angles": cmd_angles,
-    "fvf": cmd_fvf,
-    "rigidity": cmd_rigidity,
-    "quadrangle": cmd_quadrangle,
-    "lines": cmd_lines,
-    "strip": cmd_strip,
-    "ray": cmd_ray,
-    "split": cmd_split,
-    "roundtrip": cmd_roundtrip,
-    "plotdata": cmd_plotdata,
+# Each fixture command: its function and its extra (flag, type, default)
+# options; a None default makes the flag required.
+FIXTURE_COMMANDS = {
+    "axioms": (cmd_axioms, []),
+    "curvature": (cmd_curvature, [("--k", float, 0.0), ("--direction", str, "above"), ("--cap", int, 20_000)]),
+    "angles": (cmd_angles, [("--k", float, 0.0), ("--cap", int, 60)]),
+    "fvf": (cmd_fvf, [("--point", int, None), ("--vertex", int, None), ("--target", int, None), ("--k", float, 0.0)]),
+    "rigidity": (cmd_rigidity, [("--k", float, 0.0), ("--cap", int, 100)]),
+    "quadrangle": (cmd_quadrangle, [("--vertices", str, None), ("--k", float, 0.0)]),
+    "lines": (cmd_lines, []),
+    "strip": (cmd_strip, [("--alpha", int, 0), ("--beta", int, 1)]),
+    "ray": (cmd_ray, [("--line", int, 0), ("--point", int, None), ("--horizons", str, None)]),
+    "split": (cmd_split, [("--reference", int, 0)]),
+    "roundtrip": (cmd_roundtrip, []),
 }
 
 
@@ -621,7 +530,9 @@ def main(argv=None) -> int:
             raise ValueError(f"--cap must be at least 1, got {args.cap}")
         if args.command == "gen":
             return cmd_gen(args)
-        return _COMMANDS[args.command](args)
+        if args.command == "plotdata":
+            return cmd_plotdata(args)
+        return run_fixture_command(args, FIXTURE_COMMANDS[args.command][0])
     except (LorentzGeoError, OSError, ValueError, KeyError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -80,7 +80,7 @@ def _realizable_sweep(rng, k, n):
 
 
 def test_criterion_01_law_of_cosines_round_trip():
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(1)
     worst = 0.0
     for k in (-1.0, 0.0, 1.0):
@@ -89,7 +89,7 @@ def test_criterion_01_law_of_cosines_round_trip():
         back, ok = angle_from_sides_arr(k, y, t, z, sg)
         assert ok.all()
         worst = max(worst, float(np.max(np.abs(back - u) / u)))
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     report(
         "1. law-of-cosines round trip (3x10^4 hinges)",
         worst <= 1e-9 and elapsed <= 1.0,
@@ -210,39 +210,39 @@ def test_criterion_05_second_inequality():
 def certification_runs():
     runs = {}
     grid = minkowski_grid(21, 21, 1.0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     tris = sample_triangles(grid, cap=20_000, seed=0)
-    runs["grid-above"] = (certify_curvature_bound(grid, tris, Kappa(0.0), "above"), time.time() - t0)
-    t0 = time.time()
-    runs["grid-below"] = (certify_curvature_bound(grid, tris, Kappa(0.0), "below"), time.time() - t0)
+    runs["grid-above"] = (certify_curvature_bound(grid, tris, Kappa(0.0), "above"), time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    runs["grid-below"] = (certify_curvature_bound(grid, tris, Kappa(0.0), "below"), time.perf_counter() - t0)
 
     tripod, _, _ = product_fixture("tripod", step=0.5, window=8.0), None, None
     tripod_space = tripod[0]
-    t0 = time.time()
+    t0 = time.perf_counter()
     tris = sample_triangles(tripod_space, cap=20_000, seed=1)
     runs["tripod-above"] = (
         certify_curvature_bound(tripod_space, tris, Kappa(0.0), "above"),
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     runs["tripod-below"] = (
         certify_curvature_bound(tripod_space, tris, Kappa(0.0), "below"),
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
 
     ds, _, _ = desitter_sample(12, 25, 3.0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     tris = sample_triangles(ds, cap=20_000, seed=2)
-    runs["ds-above"] = (certify_curvature_bound(ds, tris, Kappa(0.0), "above"), time.time() - t0)
-    t0 = time.time()
-    runs["ds-below"] = (certify_curvature_bound(ds, tris, Kappa(0.0), "below"), time.time() - t0)
+    runs["ds-above"] = (certify_curvature_bound(ds, tris, Kappa(0.0), "above"), time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    runs["ds-below"] = (certify_curvature_bound(ds, tris, Kappa(0.0), "below"), time.perf_counter() - t0)
 
     sphere, _, _ = product_fixture("sphere-sample", step=0.5, window=5.0)
-    t0 = time.time()
+    t0 = time.perf_counter()
     tris = sample_triangles(sphere, cap=20_000, seed=3)
     runs["sphere-above"] = (
         certify_curvature_bound(sphere, tris, Kappa(0.0), "above"),
-        time.time() - t0,
+        time.perf_counter() - t0,
     )
     return runs
 
@@ -419,7 +419,7 @@ def test_criterion_08_strip_identities():
 
 
 def test_criterion_09_splitting_round_trip():
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = np.arange(-8.0, 8.25, 0.25)
     ok = True
     details = []
@@ -439,7 +439,7 @@ def test_criterion_09_splitting_round_trip():
         )
         ok &= good
         details.append(f"{name}: dev {rep.max_deviation:.3f} emb {rep.embedding.max_tau_error:.3f}")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     ok &= elapsed <= 120
     report("9. splitting round trip (3 bases)", ok, "; ".join(details) + f", {elapsed:.1f}s")
 

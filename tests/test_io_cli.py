@@ -356,9 +356,9 @@ class TestCli:
             fixture_from_dict(doc)
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))
-        for command in FUZZ_COMMANDS:
+        for command, *extra in FUZZ_COMMANDS:
             capsys.readouterr()
-            assert main([command, str(path)]) == 2
+            assert main([command, str(path), *extra]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
 
@@ -371,11 +371,69 @@ class TestCli:
         assert check["triples_checked"] == int(causal.sum(axis=0) @ causal.sum(axis=1))
         assert report["runtime"]["load_s"] >= 0 and report["runtime"]["scan_s"] >= 0
 
-    @pytest.mark.parametrize("command", ["lines", "split", "roundtrip"])
-    def test_runtime_load_s(self, tripod_fixture, tmp_path, command):
-        assert main([command, str(tripod_fixture), "-o", str(tmp_path / "r.json")]) == 0
-        runtime = load_report(tmp_path / "r.json")["runtime"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["axioms", "tripod"],
+            ["curvature", "tripod", "--direction", "below", "--cap", "300"],
+            ["angles", "grid", "--cap", "10"],
+            ["fvf", "grid", "--point", "0", "--vertex", "7", "--target", "35"],
+            ["rigidity", "grid", "--cap", "10"],
+            ["quadrangle", "grid", "--vertices", "3,16,45,31"],
+            ["lines", "tripod"],
+            ["strip", "tripod", "--alpha", "1", "--beta", "2"],
+            ["ray", "grid", "--point", "0", "--horizons", "2,4,6"],
+            ["split", "tripod"],
+            ["roundtrip", "tripod"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_runtime_load_s(self, request, argv):
+        """Every fixture command times its load and its work, and names its report after itself."""
+        command, name, *extra = argv
+        path = request.getfixturevalue(f"{name}_fixture")
+        assert main([command, str(path), *extra]) in (0, 1)
+        report_name = "curvature_below" if command == "curvature" else command
+        runtime = load_report(path.with_name(f"{name}_{report_name}.json"))["runtime"]
         assert runtime["load_s"] > 0 and runtime["seconds"] > 0
+        assert isinstance(runtime["timestamp"], float)
+
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--alpha", ["strip", "tripod", "--alpha", "-1"]),
+            ("--beta", ["strip", "tripod", "--beta", "4"]),
+            ("--line", ["ray", "grid", "--line", "-1", "--point", "0", "--horizons", "2,4,6"]),
+            ("--point", ["ray", "grid", "--point", "-49", "--horizons", "2,4,6"]),
+            ("--reference", ["split", "tripod", "--reference", "-1"]),
+            ("--reference", ["split", "tripod", "--reference", "4"]),
+            ("--point", ["fvf", "grid", "--point", "-49", "--vertex", "-42", "--target", "-14"]),
+            ("--vertex", ["fvf", "grid", "--point", "0", "--vertex", "-42", "--target", "35"]),
+            ("--target", ["fvf", "grid", "--point", "0", "--vertex", "7", "--target", "49"]),
+            ("--vertices", ["quadrangle", "grid", "--vertices", "3,16,45,-18"]),
+        ],
+        ids=[
+            "strip-alpha-negative",
+            "strip-beta-too-large",
+            "ray-line-negative",
+            "ray-point-negative",
+            "split-reference-negative",
+            "split-reference-too-large",
+            "fvf-point-negative",
+            "fvf-vertex-negative",
+            "fvf-target-too-large",
+            "quadrangle-vertex-negative",
+        ],
+    )
+    def test_index_out_of_range_exit_2(self, request, tmp_path, capsys, flag, argv):
+        """A negative or too-large point or line index is an input error, never a wrapped index."""
+        command, name, *extra = argv
+        out = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main([command, str(request.getfixturevalue(f"{name}_fixture")), *extra, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1 and "out of range" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv", [["axioms"], ["curvature", "--cap", "300"], ["lines"], ["split"], ["roundtrip"]], ids=lambda a: a[0]
@@ -591,7 +649,23 @@ def mutated_fixtures(draw):
     return doc
 
 
-FUZZ_COMMANDS = ("axioms", "curvature", "lines", "split", "roundtrip")
+# Every fixture command, with fixed flags that suit valid_fixture()'s three-point chain
+FUZZ_COMMANDS = [
+    ["axioms"],
+    ["curvature"],
+    ["angles", "--cap", "5"],
+    ["fvf", "--point", "0", "--vertex", "1", "--target", "2"],
+    ["rigidity", "--cap", "5"],
+    ["quadrangle", "--vertices", "0,1,2,2"],
+    ["lines"],
+    ["strip", "--alpha", "0", "--beta", "0"],
+    ["ray", "--point", "0", "--horizons", "1,2"],
+    ["split"],
+    ["roundtrip"],
+]
+# valid_fixture() holds no quadrangle p1 << p2 << p4 << p3, and two horizons
+# give one drift, too few to show that a ray stabilizes
+VALID_FIXTURE_EXIT = {"quadrangle": 2, "ray": 1}
 
 
 class TestFixtureFuzz:
@@ -602,14 +676,15 @@ class TestFixtureFuzz:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.json"
             path.write_text(json.dumps(doc))
-            for command in FUZZ_COMMANDS:
-                assert main([command, str(path), "-o", str(Path(tmp) / "r.json")]) in (0, 1, 2)
+            for command, *extra in FUZZ_COMMANDS:
+                assert main([command, str(path), *extra, "-o", str(Path(tmp) / "r.json")]) in (0, 1, 2)
 
-    @pytest.mark.parametrize("command", FUZZ_COMMANDS)
-    def test_valid_fixture_runs(self, tmp_path, command):
+    @pytest.mark.parametrize("argv", FUZZ_COMMANDS, ids=lambda argv: argv[0])
+    def test_valid_fixture_runs(self, tmp_path, argv):
+        command, *extra = argv
         path = tmp_path / "f.json"
         path.write_text(json.dumps(valid_fixture()))
-        assert main([command, str(path)]) == 0
+        assert main([command, str(path), *extra]) == VALID_FIXTURE_EXIT.get(command, 0)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.sampled_from([1, 2, 3]), "space": JSON}))
