@@ -10,6 +10,7 @@ or invocation was malformed.
 """
 
 import argparse
+import functools
 import sys
 import time
 from collections import Counter
@@ -53,6 +54,7 @@ def _add_common(p):
     p.add_argument("-o", "--output", type=Path, default=None)
 
 
+@functools.cache  # one parser per process: building it costs milliseconds, parsing microseconds
 def build_parser():
     ap = argparse.ArgumentParser(prog="lorentzgeo", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -478,7 +480,8 @@ def cmd_roundtrip(args, fixture, stage):
     space, lines, base = fixture.space, fixture.lines, fixture.base
     if base is None:
         raise LorentzGeoError("fixture carries no base metric; roundtrip needs a product fixture")
-    classes = extract_line_classes(space, lines, lines[0], args.tol_tau, args.geo_tol)
+    reference = lines[_index("reference line", 0, len(lines), "lines")]
+    classes = extract_line_classes(space, lines, reference, args.tol_tau, args.geo_tol)
     recovered = compute_dS(space, classes, args.tol_tau)
     dev = float(np.abs(recovered.dS - base.dist).max())
     step = recovered.step

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .modelspace import ds_check_point, ds_tangent_toward
+from .modelspace import ds_check_point, ds_tangent_toward, plane_separations
 from .parallels import LineSample
 from .sampled import SampledSpace
 from .splitting import MetricSampleIn, build_product
@@ -22,13 +22,7 @@ def space_from_plane_points(points, labels=None, meta=None) -> SampledSpace:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ShapeError("plane points must be an (n, 2) array of (t, x)")
-    dt = pts[None, :, 0] - pts[:, None, 0]
-    dx = pts[None, :, 1] - pts[:, None, 1]
-    q2 = dt * dt - dx * dx
-    scale = dt * dt + dx * dx + 1e-300
-    null = np.abs(q2) <= 1e-12 * scale  # boundary convention shared with tau_plane
-    causal = (q2 >= -1e-12 * scale) & (dt >= 0)
-    tau = np.where(causal & (q2 > 0) & ~null, np.sqrt(np.maximum(q2, 0.0)), 0.0)
+    tau, causal = plane_separations(pts)
     m = dict(meta or {})
     m.setdefault("generator", "plane-points")
     m["coords"] = pts.tolist()

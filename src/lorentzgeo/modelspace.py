@@ -93,6 +93,23 @@ def tau_plane(p, q):
     return tau, Relation.CHRONO_FUTURE if dt > 0 else Relation.CHRONO_PAST
 
 
+def plane_separations(points):
+    """Time separation and causal matrices of Minkowski-plane points (t, x).
+
+    tau_plane for every ordered pair, null band included: tau[i, j] is the
+    tau from points[i] to a chronological-future points[j], else 0, and
+    causal[i, j] whether points[j] is points[i] or in its causal future.
+    """
+    pts = np.asarray(points, dtype=float)
+    dt = pts[None, :, 0] - pts[:, None, 0]
+    dx = pts[None, :, 1] - pts[:, None, 1]
+    q2 = dt * dt - dx * dx
+    band = BOUNDARY_TOL * (dt * dt + dx * dx)  # |q2| within it is null
+    causal = (q2 >= -band) & (dt >= 0)
+    tau = np.where((q2 > band) & (dt > 0), np.sqrt(np.maximum(q2, 0.0)), 0.0)
+    return tau, causal
+
+
 # ---------------------------------------------------------------------------
 # Law of cosines, all curvature regimes.
 #
@@ -322,6 +339,16 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
     return tau, timelike, null, valid
 
 
+def vertex_hinges(l_ab, l_bc, l_ac):
+    """The hinge at each vertex of a triangle a << b << c with these sides.
+
+    Maps "a", "b" and "c" to the (y, t, z, sigma) that angle_from_sides
+    and its relatives take: the two legs, the opposite side, and sigma.
+    The sides may be lengths or anything else that stands for them.
+    """
+    return {"a": (l_ab, l_ac, l_bc, -1), "b": (l_ab, l_bc, l_ac, +1), "c": (l_ac, l_bc, l_ab, -1)}
+
+
 # ---------------------------------------------------------------------------
 # Model triangles and comparison points.
 # ---------------------------------------------------------------------------
@@ -364,14 +391,10 @@ class ModelTriangle:
 
     def vertex_angle(self, vertex: str) -> float:
         """cosh of the comparison angle at a vertex, from the side lengths."""
-        k = self.kappa
-        if vertex == "a":
-            return angle_from_sides(k, self.l_ab, self.l_ac, self.l_bc, -1)
-        if vertex == "b":
-            return angle_from_sides(k, self.l_ab, self.l_bc, self.l_ac, +1)
-        if vertex == "c":
-            return angle_from_sides(k, self.l_ac, self.l_bc, self.l_ab, -1)
-        raise ValueError(f"unknown vertex {vertex!r}")
+        hinges = vertex_hinges(self.l_ab, self.l_bc, self.l_ac)
+        if vertex not in hinges:
+            raise ValueError(f"unknown vertex {vertex!r}")
+        return angle_from_sides(self.kappa, *hinges[vertex])
 
 
 @dataclass(frozen=True)
@@ -520,10 +543,8 @@ def angle_sum_defect(a, b, c) -> float:
         and rel_ac is Relation.CHRONO_FUTURE
     ):
         raise OrderViolated("points are not pairwise chronologically ordered")
-    th_a = hinge_angle(K_FLAT, t_ab, t_ac, t_bc, -1)
-    th_b = hinge_angle(K_FLAT, t_ab, t_bc, t_ac, +1)
-    th_c = hinge_angle(K_FLAT, t_ac, t_bc, t_ab, -1)
-    return th_a + th_c - th_b
+    th = {v: hinge_angle(K_FLAT, *h) for v, h in vertex_hinges(t_ab, t_bc, t_ac).items()}
+    return th["a"] + th["c"] - th["b"]
 
 
 def fvf_model(kappa, y: float, sigma: int, cosh_theta: float, t: float):

@@ -23,9 +23,10 @@ from .modelspace import Kappa
 from .sampled import (
     Chain,
     SampledSpace,
-    _chain_from_vertex,
     estimate_angle,
     geodesic_between,
+    geodesic_through,
+    plane_map_check,
 )
 from .tolerances import DEFAULT_GEO_TOL, DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU, scaled
 
@@ -91,20 +92,24 @@ def is_line(space: SampledSpace, line: LineSample, tol: float = DEFAULT_GEO_TOL)
     return ok, worst
 
 
-def _index_shift_range(alpha: LineSample, beta: LineSample):
-    """Integer index shifts d for which alpha_i, beta_{i+d} overlap."""
-    na, nb = len(alpha), len(beta)
-    return range(-(na - 1), nb)
+def _overlaps(first: LineSample, second: LineSample):
+    """Grid offsets s >= 0 between two lines, in increasing order.
 
-
-def _offset_pairs(alpha: LineSample, beta: LineSample, d: int):
-    """Overlapping index pairs (i, i+d)."""
-    lo = max(0, -d)
-    hi = min(len(alpha), len(beta) - d)
-    if hi <= lo:
-        return None
-    i = np.arange(lo, hi)
-    return i, i + d
+    Yields (s, i, j) for each offset at which the lines overlap:
+    first.points[i] and second.points[j] sit at parameters t and t + s.
+    Raises ShapeError when the lines' grid steps differ.
+    """
+    h = first.step
+    if abs(second.step - h) > 1e-12 * (1 + h):
+        raise ShapeError("incompatible grid steps")
+    na, nb = len(first), len(second)
+    if not (na and nb):
+        return
+    for d in range(1 - na, nb):
+        s = (second.t0 + d * h) - first.t0
+        if s >= -1e-12:
+            i = np.arange(max(0, -d), min(na, nb - d))
+            yield s, i, i + d
 
 
 def weakly_parallel_offset(space, alpha: LineSample, beta: LineSample, window: float | None = None):
@@ -115,28 +120,13 @@ def weakly_parallel_offset(space, alpha: LineSample, beta: LineSample, window: f
     None when no tested offset works.  Raises WindowExhausted when a
     caller-supplied window is smaller than what the data could test.
     """
-    if abs(alpha.step - beta.step) > 1e-12 * (1 + alpha.step):
-        raise ShapeError("incompatible grid steps")
-    h = alpha.step
-
     def scan(first: LineSample, second: LineSample):
-        found = None
         capacity = 0.0
-        for d in _index_shift_range(first, second):
-            s = (second.t0 + d * h) - first.t0
-            if s < -1e-12:
-                continue
-            pairs = _offset_pairs(first, second, d)
-            if pairs is None:
-                continue
+        for s, i, j in _overlaps(first, second):
             capacity = max(capacity, s)
-            if window is not None and s > window:
-                continue
-            i, j = pairs
-            if space.causal[first.points[i], second.points[j]].all():
-                found = s
-                break
-        return found, capacity
+            if (window is None or s <= window) and space.causal[first.points[i], second.points[j]].all():
+                return s, capacity
+        return None, capacity
 
     s_ab, cap_ab = scan(alpha, beta)
     s_ba, cap_ba = scan(beta, alpha)
@@ -235,43 +225,34 @@ def strip_profile(space, alpha: LineSample, beta: LineSample, offsets=None, kapp
     applied to F^2 (a quadratic for synchronised flat strips, hence exact
     there) and divided by 2F.
     """
-    h = alpha.step
-    if abs(beta.step - h) > 1e-12 * (1 + h):
-        raise ShapeError("incompatible grid steps")
-    cands = []
-    for d in _index_shift_range(alpha, beta):
-        s = (beta.t0 + d * h) - alpha.t0
-        pairs = _offset_pairs(alpha, beta, d)
-        if s < -1e-12 or pairs is None:
-            continue
-        cands.append((s, pairs))
-    cands.sort(key=lambda c: c[0])
+    cands = list(_overlaps(alpha, beta))
     if offsets is not None:
         wanted = np.asarray(offsets, dtype=float)
-        cands = [
-            (s, p) for s, p in cands if np.any(np.abs(wanted - s) <= 1e-9 * (1 + s))
-        ]
+        cands = [c for c in cands if np.any(np.abs(wanted - c[0]) <= 1e-9 * (1 + c[0]))]
     if len(cands) < 3:
         raise WindowExhausted("need at least three offsets for the profile")
-    offs = np.array([s for s, _ in cands])
+    offs = np.array([s for s, _, _ in cands])
     F = np.empty(len(cands))
     max_dev = np.empty(len(cands))
-    for k, (s, (i, j)) in enumerate(cands):
+    for k, (s, i, j) in enumerate(cands):
         vals = space.tau[alpha.points[i], beta.points[j]]
         F[k] = vals.mean()
         max_dev[k] = np.abs(vals - F[k]).max() if len(vals) > 1 else 0.0
 
-    G = F * F
     Fp = np.full(len(F), np.nan)
-    for k in range(len(F) - 2):
-        dh = offs[k + 1] - offs[k]
-        gp = (-3.0 * G[k] + 4.0 * G[k + 1] - G[k + 2]) / (2.0 * dh)
-        Fp[k] = gp / (2.0 * F[k]) if F[k] > 0 else np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Fp[:-2] = np.where(F[:-2] > 0, _f2_slope(offs, F) / (2.0 * F[:-2]), np.nan)
 
     probe = {}
     if angle_probes > 0:
         probe = _angle_constancy_probe(space, alpha, beta, offs, F, kappa, angle_probes)
     return StripProfile(offsets=offs, F=F, Fp=Fp, max_dev=max_dev, angle_probe=probe)
+
+
+def _f2_slope(offsets, F):
+    """dF^2/dc at every offset but the last two, by a one-sided three-point stencil."""
+    G = F * F
+    return (-3.0 * G[:-2] + 4.0 * G[1:-1] - G[2:]) / (2.0 * np.diff(offsets)[:-1])
 
 
 def _angle_constancy_probe(space, alpha, beta, offs, F, kappa, n_probes):
@@ -340,15 +321,13 @@ def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: floa
     if fit is None:
         raise StripInconsistent("lines do not fit the synchronised normal form")
     profile = strip_profile(space, alpha, beta)
+    slope = _f2_slope(profile.offsets, profile.F)
     active = np.flatnonzero(profile.F > scaled(tol, 0.0))
     width = None
     c_used = float("nan")
     for k in active:
         if k + 2 < len(profile.F) and np.all(profile.F[k : k + 3] > 0):
-            dh = profile.offsets[k + 1] - profile.offsets[k]
-            G = profile.F**2
-            gp = (-3.0 * G[k] + 4.0 * G[k + 1] - G[k + 2]) / (2.0 * dh)
-            wsq = (gp / 2.0) ** 2 - G[k]
+            wsq = (slope[k] / 2.0) ** 2 - profile.F[k] * profile.F[k]
             if wsq < -scaled(tol, 1.0):
                 raise StripInconsistent(f"negative squared width {wsq} at offset {profile.offsets[k]}")
             width = math.sqrt(max(wsq, 0.0))
@@ -363,25 +342,12 @@ def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: floa
         )
 
     # validate the explicit embedding on all sampled pairs
-    A, B = alpha.params, beta.params
     coords = {}
-    for k, p in enumerate(alpha.points):
-        coords.setdefault(int(p), (A[k], 0.0))
-    for k, p in enumerate(beta.points):
-        coords.setdefault(int(p), (B[k] + fit.t0, width))
-    pts = list(coords)
-    arr = np.array([coords[p] for p in pts])
-    dt = arr[None, :, 0] - arr[:, None, 0]
-    dx = arr[None, :, 1] - arr[:, None, 1]
-    q2 = dt * dt - dx * dx
-    scale = dt * dt + dx * dx + 1e-300
-    null = np.abs(q2) <= 1e-12 * scale
-    model_tau = np.where((q2 > 0) & (dt > 0) & ~null, np.sqrt(np.maximum(q2, 0.0)), 0.0)
-    model_causal = (q2 >= -1e-12 * scale) & (dt >= 0)
-    actual_tau = space.tau[np.ix_(pts, pts)]
-    actual_causal = space.causal[np.ix_(pts, pts)]
-    err = float(np.abs(actual_tau - model_tau).max())
-    mism = int(np.count_nonzero(actual_causal != model_causal))
+    for p, t in zip(alpha.points, alpha.params):
+        coords.setdefault(int(p), (t, 0.0))
+    for p, t in zip(beta.points, beta.params):
+        coords.setdefault(int(p), (t + fit.t0, width))
+    err, mism, _, _ = plane_map_check(space, coords)
     return FlatStrip(
         shift=fit.t0,
         c0=fit.c0,
@@ -496,13 +462,6 @@ def concat_angle(
     predicts to hold exactly when the angle vanishes.
     """
     est = estimate_angle(space, beta_minus, beta_plus, p, kappa, tol_angle=tol_angle)
-    pts_m, s_m, o_m = _chain_from_vertex(beta_minus, p)
-    pts_p, s_p, o_p = _chain_from_vertex(beta_plus, p)
-    if o_m == o_p:
+    if est.sign < 0:  # both chains leave p toward the same time orientation
         raise DomainError("concatenation needs one past- and one future-directed chain")
-    through = np.maximum(
-        space.tau[np.ix_(pts_m, pts_p)], space.tau[np.ix_(pts_p, pts_m)].T
-    )
-    want = s_m[:, None] + s_p[None, :]
-    ok = bool(np.all(np.abs(through - want) <= geo_tol * (1.0 + want)))
-    return est.value, ok, est
+    return est.value, geodesic_through(space, beta_minus, beta_plus, p, geo_tol), est

@@ -22,8 +22,9 @@ from .modelspace import (
     comparison_point_tau,
     plane_side_point,
     realize_plane,
+    vertex_hinges,
 )
-from .sampled import SampledTriangle, estimate_angle, geodesic_between
+from .sampled import SampledTriangle, estimate_angle, geodesic_between, plane_map_check
 from .tolerances import DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU, scaled
 
 
@@ -95,15 +96,11 @@ def equality_conditions(
     model = ModelTriangle(kappa, lengths["ab"], lengths["bc"], lengths["ac"])
     angle_gaps = {}
     skipped = {}
-    hinges = {
-        "a": (tri.side_xy, tri.side_xz, tri.x, "a"),
-        "b": (tri.side_xy, tri.side_yz, tri.y, "b"),
-        "c": (tri.side_xz, tri.side_yz, tri.z, "c"),
-    }
-    for name, (c1, c2, vertex, model_vertex) in hinges.items():
+    vertices = {"a": tri.x, "b": tri.y, "c": tri.z}
+    for name, (c1, c2, _, _) in vertex_hinges(tri.side_xy, tri.side_yz, tri.side_xz).items():
         try:
-            est = estimate_angle(space, c1, c2, vertex, kappa, tol_angle=tol_angle)
-            comparison = math.acosh(model.vertex_angle(model_vertex))
+            est = estimate_angle(space, c1, c2, vertices[name], kappa, tol_angle=tol_angle)
+            comparison = math.acosh(model.vertex_angle(name))
             angle_gaps[name] = est.value - comparison
         except DomainError as e:
             skipped[name] = str(e)
@@ -146,26 +143,18 @@ def equality_conditions(
     )
 
 
-def _validate_plane_map(space, coords: dict, tol: float):
-    """Max |tau - planar tau| and causal mismatches over mapped points."""
-    pts = list(coords)
-    arr = np.array([coords[p] for p in pts])
-    dt = arr[None, :, 0] - arr[:, None, 0]
-    dx = arr[None, :, 1] - arr[:, None, 1]
-    q2 = dt * dt - dx * dx
-    scale = dt * dt + dx * dx + 1e-300
-    null = np.abs(q2) <= 1e-12 * scale  # same boundary convention as fixtures
-    plane_causal = (q2 >= -1e-12 * scale) & (dt >= 0)
-    plane_tau = np.where(plane_causal & (q2 > 0) & ~null, np.sqrt(np.maximum(q2, 0.0)), 0.0)
-    actual_tau = space.tau[np.ix_(pts, pts)]
-    actual_causal = space.causal[np.ix_(pts, pts)]
-    err = np.abs(actual_tau - plane_tau)
-    np.fill_diagonal(err, 0.0)
-    idx = np.unravel_index(int(np.argmax(err)), err.shape)
-    mism = int(np.count_nonzero(actual_causal != plane_causal)) - int(
-        np.count_nonzero(np.diag(actual_causal) != np.diag(plane_causal))
+def _checked_fill_in(space, plane: dict, corners, limit: float, what: str) -> FlatFillIn:
+    """The fill-in of a planar map, raising RigidityViolated when its tau error exceeds limit."""
+    err, mism, witness, n_pts = plane_map_check(space, plane)
+    if err > limit:
+        raise RigidityViolated(f"{what} tau error {err} at pair {witness} exceeds tolerance")
+    return FlatFillIn(
+        planar_vertices=[plane[p] for p in corners],
+        grid_map=plane,
+        max_tau_error=err,
+        causal_mismatches=mism,
+        checked_pairs=n_pts * (n_pts - 1) // 2,
     )
-    return float(err.max()), mism, (int(pts[idx[0]]), int(pts[idx[1]])), len(pts)
 
 
 def fill_in_reconstruct(
@@ -220,19 +209,7 @@ def fill_in_reconstruct(
             pt = plane_side_point(model, coords3, SidePosition(side_name, float(s)))
             plane.setdefault(int(p), (pt.t, pt.x))
 
-    err, mism, witness, n_pts = _validate_plane_map(space, plane, tol)
-    fill = FlatFillIn(
-        planar_vertices=[plane[tri.x], plane[tri.y], plane[tri.z]],
-        grid_map=plane,
-        max_tau_error=err,
-        causal_mismatches=mism,
-        checked_pairs=n_pts * (n_pts - 1) // 2,
-    )
-    if err > scaled(tol, lengths["ac"]):
-        raise RigidityViolated(
-            f"fill-in tau error {err} at pair {witness} exceeds tolerance"
-        )
-    return fill
+    return _checked_fill_in(space, plane, (tri.x, tri.y, tri.z), scaled(tol, lengths["ac"]), "fill-in")
 
 
 @dataclass
@@ -293,13 +270,13 @@ def quadrangle_rigidity(
     flat = lhs_minus_rhs >= -tol
     fill = None
     if flat:
-        fill = _quadrangle_fill_in(space, (p1, p2, p3, p4), sides, diagonals, tol)
+        fill = _quadrangle_fill_in(space, (p1, p2, p3, p4), sides, diagonals)
     return QuadrangleReport(
         lhs_minus_rhs=float(lhs_minus_rhs), flat=bool(flat), angles=angles, fill_in=fill
     )
 
 
-def _quadrangle_fill_in(space, corners, sides, diagonals, tol):
+def _quadrangle_fill_in(space, corners, sides, diagonals):
     """Planar quadrangle with the sampled side lengths, then tau-validated."""
     p1, p2, p3, p4 = corners
     tau = space.tau
@@ -331,17 +308,7 @@ def _quadrangle_fill_in(space, corners, sides, diagonals, tol):
         for p, s in zip(chain.points, chain.params):
             f = s / total if total else 0.0
             plane.setdefault(int(p), tuple(a_pt + f * (np.asarray(b_pt) - a_pt)))
-    err, mism, witness, n_pts = _validate_plane_map(space, plane, tol)
-    fill = FlatFillIn(
-        planar_vertices=[plane[p] for p in corners],
-        grid_map=plane,
-        max_tau_error=err,
-        causal_mismatches=mism,
-        checked_pairs=n_pts * (n_pts - 1) // 2,
-    )
-    if err > scaled(DEFAULT_TOL_TAU, t14 + t43):
-        raise RigidityViolated(f"quadrangle fill-in tau error {err} at {witness}")
-    return fill
+    return _checked_fill_in(space, plane, corners, scaled(DEFAULT_TOL_TAU, t14 + t43), "quadrangle fill-in")
 
 
 def _two_hyperbola_point(c1, r1, c2, r2, opposite_of):

@@ -25,7 +25,9 @@ from .modelspace import (
     angle_from_sides_arr,
     hinge_angle_arr,
     hinge_tau_arr,
+    plane_separations,
     unrealizable_sides,
+    vertex_hinges,
 )
 from .tolerances import (
     DEFAULT_CERT_TOL,
@@ -74,6 +76,23 @@ class SampledSpace:
     def tau_s(self, i, j):
         """Order-independent time separation max(tau(i,j), tau(j,i))."""
         return np.maximum(self.tau[i, j], self.tau[j, i])
+
+
+def plane_map_check(space: SampledSpace, coords: dict):
+    """Compare a space with a map of some of its points into the Minkowski plane.
+
+    coords maps point indices to planar (t, x).  Returns (error,
+    mismatches, witness, count): the largest |tau - planar tau| over the
+    mapped points, the number of off-diagonal causal entries that disagree,
+    a pair attaining the error, and the number of mapped points.
+    """
+    pts = list(coords)
+    plane_tau, plane_causal = plane_separations([coords[p] for p in pts])
+    err = np.abs(space.tau[np.ix_(pts, pts)] - plane_tau)
+    idx = np.unravel_index(int(np.argmax(err)), err.shape)
+    mism = space.causal[np.ix_(pts, pts)] != plane_causal
+    np.fill_diagonal(mism, False)
+    return float(err[idx]), int(np.count_nonzero(mism)), (int(pts[idx[0]]), int(pts[idx[1]])), len(pts)
 
 
 @dataclass(frozen=True)
@@ -455,16 +474,17 @@ def triangle_between(space, x, y, z, geo_tol=DEFAULT_GEO_TOL) -> SampledTriangle
 def _triangle_triples(tau, cap, seed, kappa) -> list:
     """Vertex triples (x, y, z) with x << y << z for sample_triangles, in order.
 
-    Every triple when there are at most cap of them, else a stratified
-    random draw of distinct triples; either way those whose longest side
-    breaks the size bound for kappa are left out.
+    Only triples whose longest side tau(x, z) is inside the size bound for
+    kappa are taken: every one when there are at most cap of them, else a
+    stratified random draw of distinct ones.
     """
     n = tau.shape[0]
     chron = tau > 0
     futures = [np.flatnonzero(chron[i]) for i in range(n)]
-    # triples x << y << z per x; H @ H is exact in float32 while n < 2**24
+    # triples x << y << z inside the size bound, per x; H @ H is exact in
+    # float32 while n < 2**24
     h = chron.astype(np.float32)
-    counts = ((h @ h) * h).sum(axis=1, dtype=np.float64).astype(np.int64)
+    counts = ((h @ h) * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
     triples = []
     if int(counts.sum()) <= cap:
         for x in range(n):
@@ -562,6 +582,19 @@ def _chain_from_vertex(chain: Chain, vertex: int):
     raise DomainError(f"chain does not start or end at vertex {vertex}")
 
 
+def geodesic_through(space, c1: Chain, c2: Chain, vertex: int, geo_tol: float = DEFAULT_GEO_TOL) -> bool:
+    """Whether two chains with an end at vertex join there into one geodesic.
+
+    True when tau_s between every point of one chain and every point of the
+    other equals the sum of their arclengths from the vertex, within geo_tol.
+    """
+    pts_1, s_1, _ = _chain_from_vertex(c1, vertex)
+    pts_2, s_2, _ = _chain_from_vertex(c2, vertex)
+    want = s_1[:, None] + s_2[None, :]
+    through = space.tau_s(pts_1[:, None], pts_2[None, :])
+    return bool(np.all(np.abs(through - want) <= geo_tol * (1.0 + want)))
+
+
 def estimate_angle(
     space,
     alpha: Chain,
@@ -592,7 +625,7 @@ def estimate_angle(
 
     S = s_a[:, None]
     T = s_b[None, :]
-    Z = np.maximum(space.tau[np.ix_(pts_a, pts_b)], space.tau[np.ix_(pts_b, pts_a)].T)
+    Z = space.tau_s(pts_a[:, None], pts_b[None, :])
     theta, ok = hinge_angle_arr(kappa, S, T, Z, sigma)
     ok &= Z > 0
     ok &= pts_a[:, None] != pts_b[None, :]
@@ -819,7 +852,7 @@ def certify_curvature_bound(
     sized = np.flatnonzero(~too_big)
     sides, lengths = tri.sides[sized], lengths[sized]
     l_ab, l_bc, l_ac = lengths.T
-    hinges = [(l_ab, l_ac, l_bc, -1), (l_ab, l_bc, l_ac, +1), (l_ac, l_bc, l_ab, -1)]  # at a, b and c
+    hinges = list(vertex_hinges(l_ab, l_bc, l_ac).values())  # at a, b and c
     u, ok = (np.stack(v, axis=1) for v in zip(*(angle_from_sides_arr(kappa, *h) for h in hinges)))
     # params increase along a chain, so its last point is the farthest along
     overshoot = lengths - last[sides] < -1e-9 * (1.0 + lengths)
@@ -915,15 +948,8 @@ def check_angle_inequalities(space, hinges, kappa=Kappa(0.0), tol_angle=DEFAULT_
         tri_applies = (o_a == o_b == o_g) or (o_a == o_b != o_g)
         if tri_applies and all(k in angles for k in ("ab", "bg", "ag")):
             margins["triangle"] = angles["ab"] + angles["bg"] - angles["ag"]
-        if o_b != o_g and all(k in angles for k in ("ab", "ag")):
-            pts_g, s_g, _ = _chain_from_vertex(gamma, x)
-            pts_b, s_b, _ = _chain_from_vertex(beta, x)
-            through = np.maximum(
-                space.tau[np.ix_(pts_g, pts_b)], space.tau[np.ix_(pts_b, pts_g)].T
-            )
-            want = s_g[:, None] + s_b[None, :]
-            if np.all(np.abs(through - want) <= geo_tol * (1.0 + want)):
-                margins["along-geodesic"] = angles["ab"] - angles["ag"]
+        if o_b != o_g and all(k in angles for k in ("ab", "ag")) and geodesic_through(space, gamma, beta, x, geo_tol):
+            margins["along-geodesic"] = angles["ab"] - angles["ag"]
         reports.append(HingeReport(vertex=x, orientations=orient, margins=margins, skipped=skipped))
     return reports
 
@@ -960,7 +986,7 @@ def fvf_empirical(space, gamma: Chain, p: int, kappa=Kappa(0.0), geo_tol=DEFAULT
     ts = gamma.params[1:] - gamma.params[0]
     pts = gamma.points[1:]
     l0 = float(space.tau_s(p, a))
-    lt = np.maximum(space.tau[p, pts], space.tau[pts, p])
+    lt = space.tau_s(p, pts)
     quotients = (lt - l0) / ts
     est = estimate_angle(space, beta, gamma, a, kappa)
     limit = sigma * np.cosh(est.value)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorentzgeo.fixtures import (
     base_euclid_grid,
@@ -16,7 +18,8 @@ from lorentzgeo.fixtures import (
     space_from_plane_points,
 )
 from lorentzgeo.errors import ShapeError
-from lorentzgeo.modelspace import ds_tau, tau_plane
+from lorentzgeo.modelspace import ds_tau, plane_separations, tau_plane
+from lorentzgeo.relations import Relation
 from lorentzgeo.parallels import is_line
 from lorentzgeo.sampled import validate_axioms
 
@@ -28,18 +31,25 @@ class TestPlaneFixtures:
         tau, rel = tau_plane((0.0, 0.0), (1.0, 0.5))
         assert grid.tau[0, 2 * 5 + 1] == pytest.approx(tau)
 
-    def test_matches_tau_plane_pointwise(self):
-        rng = np.random.default_rng(1)
-        pts = rng.uniform(-3, 3, size=(40, 2))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=1, max_size=25),
+        step=st.sampled_from([1.0, 0.5, 0.1, 0.3, 1e-3, 7.25]),
+        loose=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=8),
+    )
+    @example(lattice=[(0, 0), (1, 1), (3, -3), (2, 0), (0, 2), (0, 0)], step=0.1, loose=[])
+    def test_matches_tau_plane_pointwise(self, lattice, step, loose):
+        """plane_separations is tau_plane entry by entry and bit for bit,
+        lattice pairs on a light cone and repeated points included."""
+        pts = [(i * step, j * step) for i, j in lattice] + loose
+        tau, causal = plane_separations(pts)
         space = space_from_plane_points(pts)
-        for _ in range(200):
-            i, j = rng.integers(0, 40, 2)
-            if i == j:
-                continue
-            tau, rel = tau_plane(pts[i], pts[j])
-            forward = tau if rel.future_directed else 0.0
-            assert space.tau[i, j] == pytest.approx(forward, abs=1e-12)
-            assert space.causal[i, j] == (rel.causal and rel.future_directed)
+        assert np.array_equal(space.tau, tau) and np.array_equal(space.causal, causal)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                t, rel = tau_plane(p, q)
+                assert tau[i, j] == (t if rel.future_directed else 0.0)
+                assert causal[i, j] == (rel is Relation.SAME or rel.future_directed)
 
     def test_axioms(self):
         assert validate_axioms(minkowski_grid(9, 9, 1.0)).ok

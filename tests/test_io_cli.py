@@ -155,6 +155,16 @@ class TestCli:
         assert code == 0
         return path
 
+    @pytest.fixture()
+    def nolines_fixture(self, tmp_path):
+        """A product fixture with its lines list emptied."""
+        path = tmp_path / "nolines.json"
+        assert main(["gen", "product", "--base", "pair", "--step", "0.5", "--window", "2", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["lines"] = []
+        path.write_text(json.dumps(doc))
+        return path
+
     def test_axioms_pass(self, grid_fixture):
         assert main(["axioms", str(grid_fixture)]) == 0
 
@@ -411,6 +421,7 @@ class TestCli:
             ("--vertex", ["fvf", "grid", "--point", "0", "--vertex", "-42", "--target", "35"]),
             ("--target", ["fvf", "grid", "--point", "0", "--vertex", "7", "--target", "49"]),
             ("--vertices", ["quadrangle", "grid", "--vertices", "3,16,45,-18"]),
+            ("reference line", ["roundtrip", "nolines"]),
         ],
         ids=[
             "strip-alpha-negative",
@@ -423,6 +434,7 @@ class TestCli:
             "fvf-vertex-negative",
             "fvf-target-too-large",
             "quadrangle-vertex-negative",
+            "roundtrip-no-lines",
         ],
     )
     def test_index_out_of_range_exit_2(self, request, tmp_path, capsys, flag, argv):

@@ -21,7 +21,7 @@ from lorentzgeo.parallels import (
     sync_parallel_fit,
     weakly_parallel_offset,
 )
-from lorentzgeo.sampled import Chain, geodesic_between
+from lorentzgeo.sampled import Chain, SampledSpace, geodesic_between
 from lorentzgeo.splitting import build_product
 
 
@@ -75,6 +75,14 @@ class TestWeaklyParallel:
         space, lines = pair_product
         with pytest.raises(WindowExhausted):
             weakly_parallel_offset(space, lines[0], lines[1], window=0.5)
+
+    def test_empty_line_overlaps_nothing(self, pair_product):
+        space, lines = pair_product
+        empty = LineSample(points=[], t0=-8.0, step=0.25)
+        for alpha, beta in ((empty, lines[0]), (lines[0], empty)):
+            assert weakly_parallel_offset(space, alpha, beta) is None
+            with pytest.raises(WindowExhausted):
+                strip_profile(space, alpha, beta)
 
     def test_desitter_opposite_meridians(self):
         space, lines, _ = desitter_sample(8, 13, 1.5)
@@ -154,6 +162,15 @@ class TestFlatStrip:
         assert strip.width == pytest.approx(1.0, abs=1e-6)
         assert strip.max_tau_error <= 1e-9
         assert strip.causal_mismatches == 0
+
+    def test_causal_mismatches_count_off_the_diagonal(self, pair_product):
+        """A point's causal bit with itself is not a pair of the strip, as in the fill-in checks."""
+        space, lines = pair_product
+        causal = space.causal.copy()
+        p = int(lines[0].points[3])
+        causal[p, p] = False
+        doctored = SampledSpace(tau=space.tau, causal=causal)
+        assert flat_strip_reconstruct(doctored, lines[0], lines[1]).causal_mismatches == 0
 
     def test_degenerate(self, pair_product):
         space, lines = pair_product

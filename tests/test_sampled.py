@@ -821,8 +821,8 @@ def reference_sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0)):
     counts = np.zeros(n, dtype=np.int64)
     for i in range(n):
         fi = futures[i]
-        if fi.size:
-            counts[i] = int(chron[np.ix_(fi, fi)].sum())
+        if fi.size:  # triples i << y << z inside the size bound
+            counts[i] = int(chron[np.ix_(fi, fi)][:, tau[i, fi] < kappa.dk].sum())
     cache = {}
 
     def side(a, b):
@@ -946,15 +946,31 @@ class TestBatchedGeodesics:
             got[len(got)]
 
     def test_size_bound_and_enumeration_paths(self):
-        # K = -1 drops every triple whose longest side reaches pi; the grid's
-        # 1409 triples are enumerated below a cap of 2000 and drawn above it
+        # K = -1 drops every triple whose longest side reaches pi; 187 of the
+        # grid's 1409 triples are left, enumerated at a cap of 200 and drawn at 100
         space = small_space("grid")
-        for cap in (2000, 1000):
+        for cap in (200, 100):
             got = sample_triangles(space, cap=cap, seed=5, kappa=Kappa(-1.0))
             want = reference_sample_triangles(space, cap=cap, seed=5, kappa=Kappa(-1.0))
             assert got and all(space.tau[t.x, t.z] < math.pi for t in got)
             assert [(t.x, t.y, t.z) for t in got] == [(t.x, t.y, t.z) for t in want]
+        assert len(sample_triangles(space, cap=200, kappa=Kappa(-1.0))) == 187
         assert len(sample_triangles(space, cap=2000)) == 1409
+
+    def test_size_bound_counts_before_the_cap(self):
+        """At K = -1 the 21x21 grid has 2,595 triples inside the size bound
+        among 1.62 M; at the default cap they are all enumerated, not drawn."""
+        space = minkowski_grid(21, 21, 1.0)
+        got = sample_triangles(space, kappa=Kappa(-1.0))
+        chron = space.tau > 0
+        want = [
+            (x, y, z)
+            for x in range(space.n)
+            for y in np.flatnonzero(chron[x]).tolist()
+            for z in np.flatnonzero(chron[x] & chron[y] & (space.tau[x] < math.pi)).tolist()
+        ]
+        assert [(t.x, t.y, t.z) for t in got] == want
+        assert len(got) == 2595
 
     def test_rounded_away_step_raises(self):
         # 1e17 + 1.0 rounds back to 1e17, so the chain 0 -> 1 -> 2 repeats a parameter
