@@ -354,10 +354,14 @@ def cmd_quadrangle(args, fixture, stage):
 def cmd_lines(args, fixture, stage):
     checks = []
     for k, ln in enumerate(fixture.lines):
+        name = f"line[{k}]{('=' + ln.label) if ln.label else ''}"
+        if len(ln) < 2:  # no pair to compare, so nothing is certified
+            checks.append({"name": name, "status": "SKIP", "reason": "fewer than two points"})
+            continue
         ok, worst = is_line(fixture.space, ln, args.geo_tol)
         checks.append(
             {
-                "name": f"line[{k}]{('=' + ln.label) if ln.label else ''}",
+                "name": name,
                 "status": "PASS" if ok else "FAIL",
                 "deviation": abs(worst["deficit"]),
                 "worst": worst,

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .modelspace import ds_check_point, ds_tangent_toward, plane_separations
+from .modelspace import ds_check_point, ds_separations, ds_tangent_toward, plane_separations
 from .parallels import LineSample
 from .sampled import SampledSpace
 from .splitting import MetricSampleIn, build_product
@@ -98,14 +98,7 @@ def space_from_desitter_points(points, labels=None, meta=None) -> SampledSpace:
     pts = np.asarray(points, dtype=float)
     for p in pts:
         ds_check_point(p, tol=1e-9)
-    g = -np.outer(pts[:, 0], pts[:, 0]) + np.outer(pts[:, 1], pts[:, 1]) + np.outer(
-        pts[:, 2], pts[:, 2]
-    )
-    future = pts[None, :, 0] - pts[:, None, 0] > 0
-    same = np.abs(g - 1.0) <= 1e-12 * np.maximum(np.abs(g), 1.0)
-    chron = (g > 1.0) & ~same & future
-    causal = (chron | (same & future)) | np.eye(len(pts), dtype=bool)
-    tau = np.where(chron, np.arccosh(np.maximum(g, 1.0)), 0.0)
+    tau, causal = ds_separations(pts)
     m = dict(meta or {})
     m.setdefault("generator", "desitter-sample")
     m["coords"] = pts.tolist()

@@ -610,6 +610,25 @@ def ds_tau(p, q, tol: float = DS_QUADRIC_TOL):
     return 0.0, Relation.SPACELIKE
 
 
+def ds_separations(points):
+    """Time separation and causal matrices of de Sitter quadric points.
+
+    ds_tau for every ordered pair, null band included: tau[i, j] is the
+    tau from points[i] to a chronological-future points[j], else 0, and
+    causal[i, j] whether points[j] is points[i] or in its causal future.
+    """
+    pts = np.asarray(points, dtype=float)
+    t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
+    g = -np.outer(t, t) + np.outer(x, x) + np.outer(y, y)
+    future = t[None, :] > t[:, None]
+    null = np.abs(g - 1.0) <= BOUNDARY_TOL * np.maximum(np.abs(g), 1.0)
+    chron = (g > 1.0) & ~null & future
+    same = (pts[:, None, :] == pts[None, :, :]).all(axis=-1)
+    causal = chron | (null & future) | same
+    tau = np.where(chron, np.arccosh(np.maximum(g, 1.0)), 0.0)
+    return tau, causal
+
+
 def ds_tangent(psi: float):
     """Unit future timelike tangent at the base point (0, 1, 0)."""
     return np.array([math.cosh(psi), 0.0, math.sinh(psi)])

@@ -302,12 +302,6 @@ class FlatStrip:
     causal_mismatches: int
     offset_used: float
 
-    def embed_alpha(self, t):
-        return (t, 0.0)
-
-    def embed_beta(self, t):
-        return (t + self.shift, self.width)
-
 
 def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: float = DEFAULT_TOL_TAU):
     """Planar embedding of the strip spanned by two parallel lines.

@@ -115,6 +115,23 @@ class LineClass:
     c0_to_reference: float
 
 
+def same_class(l1: LineSample, l2: LineSample) -> bool:
+    """Whether some shift makes the lines agree on more than half the shorter one.
+
+    Only shifts d that align a shared point, l1.points[i] == l2.points[i + d], are tried.
+    """
+    p1, p2 = l1.points, l2.points
+    i, j = np.nonzero(p1[:, None] == p2[None, :])
+    for d in set((j - i).tolist()):
+        lo = max(0, -d)
+        hi = min(len(p1), len(p2) - d)
+        if hi - lo < min(len(p1), len(p2)) // 2 + 1:
+            continue
+        if np.array_equal(p1[lo:hi], p2[lo + d : hi + d]):
+            return True
+    return False
+
+
 def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAULT_TOL_TAU, geo_tol: float = DEFAULT_GEO_TOL):
     """Group lines by shift equivalence and synchronise them to a reference.
 
@@ -129,17 +146,6 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
     for ln in all_lines:
         if weakly_parallel_offset(space, reference, ln) is None:
             raise NotParallel(f"{ln.label or 'line'} is not weakly parallel to the reference")
-
-    def same_class(l1: LineSample, l2: LineSample):
-        h = l1.step
-        for dshift in range(-(len(l1) - 1), len(l2)):
-            lo = max(0, -dshift)
-            hi = min(len(l1), len(l2) - dshift)
-            if hi - lo < min(len(l1), len(l2)) // 2 + 1:
-                continue
-            if np.array_equal(l1.points[lo:hi], l2.points[lo + dshift : hi + dshift]):
-                return True
-        return False
 
     groups = []
     for ln in all_lines:
@@ -169,6 +175,16 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
     return classes
 
 
+def _stacked(reps):
+    """(points, params, starts, lengths) of the representatives laid end to end."""
+    lengths = np.array([len(r) for r in reps], dtype=np.intp)
+    if np.any(lengths == 0):  # an empty segment has no reduceat value
+        raise ShapeError("a line class representative has no points")
+    points = np.concatenate([r.points for r in reps] + [np.zeros(0, dtype=int)])
+    params = np.concatenate([r.params for r in reps] + [np.zeros(0)])
+    return points, params, np.cumsum(lengths) - lengths, lengths
+
+
 @dataclass
 class BaseMetric:
     """Recovered distance matrix over synchronised line classes."""
@@ -196,36 +212,28 @@ def compute_dS(space, classes, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
     reps = [c.representative for c in classes]
     m = len(reps)
     step = reps[0].step if reps else 0.0
+    points, params, starts, _ = _stacked(reps)
     dS = np.zeros((m, m))
     dS_alt = np.zeros((m, m))
     witnesses = {}
     infinite = []
-    for a in range(m):
-        alpha = reps[a]
+    for a, alpha in enumerate(reps):
         k0 = int(np.argmin(np.abs(alpha.params)))
         a0 = int(alpha.points[k0])
         s0 = float(alpha.params[k0])
-        for b in range(m):
-            if a == b:
-                continue
-            beta = reps[b]
-            bp = beta.params
-            before = space.causal[beta.points, a0]
-            after = space.causal[a0, beta.points]
-            du = bp[None, :] - alpha.params[:, None]
-            causal_ab = space.causal[np.ix_(alpha.points, beta.points)]
-            if not before.any() or not after.any():
-                dS[a, b] = np.inf
-                infinite.append((a, b, "window"))
-            else:
-                s_star = float(bp[np.flatnonzero(before)].max())
-                t_star = float(bp[np.flatnonzero(after)].min())
-                dS[a, b] = 0.5 * (t_star - s_star)
-                witnesses[(a, b)] = {"s": s_star, "t": t_star, "base": s0}
-            if causal_ab.any():
-                dS_alt[a, b] = float(du[causal_ab].min())
-            else:
-                dS_alt[a, b] = np.inf
+        # per class: last parameter before alpha(s0), first one after it
+        s_star = np.maximum.reduceat(np.where(space.causal[points, a0], params, -np.inf), starts)
+        t_star = np.minimum.reduceat(np.where(space.causal[a0, points], params, np.inf), starts)
+        window = np.isfinite(s_star) & np.isfinite(t_star)
+        dS[a] = np.where(window, 0.5 * (t_star - s_star), np.inf)
+        du = params[None, :] - alpha.params[:, None]
+        du_causal = np.where(space.causal[alpha.points][:, points], du, np.inf)
+        dS_alt[a] = np.minimum.reduceat(du_causal.min(axis=0), starts)
+        dS[a, a] = dS_alt[a, a] = 0.0
+        for b in np.flatnonzero(window).tolist():
+            if b != a:
+                witnesses[(a, b)] = {"s": float(s_star[b]), "t": float(t_star[b]), "base": s0}
+        infinite += [(a, b, "window") for b in np.flatnonzero(~window).tolist() if b != a]
     cross = np.abs(dS - dS_alt)
     cross_ok = np.all((cross <= step + scaled(tol, step)) | ~np.isfinite(dS))
     if not cross_ok:
@@ -325,6 +333,7 @@ def verify_embedding(space, classes, base: BaseMetric, trim_steps: int = 3) -> E
     """
     reps = [c.representative for c in classes]
     h = base.step
+    points, params, starts, lengths = _stacked(reps)
     max_err = 0.0
     untrimmed = 0.0
     worst = None
@@ -332,39 +341,42 @@ def verify_embedding(space, classes, base: BaseMetric, trim_steps: int = 3) -> E
     kept = 0
     trimmed = 0
     for a, alpha in enumerate(reps):
-        for b, beta in enumerate(reps):
-            ds = base.dS[a, b] if a != b else 0.0
-            du = beta.params[None, :] - alpha.params[:, None]
-            actual_tau = space.tau[np.ix_(alpha.points, beta.points)]
-            actual_causal = space.causal[np.ix_(alpha.points, beta.points)]
-            if not np.isfinite(ds):
-                model_tau = np.zeros_like(du)
-                model_causal = np.zeros_like(du, dtype=bool)
-                band = np.zeros_like(du, dtype=bool)
-            else:
-                q2 = du * du - ds * ds
-                model_causal = du >= ds - 1e-12 * (1 + ds)
-                model_tau = np.where(model_causal & (q2 > 0), np.sqrt(np.maximum(q2, 0)), 0.0)
-                band = np.abs(du - ds) < trim_steps * h
-            if a == b:
-                band |= du <= 0  # only future-directed self pairs are informative
-            err = np.abs(actual_tau - model_tau)
-            untrimmed = max(untrimmed, float(err.max()))
-            keep = ~band
-            trimmed += int(band.sum())
-            kept += int(keep.sum())
-            agree += int((actual_causal == model_causal)[keep].sum())
-            if keep.any():
-                e = float(err[keep].max())
-                if e > max_err:
-                    max_err = e
-                    i, j = np.unravel_index(int(np.argmax(np.where(keep, err, -1))), err.shape)
-                    worst = {
-                        "classes": (a, b),
-                        "pair": (int(alpha.points[i]), int(beta.points[j])),
-                        "tau": float(actual_tau[i, j]),
-                        "model": float(model_tau[i, j]),
-                    }
+        # columns: all classes end to end; no model cone where dS is not finite
+        own = slice(starts[a], starts[a] + len(alpha))
+        ds = np.repeat(base.dS[a], lengths)
+        ds[own] = 0.0
+        finite = np.isfinite(ds)
+        ds[~finite] = 0.0
+        cone = np.where(finite, ds - 1e-12 * (1 + ds), np.inf)
+        du = params[None, :] - alpha.params[:, None]
+        actual_tau = space.tau[alpha.points][:, points]
+        actual_causal = space.causal[alpha.points][:, points]
+        q2 = du * du - ds * ds
+        model_causal = du >= cone
+        model_tau = np.zeros_like(q2)
+        np.sqrt(q2, out=model_tau, where=model_causal & (q2 > 0))
+        band = (np.abs(du - ds) < trim_steps * h) & finite
+        band[:, own] |= du[:, own] <= 0  # only future-directed self pairs are informative
+        err = np.abs(actual_tau - model_tau)
+        untrimmed = max(untrimmed, float(err.max()))
+        n_band = int(np.count_nonzero(band))
+        trimmed += n_band
+        kept += band.size - n_band
+        agree += int(np.count_nonzero((actual_causal == model_causal) & ~band))
+        np.copyto(err, -1.0, where=band)  # kept pairs only from here on
+        class_max = np.maximum.reduceat(err.max(axis=0), starts)
+        b = int(np.argmax(class_max))  # first class of the row to reach its maximum
+        if class_max[b] > max_err:
+            max_err = float(class_max[b])
+            beta = reps[b]
+            cols = slice(starts[b], starts[b] + len(beta))
+            i, j = np.unravel_index(int(np.argmax(err[:, cols])), (len(alpha), len(beta)))
+            worst = {
+                "classes": (a, b),
+                "pair": (int(alpha.points[i]), int(beta.points[j])),
+                "tau": float(actual_tau[i, cols][j]),
+                "model": float(model_tau[i, cols][j]),
+            }
     agreement = agree / kept if kept else 1.0
     return EmbeddingReport(
         max_tau_error=max_err,

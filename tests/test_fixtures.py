@@ -15,10 +15,11 @@ from lorentzgeo.fixtures import (
     minkowski_grid,
     plane_ray_fan,
     product_fixture,
+    space_from_desitter_points,
     space_from_plane_points,
 )
 from lorentzgeo.errors import ShapeError
-from lorentzgeo.modelspace import ds_tau, plane_separations, tau_plane
+from lorentzgeo.modelspace import ds_separations, ds_tau, plane_separations, tau_plane
 from lorentzgeo.relations import Relation
 from lorentzgeo.parallels import is_line
 from lorentzgeo.sampled import validate_axioms
@@ -86,6 +87,32 @@ class TestDeSitterFixtures:
             tau, rel = ds_tau(coords[i], coords[j])
             forward = tau if rel is rel.CHRONO_FUTURE else 0.0
             assert space.tau[i, j] == pytest.approx(forward, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lattice=st.lists(st.tuples(st.integers(-4, 4), st.integers(0, 11)), min_size=1, max_size=20),
+        step=st.sampled_from([0.25, 0.5, 1.0, 0.3]),
+        light=st.booleans(),
+    )
+    @example(lattice=[(0, 0), (2, 2), (0, 0), (-1, 6)], step=0.5, light=True)
+    def test_separations_match_ds_tau_pointwise(self, lattice, step, light):
+        """ds_separations is ds_tau entry by entry: repeated points, and with
+        light=True a pair exactly on a light cone ((0, 1, 0) to (sqrt 3, 1, sqrt 3))."""
+        pts = [
+            (math.sinh(k * step), math.cosh(k * step) * math.cos(j * math.pi / 6),
+             math.cosh(k * step) * math.sin(j * math.pi / 6))
+            for k, j in lattice
+        ]
+        if light:
+            pts += [(0.0, 1.0, 0.0), (math.sqrt(3), 1.0, math.sqrt(3))]
+        tau, causal = ds_separations(pts)
+        space = space_from_desitter_points(pts)
+        assert np.array_equal(space.tau, tau) and np.array_equal(space.causal, causal)
+        for i, p in enumerate(pts):
+            for j, q in enumerate(pts):
+                t, rel = ds_tau(p, q)
+                assert tau[i, j] == pytest.approx(t if rel.future_directed else 0.0, rel=1e-12, abs=0)
+                assert causal[i, j] == (rel is Relation.SAME or rel.future_directed)
 
     def test_fan_points_on_quadric(self):
         space, _, fan = desitter_sample(6, 9, 2.0, fan={"phi": 0.4, "horizons": [1.5], "points": 8})

@@ -184,6 +184,19 @@ class TestCli:
         assert main(["lines", str(tripod_fixture)]) == 0
         assert main(["strip", str(tripod_fixture), "--alpha", "1", "--beta", "2"]) == 0
 
+    @pytest.mark.parametrize("points", [[], [9]], ids=["empty", "one-point"])
+    def test_lines_without_a_pair_skip(self, tmp_path, points):
+        """A line with fewer than two points compares nothing, so it is not a PASS."""
+        path = tmp_path / "short.json"
+        assert main(["gen", "product", "--base", "pair", "--step", "0.5", "--window", "2", "-o", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["lines"][1]["points"] = points
+        path.write_text(json.dumps(doc))
+        assert main(["lines", str(path)]) == 0
+        checks = load_report(tmp_path / "short_lines.json")["checks"]
+        assert [c["status"] for c in checks] == ["PASS", "SKIP"]
+        assert checks[1]["reason"] == "fewer than two points"
+
     def test_fvf_and_plotdata(self, grid_fixture, tmp_path):
         # p=(0,0); vertex (1,0) = 7; target (5,0) = 35
         assert main(["fvf", str(grid_fixture), "--point", "0", "--vertex", "7", "--target", "35"]) == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lorentzgeo.errors import NotParallel, ShapeError
 from lorentzgeo.fixtures import (
@@ -15,15 +17,154 @@ from lorentzgeo.fixtures import (
 from lorentzgeo.parallels import LineSample
 from lorentzgeo.sampled import validate_axioms
 from lorentzgeo.splitting import (
+    EmbeddingReport,
+    LineClass,
+    MetricSampleIn,
     build_product,
     compute_dS,
     extract_line_classes,
     round_trip,
+    same_class,
     verify_base_metric_cat0,
     verify_embedding,
 )
 
 GRID = np.arange(-8.0, 8.25, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# Per-pair reference loops: the oracles the array paths must reproduce.
+# ---------------------------------------------------------------------------
+
+
+def oracle_same_class(l1, l2):
+    """Tries every shift with an overlap of more than half the shorter line."""
+    for dshift in range(-(len(l1) - 1), len(l2)):
+        lo = max(0, -dshift)
+        hi = min(len(l1), len(l2) - dshift)
+        if hi - lo < min(len(l1), len(l2)) // 2 + 1:
+            continue
+        if np.array_equal(l1.points[lo:hi], l2.points[lo + dshift : hi + dshift]):
+            return True
+    return False
+
+
+def oracle_compute_dS(space, classes):
+    """(dS, dS_alt, witnesses, infinite_pairs), one class pair at a time."""
+    reps = [c.representative for c in classes]
+    m = len(reps)
+    dS = np.zeros((m, m))
+    dS_alt = np.zeros((m, m))
+    witnesses = {}
+    infinite = []
+    for a in range(m):
+        alpha = reps[a]
+        k0 = int(np.argmin(np.abs(alpha.params)))
+        a0 = int(alpha.points[k0])
+        s0 = float(alpha.params[k0])
+        for b in range(m):
+            if a == b:
+                continue
+            beta = reps[b]
+            bp = beta.params
+            before = space.causal[beta.points, a0]
+            after = space.causal[a0, beta.points]
+            du = bp[None, :] - alpha.params[:, None]
+            causal_ab = space.causal[np.ix_(alpha.points, beta.points)]
+            if not before.any() or not after.any():
+                dS[a, b] = np.inf
+                infinite.append((a, b, "window"))
+            else:
+                s_star = float(bp[np.flatnonzero(before)].max())
+                t_star = float(bp[np.flatnonzero(after)].min())
+                dS[a, b] = 0.5 * (t_star - s_star)
+                witnesses[(a, b)] = {"s": s_star, "t": t_star, "base": s0}
+            if causal_ab.any():
+                dS_alt[a, b] = float(du[causal_ab].min())
+            else:
+                dS_alt[a, b] = np.inf
+    return dS, dS_alt, witnesses, infinite
+
+
+def oracle_verify_embedding(space, classes, base, trim_steps=3):
+    """EmbeddingReport from one (T_a x T_b) block per class pair, row-major."""
+    reps = [c.representative for c in classes]
+    h = base.step
+    max_err = 0.0
+    untrimmed = 0.0
+    worst = None
+    agree = 0
+    kept = 0
+    trimmed = 0
+    for a, alpha in enumerate(reps):
+        for b, beta in enumerate(reps):
+            ds = base.dS[a, b] if a != b else 0.0
+            du = beta.params[None, :] - alpha.params[:, None]
+            actual_tau = space.tau[np.ix_(alpha.points, beta.points)]
+            actual_causal = space.causal[np.ix_(alpha.points, beta.points)]
+            if not np.isfinite(ds):
+                model_tau = np.zeros_like(du)
+                model_causal = np.zeros_like(du, dtype=bool)
+                band = np.zeros_like(du, dtype=bool)
+            else:
+                q2 = du * du - ds * ds
+                model_causal = du >= ds - 1e-12 * (1 + ds)
+                model_tau = np.where(model_causal & (q2 > 0), np.sqrt(np.maximum(q2, 0)), 0.0)
+                band = np.abs(du - ds) < trim_steps * h
+            if a == b:
+                band |= du <= 0
+            err = np.abs(actual_tau - model_tau)
+            untrimmed = max(untrimmed, float(err.max()))
+            keep = ~band
+            trimmed += int(band.sum())
+            kept += int(keep.sum())
+            agree += int((actual_causal == model_causal)[keep].sum())
+            if keep.any():
+                e = float(err[keep].max())
+                if e > max_err:
+                    max_err = e
+                    i, j = np.unravel_index(int(np.argmax(np.where(keep, err, -1))), err.shape)
+                    worst = {
+                        "classes": (a, b),
+                        "pair": (int(alpha.points[i]), int(beta.points[j])),
+                        "tau": float(actual_tau[i, j]),
+                        "model": float(model_tau[i, j]),
+                    }
+    return EmbeddingReport(
+        max_tau_error=max_err,
+        causal_agreement=float(agree / kept if kept else 1.0),
+        worst=worst,
+        pairs_checked=kept,
+        pairs_trimmed=trimmed,
+        untrimmed_max_error=untrimmed,
+    )
+
+
+def _unequal_lengths():
+    """Tripod product whose lines are cut to four different lengths."""
+    space, lines = build_product(base_tripod(), GRID)
+    cuts = [(0, 0), (3, 0), (0, 7), (5, 11)]
+    return space, [
+        LineSample(ln.points[lo : len(ln) - hi], ln.t0 + lo * ln.step, ln.step, label=ln.label)
+        for ln, (lo, hi) in zip(lines, cuts)
+    ]
+
+
+def _infinite_window():
+    """Two base points 3 apart, seen from a 4-unit time window: no causal window."""
+    base = MetricSampleIn(dist=[[0, 1.5, 1.5], [1.5, 0, 3], [1.5, 3, 0]])
+    return build_product(base, np.arange(-2, 2.001, 0.25))
+
+
+PRODUCTS = {
+    "tripod": lambda: build_product(base_tripod(), GRID),
+    "pair": lambda: build_product(base_pair(1.0), GRID),
+    "sqrt2-pair": lambda: build_product(base_pair(math.sqrt(2)), GRID),
+    "unequal-lengths": _unequal_lengths,
+    "infinite-window": _infinite_window,
+    # alpha(0) has a causal future on the other line but no causal past
+    "one-sided-window": lambda: build_product(base_pair(1.5), np.arange(-1, 3.001, 0.25)),
+}
 
 
 class TestBuildProduct:
@@ -78,6 +219,83 @@ class TestLineClasses:
         kinked = LineSample(pts, t0=GRID[0], step=0.25, label="kinked")
         with pytest.raises(NotParallel):
             extract_line_classes(space, [kinked], lines[0])
+
+
+class TestSameClass:
+    @staticmethod
+    def line(points):
+        return LineSample(np.asarray(points, dtype=int), 0.0, 1.0)
+
+    @pytest.mark.parametrize("cut,expect", [(4, True), (5, False)], ids=["at-threshold", "one-below"])
+    def test_majority_threshold(self, cut, expect):
+        # overlap 10 - cut against the threshold 10 // 2 + 1 = 6
+        l1 = self.line(np.arange(10))
+        l2 = self.line(np.concatenate([np.arange(cut, 10), np.arange(100, 112)]))
+        assert same_class(l1, l2) is expect is oracle_same_class(l1, l2)
+        assert same_class(l2, l1) is expect is oracle_same_class(l2, l1)
+
+    def test_disjoint_lines(self):
+        assert not same_class(self.line(np.arange(65)), self.line(np.arange(65, 130)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p1=st.lists(st.integers(0, 4), max_size=12),
+        shift=st.integers(-12, 12),
+        length=st.integers(0, 12),
+        pad=st.lists(st.integers(0, 4), max_size=6),
+        flip=st.one_of(st.none(), st.integers(0, 30)),
+    )
+    @example(p1=list(range(10)), shift=4, length=6, pad=[7] * 4, flip=None)  # overlap 6 of 10
+    @example(p1=list(range(10)), shift=5, length=5, pad=[7] * 5, flip=None)  # overlap 5 of 10
+    @example(p1=[1, 1, 1, 1], shift=-3, length=4, pad=[1, 2], flip=None)
+    def test_matches_every_shift_oracle(self, p1, shift, length, pad, flip):
+        """Shifted copies of a window of p1, padded, repeated points and all."""
+        lo = max(0, shift)
+        window = p1[lo : lo + length]
+        p2 = pad[: max(0, -shift)] + window + pad
+        if flip is not None and p2:
+            p2[flip % len(p2)] = 9
+        l1, l2 = self.line(p1), self.line(p2)
+        assert same_class(l1, l2) == oracle_same_class(l1, l2)
+        assert same_class(l2, l1) == oracle_same_class(l2, l1)
+
+
+class TestOracles:
+    @pytest.mark.parametrize("name", sorted(PRODUCTS))
+    def test_compute_dS_and_embedding_match_the_pair_loops(self, name):
+        space, lines = PRODUCTS[name]()
+        classes = extract_line_classes(space, lines, lines[0])
+        rec = compute_dS(space, classes)
+        dS, dS_alt, witnesses, infinite = oracle_compute_dS(space, classes)
+        assert np.array_equal(rec.dS, dS) and np.array_equal(rec.dS_alt, dS_alt)
+        assert list(rec.witnesses.items()) == list(witnesses.items())
+        assert rec.infinite_pairs == infinite
+        assert verify_embedding(space, classes, rec) == oracle_verify_embedding(space, classes, rec)
+        for trim in (0, 1):
+            assert verify_embedding(space, classes, rec, trim) == oracle_verify_embedding(space, classes, rec, trim)
+
+    def test_unequal_lengths_are_kept(self):
+        space, lines = _unequal_lengths()
+        classes = extract_line_classes(space, lines, lines[0])
+        assert [len(c.representative) for c in classes] == [65, 62, 58, 49]
+
+    def test_infinite_window_pinned(self):
+        space, lines = _infinite_window()
+        classes = extract_line_classes(space, lines, lines[0])
+        rec = compute_dS(space, classes)
+        assert rec.infinite_pairs == [(1, 2, "window"), (2, 1, "window")]
+        assert rec.dS[1, 2] == np.inf and rec.dS[2, 1] == np.inf
+        emb = verify_embedding(space, classes, rec)
+        assert emb.worst["classes"] == (1, 2) and emb.worst["pair"] == (17, 50)
+        assert emb.causal_agreement == pytest.approx(0.98334, abs=1e-5)
+        assert (emb.pairs_checked, emb.pairs_trimmed) == (1801, 800)
+
+    def test_empty_representative_rejected(self):
+        space, lines = build_product(base_pair(1.0), GRID)
+        empty = LineClass(LineSample(np.zeros(0, dtype=int), 0.0, 0.25), ["empty"], 0.0, 0.0)
+        full = LineClass(lines[0], ["base[0]"], 0.0, 0.0)
+        with pytest.raises(ShapeError):
+            compute_dS(space, [full, empty])
 
 
 class TestComputeDS:
