@@ -11,6 +11,7 @@ or invocation was malformed.
 
 import argparse
 import functools
+import inspect
 import sys
 import time
 from collections import Counter
@@ -167,6 +168,9 @@ def cmd_gen(args):
     else:
         given = {key: getattr(args, key) for key in ("d", "edge", "subdiv", "m", "spacing")}
         kwargs = {key: value for key, value in given.items() if value is not None}
+        unused = sorted(kwargs.keys() - inspect.signature(fx._BASES[args.base]).parameters.keys())
+        if unused:
+            raise ValueError(f"base {args.base!r} does not take --{', --'.join(unused)}")
         if args.base == "hyperbolic-sample":
             kwargs["seed"] = args.seed
         space, lines, base = fx.product_fixture(args.base, step=args.step, window=args.window, **kwargs)

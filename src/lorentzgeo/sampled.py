@@ -471,12 +471,58 @@ def triangle_between(space, x, y, z, geo_tol=DEFAULT_GEO_TOL) -> SampledTriangle
     return SampledTriangle(x, y, z, *_geodesics(space, [x, y, x], [y, z, z], geo_tol))
 
 
+_RAW_BLOCK = 2048  # PCG64 outputs fetched at a time by _words
+_LOW32 = 0xFFFFFFFF
+
+
+def _words(bit_generator):
+    """The 32-bit words numpy's bounded draws read from a fresh bit generator.
+
+    Each 64-bit output gives its low half, then its high half, as PCG64's
+    next_uint32 does.  Outputs are fetched _RAW_BLOCK at a time.
+    """
+    while True:
+        for raw in bit_generator.random_raw(_RAW_BLOCK).tolist():
+            yield raw & _LOW32
+            yield raw >> 32
+
+
+def _bounded(words, h):
+    """Generator.integers(h) for 1 <= h <= 2**32, read from a _words stream.
+
+    numpy's rule (Lemire's multiply-shift with rejection): m = u * h for a
+    word u, drawn again while the low half of m is below (2**32 - h) % h;
+    the draw is m >> 32.  A range of one consumes no word.
+    """
+    if h == 1:
+        return 0
+    threshold = (_LOW32 + 1 - h) % h
+    while True:
+        m = next(words) * h
+        if m & _LOW32 >= threshold:
+            return m >> 32
+
+
+def _transitive(chron, hh) -> bool:
+    """Whether x << y << z always gives x << z; hh counts the y per (x, z)."""
+    return not np.any((hh > 0) & ~chron)
+
+
 def _triangle_triples(tau, cap, seed, kappa) -> list:
     """Vertex triples (x, y, z) with x << y << z for sample_triangles, in order.
 
     Only triples whose longest side tau(x, z) is inside the size bound for
     kappa are taken: every one when there are at most cap of them, else a
     stratified random draw of distinct ones.
+
+    The draw gives the triples that calling np.random.default_rng(seed)
+    .integers once per choice would give, but reads the PCG64 words itself
+    (_words, _bounded) and runs over Python ints.  Attempts alternate x
+    between a round-robin over the points with triples and a uniform pick;
+    y is uniform in the future of x and z uniform in the futures of both.
+    When the chronological relation is transitive the second set is just
+    the future of y.  tests/test_sampled.py keeps the loop that calls
+    Generator.integers as the oracle the draw is held to.
     """
     n = tau.shape[0]
     chron = tau > 0
@@ -484,7 +530,8 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
     # triples x << y << z inside the size bound, per x; H @ H is exact in
     # float32 while n < 2**24
     h = chron.astype(np.float32)
-    counts = ((h @ h) * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
+    hh = h @ h
+    counts = (hh * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
     triples = []
     if int(counts.sum()) <= cap:
         for x in range(n):
@@ -495,25 +542,28 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
             triples += zip([x] * int(keep.sum()), y[keep].tolist(), z[keep].tolist())
         return triples
 
-    rng = np.random.default_rng(seed)
+    transitive = _transitive(chron, hh)
+    del h, hh
+    words = _words(np.random.default_rng(seed).bit_generator)
+    dk = kappa.dk
     seen = set()
-    xs = np.flatnonzero(counts > 0)
+    xs = np.flatnonzero(counts > 0).tolist()
     attempts = 0
     max_attempts = 50 * cap
     while len(triples) < cap and attempts < max_attempts:
         attempts += 1
-        x = int(xs[attempts % xs.size]) if attempts % 2 else int(xs[rng.integers(xs.size)])
+        x = xs[attempts % len(xs)] if attempts % 2 else xs[_bounded(words, len(xs))]
         fx = futures[x]
-        y = int(fx[rng.integers(fx.size)])
-        zs = fx[chron[y, fx]]
+        y = int(fx[_bounded(words, fx.size)])
+        zs = futures[y] if transitive else fx[chron[y, fx]]
         if not zs.size:
             continue
-        z = int(zs[rng.integers(zs.size)])
+        z = int(zs[_bounded(words, zs.size)])
         key = (x * n + y) * n + z
         if key in seen:
             continue
         seen.add(key)
-        if tau[x, z] < kappa.dk:
+        if tau[x, z] < dk:
             triples.append((x, y, z))
     return triples
 

@@ -2,10 +2,12 @@
 
 Builds product spaces (time axis crossed with a metric base) as ground
 truth, extracts and classifies parallel-line families, recovers the base
-distance between line classes from causal data alone, verifies the metric
-axioms plus the nonpositive-curvature midpoint inequality on the recovered
-base, and checks that mapping (t, class) to the sampled line point is
-separation- and causality-preserving.
+distance between line classes from causal data alone, and checks that
+mapping (t, class) to the sampled line point is separation- and
+causality-preserving.  The metric axioms and the nonpositive-curvature
+midpoint inequality (verify_base_metric_cat0) are checked on a given base
+metric with its midpoints: the split command and round_trip pass the
+input base of the product, the ground truth, not the recovered distance.
 """
 
 from dataclasses import dataclass, field

@@ -504,6 +504,31 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1 and "--cap" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "base, flag",
+        [
+            ("sphere-sample", "--m=4"),
+            ("point", "--m=4"),
+            ("pair", "--edge=2"),
+            ("tripod", "--spacing=0.5"),
+            ("euclid-grid", "--d=1"),
+        ],
+    )
+    def test_gen_flag_the_base_does_not_take_exit_2(self, tmp_path, capsys, base, flag):
+        out = tmp_path / "f.json"
+        capsys.readouterr()
+        assert main(["gen", "product", "--base", base, flag, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert flag.split("=")[0] in err and base in err
+        assert not out.exists()
+
+    def test_gen_flags_the_base_takes(self, tmp_path):
+        out = tmp_path / "f.json"
+        argv = ["gen", "product", "--base", "hyperbolic-sample", "--m", "3", "--window", "1", "-o", str(out)]
+        assert main(argv) == 0
+        assert load_fixture(out)[3].dist.shape == (3, 3)
+
     def test_curvature_report_diagnostics(self, tmp_path):
         # a 6x6 grid with a sixth of its chronological tau entries shrunk:
         # some chains fall short of tau and triangles are skipped for

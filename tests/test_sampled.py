@@ -869,13 +869,85 @@ def assert_same_chain(got, want):
     assert np.float64(got.deficit).tobytes() == np.float64(want.deficit).tobytes()
 
 
+def reference_triangle_triples(tau, cap, seed, kappa) -> list:
+    """_triangle_triples with one Generator.integers call per choice.
+
+    The draw in sampled reads the PCG64 words itself; it is held to this
+    loop triple for triple, so a numpy release that changes the stream of
+    Generator.integers fails here instead of changing certificates.
+    """
+    n = tau.shape[0]
+    chron = tau > 0
+    futures = [np.flatnonzero(chron[i]) for i in range(n)]
+    # triples x << y << z inside the size bound, per x; H @ H is exact in
+    # float32 while n < 2**24
+    h = chron.astype(np.float32)
+    counts = ((h @ h) * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
+    triples = []
+    if int(counts.sum()) <= cap:
+        for x in range(n):
+            fx = futures[x]
+            yy, zz = np.nonzero(chron[np.ix_(fx, fx)])
+            y, z = fx[yy], fx[zz]
+            keep = tau[x, z] < kappa.dk
+            triples += zip([x] * int(keep.sum()), y[keep].tolist(), z[keep].tolist())
+        return triples
+
+    rng = np.random.default_rng(seed)
+    seen = set()
+    xs = np.flatnonzero(counts > 0)
+    attempts = 0
+    max_attempts = 50 * cap
+    while len(triples) < cap and attempts < max_attempts:
+        attempts += 1
+        x = int(xs[attempts % xs.size]) if attempts % 2 else int(xs[rng.integers(xs.size)])
+        fx = futures[x]
+        y = int(fx[rng.integers(fx.size)])
+        zs = fx[chron[y, fx]]
+        if not zs.size:
+            continue
+        z = int(zs[rng.integers(zs.size)])
+        key = (x * n + y) * n + z
+        if key in seen:
+            continue
+        seen.add(key)
+        if tau[x, z] < kappa.dk:
+            triples.append((x, y, z))
+    return triples
+
+
+def triple_count(tau, kappa):
+    """Number of triples x << y << z with tau(x, z) inside the size bound."""
+    chron = tau > 0
+    return sum(
+        np.count_nonzero(chron[np.ix_(f, f)][:, tau[x, f] < kappa.dk])
+        for x, f in enumerate(np.flatnonzero(row) for row in chron)
+    )
+
+
+@functools.cache
+def cleared_grid():
+    """The small grid with a tenth of its chronological tau entries set to
+    zero: x << y << z no longer gives x << z, so the future of y is not
+    the common future of x and y."""
+    grid = small_space("grid")
+    tau = grid.tau.copy()
+    ii, jj = np.nonzero(tau > 0)
+    pick = np.random.default_rng(3).random(len(ii)) < 0.1
+    tau[ii[pick], jj[pick]] = 0.0
+    return SampledSpace(tau=tau, causal=grid.causal.copy())
+
+
 @functools.cache
 def oracle_space(name, scaled_frac, seed):
-    """A small grid, de Sitter, tripod or sphere-product space, with a
-    fraction of its chronological tau entries scaled by 0.7-1.3 so that
-    chains fall short (deficit != 0) or jump straight to their end."""
+    """A small grid, de Sitter, tripod or sphere-product space, or the
+    cleared grid, with a fraction of its chronological tau entries scaled
+    by 0.7-1.3 so that chains fall short (deficit != 0) or jump straight
+    to their end."""
     if name == "sphere":
         space = product_fixture("sphere-sample", step=0.5, window=2.0)[0]
+    elif name == "cleared":
+        space = cleared_grid()
     else:
         space = small_space(name)
     if not scaled_frac:
@@ -889,7 +961,7 @@ def oracle_space(name, scaled_frac, seed):
 
 
 ORACLE_SPACES = st.tuples(
-    st.sampled_from(["grid", "desitter", "tripod", "sphere"]),
+    st.sampled_from(["grid", "desitter", "tripod", "sphere", "cleared"]),
     st.sampled_from([0.0, 0.05, 0.3]),
     st.integers(0, 3),
 )
@@ -982,6 +1054,97 @@ class TestBatchedGeodesics:
             geodesic_between(space, 0, 2)
         with pytest.raises(ShapeError):
             sample_triangles(space)
+
+
+@functools.cache
+def bench_space(name):
+    if name == "grid21":
+        return minkowski_grid(21, 21, 1.0)
+    return product_fixture("tripod", step=0.5, window=8.0)[0]
+
+
+def chain4():
+    """Four points in one chronological chain: 0 << 1 << 2 << 3."""
+    i, j = np.triu_indices(4, 1)
+    tau = np.zeros((4, 4))
+    tau[i, j] = j - i
+    return tau
+
+
+class TestTriangleDraw:
+    """_triangle_triples against reference_triangle_triples on the draw path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ranges=st.lists(
+            st.integers(1, 8) | st.integers(1, 2**32) | st.integers(2**31, 2**31 + 2**29), max_size=3000
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bounded_matches_generator_integers(self, ranges, seed):
+        # ranges just above 2**31 reject about half of their words
+        rng = np.random.default_rng(seed)
+        words = sampled._words(np.random.default_rng(seed).bit_generator)
+        assert [sampled._bounded(words, h) for h in ranges] == [int(rng.integers(h)) for h in ranges]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=ORACLE_SPACES,
+        cap=st.integers(1, 400),
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([-1.0, 0.0, 1.0]),
+    )
+    def test_draw_matches_reference(self, spec, cap, seed, k):
+        tau = oracle_space(*spec).tau
+        cap = min(cap, triple_count(tau, Kappa(k)) - 1)  # fewer than all: the draw path
+        got = sampled._triangle_triples(tau, cap, seed, Kappa(k))
+        assert got == reference_triangle_triples(tau, cap, seed, Kappa(k))
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", ["grid21", "tripod"])
+    def test_bench_scale_draw_matches_reference(self, name, seed):
+        # K = 0 and K = 1 share the size bound (dk = inf), so one reference
+        # draw serves both
+        tau = bench_space(name).tau
+        want = reference_triangle_triples(tau, 20_000, seed, Kappa(0.0))
+        assert len(want) == 20_000
+        for k in (0.0, 1.0):
+            assert sampled._triangle_triples(tau, 20_000, seed, Kappa(k)) == want
+
+    def test_non_transitive_space_takes_indexed_zs(self, monkeypatch):
+        tau = cleared_grid().tau
+        chron = tau > 0
+        futures = [np.flatnonzero(row) for row in chron]
+        assert any(
+            not np.array_equal(fx[chron[y, fx]], futures[y]) for fx in futures for y in fx
+        )
+        taken = []
+        transitive = sampled._transitive
+        monkeypatch.setattr(sampled, "_transitive", lambda *a: taken.append(transitive(*a)) or taken[-1])
+        want = reference_triangle_triples(tau, 300, 4, Kappa(0.0))
+        assert sampled._triangle_triples(tau, 300, 4, Kappa(0.0)) == want
+        assert taken == [False]
+        # the shortcut would draw z from the future of y alone, a different stream
+        monkeypatch.setattr(sampled, "_transitive", lambda *a: True)
+        assert sampled._triangle_triples(tau, 300, 4, Kappa(0.0)) != want
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_range_of_one_consumes_no_word(self, monkeypatch, seed):
+        # from x = 0 or 1, y = 2 leaves z = 3 alone; later draws read on
+        ranges = []
+        bounded = sampled._bounded
+        monkeypatch.setattr(sampled, "_bounded", lambda words, h: ranges.append(h) or bounded(words, h))
+        got = sampled._triangle_triples(chain4(), 2, seed, Kappa(0.0))
+        assert got == reference_triangle_triples(chain4(), 2, seed, Kappa(0.0))
+        assert 1 in ranges[:-1]
+
+    def test_stops_at_max_attempts(self):
+        # 187 of the small grid's 1409 triples lie inside the K = -1 bound;
+        # 50 * 180 attempts find 143 of them at seed 1
+        tau = small_space("grid").tau
+        got = sampled._triangle_triples(tau, 180, 1, Kappa(-1.0))
+        assert got == reference_triangle_triples(tau, 180, 1, Kappa(-1.0))
+        assert len(got) == 143
 
 
 class TestTriangleSampling:
