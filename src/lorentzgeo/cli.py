@@ -341,18 +341,18 @@ def cmd_quadrangle(args, fixture, stage):
     space = fixture.space
     p1, p2, p3, p4 = (_index("--vertices", int(v), space.n, "points") for v in args.vertices.split(","))
     rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)
-    checks = [
-        {
-            "name": f"quadrangle({p1},{p2},{p3},{p4})",
-            "status": "PASS",
-            "value": rep.lhs_minus_rhs,
-            "flat": rep.flat,
-            "angles": rep.angles,
-            "fill_in_error": rep.fill_in.max_tau_error if rep.fill_in else None,
-            "causal_mismatches": rep.fill_in.causal_mismatches if rep.fill_in else None,
-        }
-    ]
-    return checks, None
+    check = {
+        "name": f"quadrangle({p1},{p2},{p3},{p4})",
+        "status": "PASS" if rep.fill_in else "SKIP",  # a failed fill-in raises RigidityViolated
+        "value": rep.lhs_minus_rhs,
+        "flat": rep.flat,
+        "angles": rep.angles,
+        "fill_in_error": rep.fill_in.max_tau_error if rep.fill_in else None,
+        "causal_mismatches": rep.fill_in.causal_mismatches if rep.fill_in else None,
+    }
+    if not rep.fill_in:
+        check["reason"] = "angle sum below the flat case; the criterion claims nothing"
+    return [check], None
 
 
 def cmd_lines(args, fixture, stage):
@@ -459,7 +459,9 @@ def cmd_split(args, fixture, stage):
             "pairs_trimmed": emb.pairs_trimmed,
         },
     ]
-    if base is not None and base.midpoints:
+    if base is not None and not base.midpoints:
+        checks.append({"name": "base-cat0", "status": "SKIP", "reason": "base has no midpoints"})
+    elif base is not None:
         cat0 = verify_base_metric_cat0(base.dist, base.midpoints)
         checks.append(
             {

@@ -105,7 +105,7 @@ def plane_separations(points):
     dx = pts[None, :, 1] - pts[:, None, 1]
     q2 = dt * dt - dx * dx
     band = BOUNDARY_TOL * (dt * dt + dx * dx)  # |q2| within it is null
-    causal = (q2 >= -band) & (dt >= 0)
+    causal = ((q2 >= -band) & (dt > 0)) | ((dt == 0) & (dx == 0))  # future or the same point
     tau = np.where((q2 > band) & (dt > 0), np.sqrt(np.maximum(q2, 0.0)), 0.0)
     return tau, causal
 

@@ -23,6 +23,7 @@ from .modelspace import Kappa
 from .sampled import (
     Chain,
     SampledSpace,
+    _geodesics,
     estimate_angle,
     geodesic_between,
     geodesic_through,
@@ -404,7 +405,7 @@ def asymptotic_ray(
         if space.tau[p, idx] <= 0:
             raise NotInPast(f"point {p} is not in the past of the line at parameter {t}")
         targets.append(idx)
-    chains = [geodesic_between(space, p, idx, geo_tol) for idx in targets]
+    chains = list(_geodesics(space, [p] * len(targets), targets, geo_tol))
     prefix = prefix_fraction * chains[0].total
     drifts = []
     for a, b, far in zip(chains, chains[1:], targets[1:]):

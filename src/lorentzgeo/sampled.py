@@ -363,10 +363,9 @@ def _push_up_witness(chron, causal, bad_rows, bad_cols):
 # Geodesic extraction: tau-maximizing chains over the chronological DAG.
 # ---------------------------------------------------------------------------
 
-# Pairs walked in lockstep by one _geodesics chunk; its largest arrays are
-# three chunk x n matrices.  The 25,928 side pairs of 20k triangles on the
-# 21x21 grid take 0.58 / 0.44 / 0.31 s at 64 / 128 / 256 pairs per chunk;
-# bigger chunks grow the heap a certify run retains.
+# Pairs whose dense candidate masks _geodesics builds at a time: three
+# chunk x n matrices.  Only the sparse candidates outlive a chunk; the walk
+# takes every pair at once.
 _GEODESIC_CHUNK = 128
 
 
@@ -378,82 +377,80 @@ def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) ->
     chain attains the maximum; among maximizing chains the walk greedily
     takes the earliest on-geodesic point (ties broken by index), which
     picks up every sampled point lying on the geodesic.  A chain's deficit
-    records any shortfall.  Pairs are walked in lockstep, _GEODESIC_CHUNK
-    at a time; the result is the same as walking each pair on its own.
-    Chain i of the returned store runs from xs[i] to ys[i].
+    records any shortfall.  Chain i of the returned store runs from xs[i]
+    to ys[i].
+
+    All pairs walk in one lockstep loop over their on-geodesic candidates,
+    sorted by (tau from x, index).  Each step evaluates the one-pair walk's
+    test on the candidates ahead of each pair's current point (one at or
+    behind it can never pass again) and moves each pair to its first hit,
+    or to its end y when there is none.  The result is the same as walking
+    each pair on its own.
     """
     tau = space.tau
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    chunks = [  # at least one, so that no pairs give an empty store
-        _geodesic_chunk(tau, xs[lo : lo + _GEODESIC_CHUNK], ys[lo : lo + _GEODESIC_CHUNK], geo_tol)
-        for lo in range(0, max(xs.size, 1), _GEODESIC_CHUNK)
-    ]
-    points, params, sizes, deficits = (np.concatenate(part) for part in zip(*chunks))
-    return ChainStore(points, params, np.concatenate([[0], np.cumsum(sizes)]), deficits)
-
-
-def _geodesic_chunk(tau, xs, ys, geo_tol):
-    """One lockstep walk over a chunk of pairs.
-
-    Each pair's on-geodesic candidates are sorted by (tau from x, index).
-    Every step evaluates the one-pair walk's test on the candidates still
-    ahead of each pair's current point and moves each pair to its first
-    hit, or to its end y when there is none.  A candidate at or behind
-    the current point can never pass the test again, so only the ones
-    ahead are evaluated.  Returns (points, params, sizes, deficits).
-    """
     m = xs.size
     target = tau[xs, ys]
     slack = geo_tol * (1.0 + np.abs(target))  # scaled(geo_tol, target)
-    # points exactly on a maximizing chain: tau(x,v) + tau(v,y) == tau(x,y)
-    from_x = tau[xs, :]
-    to_y = tau[:, ys].T
-    on_geo = (from_x > 0) & (to_y > 0) & (from_x + to_y >= (target - slack)[:, None])
-    pair, cand = np.nonzero(on_geo)
-    dist = from_x[pair, cand]
-    # earliest-first: each pair's candidates in order of distance from its start
-    order = np.lexsort((cand, dist, pair))
-    pair, cand, dist = pair[order], cand[order], dist[order]
-    size = np.bincount(pair, minlength=m)
+    parts = []
+    for lo in range(0, max(m, 1), _GEODESIC_CHUNK):  # at least once, so that no pairs give empty arrays
+        chunk = slice(lo, lo + _GEODESIC_CHUNK)
+        # points exactly on a maximizing chain: tau(x,v) + tau(v,y) == tau(x,y)
+        from_x = tau[xs[chunk], :]
+        to_y = tau[:, ys[chunk]].T
+        on_geo = (np.minimum(from_x, to_y) > 0) & (from_x + to_y >= (target[chunk] - slack[chunk])[:, None])
+        pair, c = np.divmod(np.flatnonzero(on_geo), tau.shape[0])  # np.nonzero(on_geo), faster
+        d = from_x[pair, c]
+        # earliest-first: each pair's candidates in order of distance from its start
+        order = np.lexsort((c, d, pair))
+        parts.append((np.bincount(pair, minlength=len(on_geo)), c[order], d[order]))
+    size, cand, dist = map(np.concatenate, zip(*parts))
+    del parts, from_x, to_y, on_geo
     end = np.cumsum(size)
     nxt = end - size  # each pair's first candidate still ahead of its current point
 
+    # chain i fills slots from base[i]: x, then at most every candidate, then y
+    base = nxt + 2 * np.arange(m)
+    points = np.empty(int(size.sum()) + 2 * m, dtype=np.int64)
+    params = np.zeros(points.size)
+    points[base] = xs
+    slot = base + 1  # each pair's next free slot
     cur = xs.copy()
     cur_dist = np.zeros(m)  # tau(x, cur); the diagonal of tau is zero
     acc = np.zeros(m)
     walking = np.arange(m)
-    rec_pair, rec_point, rec_param = [walking], [xs], [np.zeros(m)]
     while walking.size:
-        size = end[walking] - nxt[walking]
-        own = np.repeat(walking, size)
-        pos = np.arange(size.sum()) + np.repeat(nxt[walking] - (np.cumsum(size) - size), size)
-        c, d, here = cand[pos], dist[pos], cur_dist[own]
-        step_tau = tau[cur[own], c]
+        left = end[walking] - nxt[walking]
+        own = np.repeat(walking, left)
+        pos = np.arange(left.sum()) + np.repeat(nxt[walking] - (np.cumsum(left) - left), left)
+        d, here = dist[pos], cur_dist[own]
+        step_tau = tau[cur[own], cand[pos]]
         ok = (step_tau > 0) & (d > here) & (here + step_tau >= d - slack[own])
-        hit = pos[ok]
-        hit_pair, first = np.unique(own[ok], return_index=True)
-        hit = hit[first]
+        hit, by = pos[ok], own[ok]
+        first = np.flatnonzero(np.diff(by, prepend=-1))  # run starts: each pair's first hit
+        hit, hit_pair = hit[first], by[first]
         v = ys[walking]
         found = np.searchsorted(walking, hit_pair)
         v[found] = cand[hit]
         acc[walking] += tau[cur[walking], v]
-        rec_pair.append(walking)
-        rec_point.append(v)
-        rec_param.append(acc[walking])
+        at = slot[walking]
+        points[at], params[at] = v, acc[walking]
+        slot[walking] = at + 1
         cur[hit_pair] = cand[hit]
         cur_dist[hit_pair] = dist[hit]
         nxt[hit_pair] = hit + 1
         walking = hit_pair
 
-    rec_pair = np.concatenate(rec_pair)
-    order = np.argsort(rec_pair, kind="stable")
-    owner = rec_pair[order]
-    points = np.concatenate(rec_point)[order]
-    params = np.concatenate(rec_param)[order]
-    if np.any(np.diff(params)[owner[1:] == owner[:-1]] <= 0):
+    if np.any(slot < base + size + 2):  # some pair skipped a candidate: close the gaps
+        keep = np.arange(points.size) < np.repeat(slot, size + 2)
+        points, params = points[keep], params[keep]
+    offsets = np.concatenate([[0], np.cumsum(slot - base)])
+    step = np.diff(params)
+    step[offsets[1:-1] - 1] = 1.0  # from one chain into the next is no step
+    if np.any(step <= 0):
         raise ShapeError("chain parameters must be strictly increasing")
-    return points, params, np.bincount(owner, minlength=m), target - acc
+    return ChainStore(points, params, offsets, target - acc)
 
 
 def geodesic_between(space: SampledSpace, x: int, y: int, geo_tol: float = DEFAULT_GEO_TOL) -> Chain:
@@ -580,6 +577,7 @@ def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0)):
     triples = _triangle_triples(space.tau, cap, seed, kappa)
     n = space.n
     x, y, z = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    del triples  # its Python ints outweigh the chain store
     sides, which = np.unique(np.concatenate([x * n + y, y * n + z, x * n + z]), return_inverse=True)
     return TriangleSet(x, y, z, which.reshape(3, -1).T, _geodesics(space, sides // n, sides % n))
 

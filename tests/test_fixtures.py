@@ -39,6 +39,7 @@ class TestPlaneFixtures:
         loose=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=8),
     )
     @example(lattice=[(0, 0), (1, 1), (3, -3), (2, 0), (0, 2), (0, 0)], step=0.1, loose=[])
+    @example(lattice=[(0, 0)], step=1.0, loose=[(0.0, 5.922143548468158e-218)])  # dx * dx underflows to 0
     def test_matches_tau_plane_pointwise(self, lattice, step, loose):
         """plane_separations is tau_plane entry by entry and bit for bit,
         lattice pairs on a light cone and repeated points included."""

@@ -180,6 +180,17 @@ class TestCli:
     def test_split(self, tripod_fixture):
         assert main(["split", str(tripod_fixture)]) == 0
 
+    def test_split_base_without_midpoints_skips_cat0(self, tmp_path):
+        """A base with no midpoints cannot be checked for CAT(0); the check
+        is reported as SKIP, not left out."""
+        path = tmp_path / "hyp.json"
+        assert main(["gen", "product", "--base", "hyperbolic-sample", "-o", str(path)]) == 0
+        assert not load_fixture(path)[3].midpoints
+        assert main(["split", str(path)]) == 0
+        checks = load_report(tmp_path / "hyp_split.json")["checks"]
+        assert [c["name"] for c in checks] == ["classes", "embedding", "base-cat0"]
+        assert checks[2] == {"name": "base-cat0", "status": "SKIP", "reason": "base has no midpoints"}
+
     def test_lines_and_strip(self, tripod_fixture):
         assert main(["lines", str(tripod_fixture)]) == 0
         assert main(["strip", str(tripod_fixture), "--alpha", "1", "--beta", "2"]) == 0
@@ -224,10 +235,26 @@ class TestCli:
         path = tmp_path / "quad.json"
         save_fixture(path, space_from_plane_points(coords))
         assert main(["quadrangle", str(path), "--vertices", "0,1,2,3"]) == 0
-        report = load_report(tmp_path / "quad_quadrangle.json")
-        assert abs(report["checks"][0]["value"]) <= 1e-9
+        (check,) = load_report(tmp_path / "quad_quadrangle.json")["checks"]
+        assert abs(check["value"]) <= 1e-9
+        assert check["status"] == "PASS" and check["fill_in_error"] <= 1e-9  # PASS: the fill-in ran
+
+    def test_quadrangle_below_flat_skips(self, tmp_path):
+        """Around the tripod's branch point the angle sum falls below the
+        flat case, so the rigidity criterion claims nothing: SKIP, not PASS."""
+        path = tmp_path / "tripod.json"
+        assert main(["gen", "product", "--base", "tripod", "--step", "0.5", "--window", "10", "-o", str(path)]) == 0
+        # (t, leaf) = (0, 1), (3, 2), (9, 1), (6, 3) with 41 times per leaf
+        assert main(["quadrangle", str(path), "--vertices", "61,108,79,155"]) == 0
+        (check,) = load_report(tmp_path / "tripod_quadrangle.json")["checks"]
+        assert check["status"] == "SKIP" and not check["flat"]
+        assert check["value"] <= -0.05
+        assert check["reason"] == "angle sum below the flat case; the criterion claims nothing"
+        assert check["fill_in_error"] is None
 
     def test_ray(self, tmp_path):
+        """The report outside runtime is pinned to what one geodesic_between
+        call per horizon gave."""
         from lorentzgeo.fixtures import plane_ray_fan
 
         space, line, info = plane_ray_fan((0.0, 1.0), 0.0, [8, 16, 32], 36, fan_spacing=0.5)
@@ -236,6 +263,20 @@ class TestCli:
         assert main(
             ["ray", str(path), "--line", "0", "--point", str(info["p"]), "--horizons", "8,16,32"]
         ) == 0
+        report = json.loads(deterministic_view(load_report(tmp_path / "fan_ray.json")))
+        drifts = [0.2504897164340594, 0.10942844490907666]
+        assert report["checks"] == [
+            {
+                "name": "asymptotic-ray",
+                "status": "PASS",
+                "drifts": drifts,
+                "ratios": [0.4368580334030733],
+                "prefix": 3.968626966596886,
+                "chain_points": 8,
+            }
+        ]
+        assert report["series"] == {"ray_drift": {"columns": ["t_n", "drift"], "rows": [[16.0, drifts[0]], [32.0, drifts[1]]]}}
+        assert report["inputs"]["sha256"] == "278c144f118bfa29763078b43724e613031c7dc7174a7617108aa22a4884a69b"
 
     def test_deterministic_reports(self, tripod_fixture):
         out1 = tripod_fixture.with_name("r1.json")

@@ -977,6 +977,16 @@ class TestBatchedGeodesics:
         xs, ys = np.nonzero(space.tau > 0)
         chains = sampled._geodesics(space, xs, ys)
         assert len(chains) == len(xs)
+        # A chain holds at most its two ends and every candidate.  On the flat
+        # grid each candidate is taken, so the walk fills every slot; on the
+        # scaled tripod some are skipped, so the slots are compacted.
+        branch = {("grid", 0.0): (307, 307), ("tripod", 0.3): (1610, 970)}.get((name, scaled_frac))
+        if branch:
+            tau, target = space.tau, space.tau[xs, ys]
+            from_x, to_y = tau[xs, :], tau[:, ys].T
+            low = target - scaled(DEFAULT_GEO_TOL, target)
+            on_geo = (from_x > 0) & (to_y > 0) & (from_x + to_y >= low[:, None])
+            assert (int(on_geo.sum()), len(chains.points) - 2 * len(chains)) == branch
         deficits = 0
         for x, y, chain in zip(xs, ys, chains):
             want = reference_geodesic(space, x, y)
@@ -984,6 +994,15 @@ class TestBatchedGeodesics:
             deficits += want.deficit != 0.0
         if scaled_frac:
             assert deficits > 0
+
+    def test_no_pairs_give_an_empty_store(self):
+        chains = sampled._geodesics(small_space("grid"), [], [])
+        assert len(chains) == 0 and list(chains) == []
+        assert chains.points.dtype == np.int64 and chains.points.size == 0
+        assert chains.params.dtype == np.float64 and chains.params.size == 0
+        assert chains.deficits.dtype == np.float64 and chains.deficits.size == 0
+        assert chains.offsets.tolist() == [0]
+        assert chains.flagged().size == 0
 
     @settings(max_examples=30, deadline=None)
     @given(
