@@ -241,6 +241,7 @@ class AxiomReport:
     violations: list
     counts: dict
     triples_checked: int = 0  # sum over middle points j of |past(j)| * |future(j)|
+    exact_tests: int = 0  # triples that pass the reverse-triangle screen and take the exact test
 
     @property
     def ok(self) -> bool:
@@ -271,18 +272,28 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     fails.  The products run in float32; every partial sum and every
     intermediate of that order of evaluation is an integer in [0, n], so
     each count is exact while n < 2**24.
+
     The reverse triangle inequality is checked per middle point j over
-    its causal past x causal future only.  Witnesses are the first
-    violation in j-major, then row-major (i, k) order.
+    its causal past x causal future only: tau(i, k) violates it when
+    tau(i, k) < lhs - tol * (1 + lhs), with lhs = tau(i, j) + tau(j, k).
+    Each block tau[past, future] is read with one flat gather at the
+    indices past * n + future, and only the entries that pass the screen
+    tau(i, k) < lhs take the exact test.  The screen misses no violation:
+    lhs >= 0 and tol >= 0 make tol * (1 + lhs) >= 0, and subtracting a
+    non-negative number, rounded, never gives more than lhs.  (Should lhs
+    overflow to inf, the threshold is NaN and the exact test fails, as
+    it would on the whole block.)  Witnesses are the first violation in
+    j-major, then row-major (i, k) order.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     tau, causal = space.tau, space.causal
-    n = space.n
     violations = []
     counts = {}
 
     def record(kind, idx_arrays, count):
         counts[kind] = counts.get(kind, 0) + int(count)
-        for w in list(zip(*idx_arrays))[:_WITNESS_CAP]:
+        for w in zip(*(a[:_WITNESS_CAP] for a in idx_arrays)):
             violations.append({"kind": kind, "witness": tuple(int(i) for i in w)})
 
     chron = tau > 0
@@ -303,22 +314,7 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     if m.any():
         record("causal-not-transitive", np.nonzero(m), m.sum())
 
-    pasts = [np.flatnonzero(col) for col in causal.T]
-    futures = [np.flatnonzero(row) for row in causal]
-
-    rti_count = 0
-    rti_witness = None
-    for j in range(n):
-        past, future = pasts[j], futures[j]
-        if not (past.size and future.size):
-            continue
-        lhs = tau[past, j][:, None] + tau[j, future][None, :]
-        viol = tau[np.ix_(past, future)] < lhs - tol * (1.0 + lhs)
-        c = int(np.count_nonzero(viol))
-        if c and rti_witness is None:
-            a, b = np.argwhere(viol)[0]
-            rti_witness = (int(past[a]), j, int(future[b]))
-        rti_count += c
+    rti_count, rti_witness, exact_tests = _reverse_triangle(tau, causal, tol)
     if rti_count:
         counts["reverse-triangle"] = rti_count
         violations.append({"kind": "reverse-triangle", "witness": rti_witness})
@@ -337,7 +333,50 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
         violations.append({"kind": "push-up", "witness": witness})
 
     triples = int(np.dot(causal.sum(axis=0, dtype=np.int64), causal.sum(axis=1, dtype=np.int64)))
-    return AxiomReport(violations=violations, counts=counts, triples_checked=triples)
+    return AxiomReport(violations=violations, counts=counts, triples_checked=triples, exact_tests=exact_tests)
+
+
+def _reverse_triangle(tau, causal, tol):
+    """Count, first witness and exact tests of the reverse-triangle scan (see validate_axioms).
+
+    The work buffers are sized once for the largest block; they die on
+    return, before validate_axioms builds the push-up products.
+    """
+    n = tau.shape[0]
+    n_past = causal.sum(axis=0, dtype=np.int64)
+    n_future = causal.sum(axis=1, dtype=np.int64)
+    sizes = n_past * n_future
+    past_at = np.concatenate(([0], np.cumsum(n_past))).tolist()
+    future_at = np.concatenate(([0], np.cumsum(n_future))).tolist()
+    past_i = np.nonzero(causal.T)[1]  # causal pasts, j-major
+    future_k = np.nonzero(causal)[1]  # causal futures, i-major
+    flat = tau.ravel()
+    largest = int(sizes.max(initial=0))
+    idx_buf, got_buf, lhs_buf, low_buf = (np.empty(largest, dtype=t) for t in (np.int64, float, float, bool))
+
+    rti_count = exact_tests = 0
+    rti_witness = None
+    for j in np.flatnonzero(sizes).tolist():
+        past = past_i[past_at[j] : past_at[j + 1]]
+        future = future_k[future_at[j] : future_at[j + 1]]
+        p, f = past.size, future.size
+        rows = past * n
+        idx = np.add(rows[:, None], future, out=idx_buf[: p * f].reshape(p, f))
+        # every index is in range; "clip" lets take write into out unbuffered
+        got = np.take(flat, idx, out=got_buf[: p * f].reshape(p, f), mode="clip")
+        lhs = np.add(flat.take(rows + j)[:, None], tau[j].take(future), out=lhs_buf[: p * f].reshape(p, f))
+        sel = np.flatnonzero(np.less(got, lhs, out=low_buf[: p * f].reshape(p, f)))
+        if not sel.size:
+            continue
+        exact_tests += sel.size
+        near = lhs_buf[sel]
+        viol = got_buf[sel] < near - tol * (1.0 + near)
+        c = int(np.count_nonzero(viol))
+        if c and rti_witness is None:
+            a, b = divmod(int(sel[viol.argmax()]), f)
+            rti_witness = (int(past[a]), j, int(future[b]))
+        rti_count += c
+    return rti_count, rti_witness, exact_tests
 
 
 def _push_up_witness(chron, causal, bad_rows, bad_cols):

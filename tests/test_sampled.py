@@ -105,6 +105,53 @@ def reference_axioms(space, tol=1e-9):
     return AxiomReport(violations=violations, counts=counts)
 
 
+def reference_reverse_triangle(space, tol=1e-9):
+    """The reverse-triangle scan as a per-middle-point np.ix_ loop.
+
+    Returns the violation count, the first witness (j-major, then
+    row-major) and the number of triples with tau(i, k) < tau(i, j) + tau(j, k).
+    """
+    tau, causal = space.tau, space.causal
+    pasts = [np.flatnonzero(col) for col in causal.T]
+    futures = [np.flatnonzero(row) for row in causal]
+    count = screened = 0
+    witness = None
+    for j in range(space.n):
+        past, future = pasts[j], futures[j]
+        if not (past.size and future.size):
+            continue
+        lhs = tau[past, j][:, None] + tau[j, future][None, :]
+        got = tau[np.ix_(past, future)]
+        viol = got < lhs - tol * (1.0 + lhs)
+        c = int(np.count_nonzero(viol))
+        if c and witness is None:
+            a, b = np.argwhere(viol)[0]
+            witness = (int(past[a]), j, int(future[b]))
+        count += c
+        screened += int(np.count_nonzero(got < lhs))
+    return count, witness, screened
+
+
+def assert_reverse_triangle_matches(space, tol=1e-9):
+    rep = validate_axioms(space, tol)
+    count, witness, screened = reference_reverse_triangle(space, tol)
+    assert rep.counts.get("reverse-triangle", 0) == count
+    assert [v["witness"] for v in rep.violations if v["kind"] == "reverse-triangle"] == ([witness] if count else [])
+    assert rep.exact_tests == screened
+    return rep
+
+
+@functools.cache
+def shrunk_grid15():
+    """15x15 grid with a random 5 % of its chronological tau entries shrunk by 10 %."""
+    grid = minkowski_grid(15, 15, 1.0)
+    tau = grid.tau.copy()
+    ii, kk = np.nonzero(tau > 0)
+    pick = np.random.default_rng(5).choice(len(ii), len(ii) // 20, replace=False)
+    tau[ii[pick], kk[pick]] *= 0.9
+    return SampledSpace(tau=tau, causal=grid.causal.copy())
+
+
 @st.composite
 def broken_spaces(draw):
     """A small grid, de Sitter or tripod space with tau entries scaled,
@@ -133,10 +180,10 @@ class TestAxioms:
         assert validate_axioms(chain3).ok
 
     @settings(max_examples=60, deadline=None)
-    @given(space=broken_spaces())
-    def test_matches_per_j_reference(self, space):
-        rep = validate_axioms(space)
-        ref = reference_axioms(space)
+    @given(space=broken_spaces(), tol=st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_matches_per_j_reference(self, space, tol):
+        rep = assert_reverse_triangle_matches(space, tol)
+        ref = reference_axioms(space, tol)
         assert list(rep.counts.items()) == list(ref.counts.items())
         assert rep.violations == ref.violations
         assert rep.ok == ref.ok
@@ -228,6 +275,46 @@ class TestAxioms:
         bad = SampledSpace(tau=tau, causal=causal)
         rep = validate_axioms(bad)
         assert rep.counts.get("chronology-not-antisymmetric", 0) >= 1
+
+
+class TestReverseTriangleScan:
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_shrunk_grid_matches_ix_reference(self, tol):
+        rep = assert_reverse_triangle_matches(shrunk_grid15(), tol)
+        assert rep.counts["reverse-triangle"] > 1000
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    @pytest.mark.parametrize("side, count", [(0.0, 0), (-np.inf, 1), (np.inf, 0)])
+    def test_boundary_of_the_exact_rule(self, chain3, tol, side, count):
+        # chain 0 < 1 < 2: through j = 1, lhs = tau[0, 1] + tau[1, 2] = 2
+        lhs = chain3.tau[0, 1] + chain3.tau[1, 2]
+        tau = chain3.tau.copy()
+        tau[0, 2] = lhs - tol * (1.0 + lhs)
+        if side:
+            tau[0, 2] = np.nextafter(tau[0, 2], side)
+        rep = assert_reverse_triangle_matches(SampledSpace(tau=tau, causal=chain3.causal.copy()), tol)
+        assert rep.counts.get("reverse-triangle", 0) == count
+        assert rep.exact_tests == (tau[0, 2] < lhs)
+
+    def test_fortran_ordered_tau_gives_the_same_report(self):
+        space = shrunk_grid15()
+        fortran = SampledSpace(tau=np.asfortranarray(space.tau), causal=np.asfortranarray(space.causal))
+        assert not fortran.tau.flags.c_contiguous
+        assert validate_axioms(fortran) == validate_axioms(space)
+
+    @pytest.mark.parametrize("tol", [-1e-9, -np.inf, np.nan])
+    def test_negative_or_nan_tol_rejected(self, chain3, tol):
+        with pytest.raises(ValueError, match="tol"):
+            validate_axioms(chain3, tol)
+
+    def test_witnesses_are_the_first_in_row_major_order(self):
+        # only the diagonal stays causal, so every chronological pair is a violation
+        grid = minkowski_grid(5, 5, 1.0)
+        rep = validate_axioms(SampledSpace(tau=grid.tau.copy(), causal=np.eye(grid.n, dtype=bool)))
+        chron = np.argwhere(grid.tau > 0)
+        assert len(chron) > sampled._WITNESS_CAP
+        assert rep.counts == {"chronological-not-causal": len(chron)}
+        assert [v["witness"] for v in rep.violations] == [tuple(w) for w in chron[: sampled._WITNESS_CAP].tolist()]
 
 
 class TestGeodesics:
