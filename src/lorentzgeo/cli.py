@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fx
-from .errors import LorentzGeoError, StripInconsistent
+from .errors import LorentzGeoError, RigidityViolated, StripInconsistent
 from .io import (
     emit_plotdata,
     load_fixture,
@@ -340,10 +340,14 @@ def cmd_rigidity(args, fixture, stage):
 def cmd_quadrangle(args, fixture, stage):
     space = fixture.space
     p1, p2, p3, p4 = (_index("--vertices", int(v), space.n, "points") for v in args.vertices.split(","))
-    rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)
+    name = f"quadrangle({p1},{p2},{p3},{p4})"
+    try:
+        rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)
+    except RigidityViolated as e:  # the angle sum claims a flat fill-in that the sample refutes
+        return [{"name": name, "status": "FAIL", "reason": str(e), "fill_in_error": e.tau_error}], None
     check = {
-        "name": f"quadrangle({p1},{p2},{p3},{p4})",
-        "status": "PASS" if rep.fill_in else "SKIP",  # a failed fill-in raises RigidityViolated
+        "name": name,
+        "status": "PASS" if rep.fill_in else "SKIP",
         "value": rep.lhs_minus_rhs,
         "flat": rep.flat,
         "angles": rep.angles,
@@ -444,6 +448,7 @@ def cmd_split(args, fixture, stage):
     classes = extract_line_classes(space, lines, reference, args.tol_tau, args.geo_tol)
     recovered = compute_dS(space, classes, args.tol_tau)
     emb = verify_embedding(space, classes, recovered)
+    step = recovered.step
     checks = [
         {
             "name": "classes",
@@ -453,8 +458,9 @@ def cmd_split(args, fixture, stage):
         },
         {
             "name": "embedding",
-            "status": "PASS" if emb.causal_agreement == 1.0 else "FAIL",
+            "status": "PASS" if emb.causal_agreement == 1.0 and emb.max_tau_error <= step + args.tol_tau else "FAIL",
             "max_tau_error": emb.max_tau_error,
+            "step": step,
             "causal_agreement": emb.causal_agreement,
             "pairs_trimmed": emb.pairs_trimmed,
         },

@@ -28,6 +28,10 @@ class MissingChains(LorentzGeoError):
 class RigidityViolated(LorentzGeoError):
     """A claimed flat fill-in fails its tau/causality validation."""
 
+    def __init__(self, message: str, tau_error: float | None = None):
+        super().__init__(message)
+        self.tau_error = tau_error  # the fill-in's largest tau error
+
 
 class OrderViolated(LorentzGeoError):
     """Vertices do not satisfy the required chronological order."""

@@ -297,8 +297,9 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
     r1, r2 are distances from the hinge vertex along the two legs and
     cosh_theta the full hinge angle.  ``opposite`` states whether the legs
     have opposite time orientations.  Unlike side_from_hinge this keeps
-    spacelike outcomes: returns (tau, timelike, null, valid).  Zero radii
-    are allowed and mean the point sits at the vertex.
+    spacelike outcomes: returns (tau, timelike, null, valid), with tau
+    +0.0 wherever timelike is False.  Zero radii are allowed and mean the
+    point sits at the vertex.
     """
     kappa = Kappa.of(kappa)
     r1 = np.asarray(r1, dtype=float)
@@ -311,11 +312,13 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
     u = np.maximum(u, 1.0)
     with np.errstate(invalid="ignore", over="ignore"):
         if k == 0.0:
-            q2 = r1 * r1 + r2 * r2 + 2.0 * sg * r1 * r2 * u
-            scale = r1 * r1 + r2 * r2 + 2.0 * r1 * r2 * u + 1e-300
+            # 2*sg*r1*r2*u is +-cross bit for bit: the sign only flips
+            square, cross = r1 * r1 + r2 * r2, 2.0 * r1 * r2 * u
+            q2 = square + cross if opposite else square - cross
+            scale = square + cross + 1e-300
             null = np.abs(q2) <= BOUNDARY_TOL * scale
             timelike = (q2 > 0) & ~null
-            tau = np.where(timelike, np.sqrt(np.maximum(q2, 0.0)), 0.0)
+            tau = np.sqrt(q2, out=np.zeros_like(q2), where=timelike)
         elif k > 0.0:
             r = math.sqrt(k)
             gap, scale = _hyp_gap(r, r1, r2, sg * u)  # cosh(r*tau) - 1 when timelike
@@ -333,9 +336,9 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
             gp = np.clip(gap, 0.0, 2.0)
             tau = np.where(timelike, 2.0 * np.arcsin(np.sqrt(gp / 2.0)) / r, 0.0)
         zero = (r1 == 0) & (r2 == 0)
-        tau = np.where(zero, 0.0, tau)
-        timelike = np.where(zero, False, timelike)
-        null = np.where(zero, False, null)
+        tau[zero] = 0.0
+        timelike &= ~zero
+        null &= ~zero
     return tau, timelike, null, valid
 
 

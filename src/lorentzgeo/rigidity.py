@@ -147,7 +147,7 @@ def _checked_fill_in(space, plane: dict, corners, limit: float, what: str) -> Fl
     """The fill-in of a planar map, raising RigidityViolated when its tau error exceeds limit."""
     err, mism, witness, n_pts = plane_map_check(space, plane)
     if err > limit:
-        raise RigidityViolated(f"{what} tau error {err} at pair {witness} exceeds tolerance")
+        raise RigidityViolated(f"{what} tau error {err} at pair {witness} exceeds tolerance", err)
     return FlatFillIn(
         planar_vertices=[plane[p] for p in corners],
         grid_map=plane,

@@ -562,12 +562,15 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
     """
     n = tau.shape[0]
     chron = tau > 0
+    # hh[x, z] counts the y with x << y << z, exact in float32 while n < 2**24;
+    # masked in place to the (x, z) inside the size bound, it counts the triples
+    hh = chron.astype(np.float32)
+    hh = hh @ hh
+    transitive = _transitive(chron, hh)
+    hh *= chron & (tau < kappa.dk)
+    counts = hh.sum(axis=1, dtype=np.float64).astype(np.int64)
+    del hh
     futures = [np.flatnonzero(chron[i]) for i in range(n)]
-    # triples x << y << z inside the size bound, per x; H @ H is exact in
-    # float32 while n < 2**24
-    h = chron.astype(np.float32)
-    hh = h @ h
-    counts = (hh * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
     triples = []
     if int(counts.sum()) <= cap:
         for x in range(n):
@@ -578,8 +581,6 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
             triples += zip([x] * int(keep.sum()), y[keep].tolist(), z[keep].tolist())
         return triples
 
-    transitive = _transitive(chron, hh)
-    del h, hh
     words = _words(np.random.default_rng(seed).bit_generator)
     dk = kappa.dk
     seen = set()
@@ -797,25 +798,78 @@ class Certificate:
 _PAST_SIDE_END = "side parameters exceed the side length"
 _PAST_MODEL_DOMAIN = "comparison points exceed the model-space domain"
 
-# Unordered side-point pairs compared in one batch of triangles; a batch
-# holds at most this many plus one triangle's.  A batch's arrays peak at
-# about 130 bytes per pair (2.0 MB at 2**14); much smaller batches pay
-# numpy's per-call overhead instead (20k tripod-product triangles take
-# 1.9 times as long at 2**12 as at 2**14).
+# Pairs compared in one batch: a hinge-pass batch counts the pairs across
+# its triangles' sides, a chain-pass batch the pairs within its chains, and
+# either holds at most this many plus one triangle's or chain's.  A batch's
+# arrays peak at about 130 bytes per pair (2.0 MB at 2**14); much smaller
+# batches pay numpy's per-call overhead instead (20k tripod-product
+# triangles took 1.9 times as long at 2**12 as at 2**14).
 _BATCH_PAIRS = 1 << 14
 
 
-def _certify_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction, tol):
-    """Compare one batch of triangles; return (bad, n_pairs, chron_miss, max_slack, worst, witness).
+def _batches(pairs):
+    """(lo, hi) runs of consecutive items holding about _BATCH_PAIRS of these pair counts."""
+    cum = np.cumsum(pairs)
+    marks = np.arange(_BATCH_PAIRS, cum[-1] if cum.size else 0, _BATCH_PAIRS)
+    bounds = np.unique(np.concatenate([[0], np.searchsorted(cum, marks, side="right"), [cum.size]])).tolist()
+    return zip(bounds, bounds[1:])
 
-    Each pair i < j of a triangle's side points (ab, bc, ac, in order) is
-    evaluated once, for both orientations: within each side, then in the
-    ab x bc, ab x ac and bc x ac hinge blocks; size[t] holds the side
-    chains' point counts and u[t] the cosh of the hinge angles at a, b, c.  bad[t, k] marks hinge block k of
-    triangle t off the model domain; such triangles and failing ones are
-    left out.  The witness of the worst margin (inf if nothing was
-    compared) is the first in row-major order of the triangles' pair
-    matrices.  Returning only these frees the batch's arrays early.
+
+def _runs(rows, cols, count):
+    """Pairs (i, j): row rows[r] against the count[r] columns from cols[r] on, in order."""
+    i = np.repeat(rows, count)
+    return i, np.arange(len(i)) + np.repeat(cols - np.cumsum(count) + count, count)
+
+
+def _chain_pairs(offsets, cs):
+    """Store indices (i, j), i < j, of the point pairs within chains cs, chain after chain, row-major."""
+    m = np.diff(offsets)[cs]
+    g = np.arange(m.sum()) + np.repeat(offsets[cs] - np.cumsum(m) + m, m)
+    return _runs(g, g + 1, np.repeat(offsets[cs] + m, m) - g - 1)
+
+
+def _margins(tau, p, q, model, direction, tol):
+    """(actual, model_plus, margin, chron_bad) of the pairs (p, q) with signed model separations model.
+
+    Row 0 holds orientation (p, q), row 1 (q, p).  chron_bad marks model
+    chronology without sampled chronology; it is None below.
+    """
+    n = tau.shape[0]
+    flat = np.empty((2, len(p)), dtype=np.int64)
+    np.multiply(p, n, out=flat[0])
+    flat[0] += q
+    np.multiply(q, n, out=flat[1])
+    flat[1] += p
+    actual = tau.take(flat)
+    del flat
+    model_plus = np.empty((2, len(model)))
+    np.maximum(model, 0.0, out=model_plus[0])
+    np.maximum(np.negative(model, out=model_plus[1]), 0.0, out=model_plus[1])
+    if direction == "above":
+        return actual, model_plus, actual - model_plus, (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)
+    return actual, model_plus, model_plus - actual, None
+
+
+def _ties(margin, worst, i, j):
+    """Every orientation of pairs (i, j) whose margin is worst: (flat index, row, column)."""
+    tied = np.flatnonzero(margin == worst)
+    swap, e = np.divmod(tied, len(i))
+    return tied, np.where(swap, j[e], i[e]), np.where(swap, i[e], j[e])
+
+
+def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction, tol, running):
+    """Compare one batch of triangles across their sides; return (bad, n_pairs, chron_miss, top, worst, found).
+
+    Each pair of points on two sides of a triangle (the ab x bc, ab x ac
+    and bc x ac hinge blocks) is evaluated once, for both orientations;
+    size[t] holds the side chains' point counts and u[t] the cosh of the
+    hinge angles at a, b, c.  bad[t, k] marks hinge block k of triangle t
+    off the model domain; such triangles and failing ones are left out.
+    top and worst are the largest and smallest margins (-inf and inf if
+    nothing was compared).  Only when worst beats the running worst is
+    found its first tie, (t, key, p, q, tau, tau_model), where key is the
+    row-major index in the matrix over t's side points (ab, bc, ac).
+    Returning only these frees the batch's arrays early.
     """
     per_side = size.ravel()
     n = size.sum(axis=1)
@@ -827,39 +881,35 @@ def _certify_batch(kappa, tau, chains, sides, size, lengths, u, failing, directi
     side = np.repeat(np.tile(np.arange(3), len(sides)), per_side)
     radius = np.maximum(np.repeat(lengths.ravel(), per_side) - par, 0.0)  # to the side's future end
 
-    # each row i takes a run of columns j: the rest of its side, then for an
-    # ab point all of bc, then all of ac, and for a bc point all of ac
-    g = np.arange(len(pt))
+    # an ab point takes all of bc, then all of ac, and a bc point all of ac
     on_ab, on_bc = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
     t_ab, t_bc = owner[on_ab], owner[on_bc]
     bc_start = first + size[:, 0]
     ac_start = bc_start + size[:, 1]
     runs = [
-        (g, g + 1, np.repeat(np.cumsum(per_side), per_side) - g - 1),
         (on_ab, bc_start[t_ab], size[t_ab, 1]),
         (on_ab, ac_start[t_ab], size[t_ab, 2]),
         (on_bc, ac_start[t_bc], size[t_bc, 2]),
     ]
-    rows, cols, count = (np.concatenate(r) for r in zip(*runs))
-    i = np.repeat(rows, count)
-    j = np.arange(len(i)) + np.repeat(cols - np.cumsum(count) + count, count)
+    i, j = _runs(*(np.concatenate(r) for r in zip(*runs)))
     ends = np.cumsum([0] + [int(r[2].sum()) for r in runs])
 
     model = np.empty(len(i))
-    model[: ends[1]] = par[j[: ends[1]]] - par[i[: ends[1]]]
     bad = np.zeros((len(sides), 3), dtype=bool)
 
-    def hinge_block(k, r1, r2, u, opposite, future):
+    def hinge_block(k, r1, r2, u, opposite, future=None):
         """Signed model separations of hinge block k; flag triangles off the domain."""
-        block = slice(ends[k + 1], ends[k + 2])
+        block = slice(ends[k], ends[k + 1])
         t = owner[i[block]]
         r1, r2 = r1[i[block]], r2[j[block]]
         tau_m, timelike, _, ok = hinge_tau_arr(kappa, r1, r2, u[t], opposite)
-        model[block] = np.where(timelike, np.where(future(r1, r2), tau_m, -tau_m), 0.0)
+        if future:  # tau_m is +0.0 off timelike pairs, so only those take a sign
+            np.negative(tau_m, out=tau_m, where=timelike & ~future(r1, r2))
+        model[block] = tau_m
         bad[t[~ok], k] = True
 
     # ab x bc share b: past leg against future leg, always ordered
-    hinge_block(0, radius, par, u[:, 1], True, lambda r1, r2: True)
+    hinge_block(0, radius, par, u[:, 1], True)
     # ab x ac share a: both future legs, the farther point is later
     hinge_block(1, par, par, u[:, 0], False, lambda r1, r2: r2 > r1)
     # bc x ac share c: both past legs, the farther point is earlier
@@ -868,37 +918,56 @@ def _certify_batch(kappa, tau, chains, sides, size, lengths, u, failing, directi
     p, q = pt[i], pt[j]
     failing = failing | bad.any(axis=1)
     drop = np.flatnonzero((p == q) | failing[owner[i]] if failing.any() else p == q)
-    # row 0 holds orientation (i, j), row 1 (j, i)
-    actual = tau.ravel()[np.stack([p * tau.shape[0] + q, q * tau.shape[0] + p])]
-    model_plus = np.maximum(np.stack([model, -model]), 0.0)
-    chron_miss = 0
-    if direction == "above":
-        margin = actual - model_plus
-        chron_bad = (model_plus > scaled(tol, 0.0)) & (actual <= 0.0)
-        chron_miss = int(np.count_nonzero(chron_bad) - np.count_nonzero(chron_bad[:, drop]))
-    else:
-        margin = model_plus - actual
+    actual, model_plus, margin, chron_bad = _margins(tau, p, q, model, direction, tol)
+    chron_miss = 0 if chron_bad is None else int(np.count_nonzero(chron_bad) - np.count_nonzero(chron_bad[:, drop]))
     margin[:, drop] = -np.inf
     top = float(margin.max())
     margin[:, drop] = np.inf
     worst = float(margin.min())
-    witness = None
-    if worst < np.inf:
+    found = None
+    if worst < running:
         # the first of the tied minima in row-major order
-        tied = np.flatnonzero(margin == worst)
-        swap, e = np.divmod(tied, len(i))
-        row, col = np.where(swap, j[e], i[e]), np.where(swap, i[e], j[e])
+        tied, row, col = _ties(margin, worst, i, j)
         t = owner[row]
-        w = int(np.argmin((np.cumsum(n * n) - n * n)[t] + (row - first[t]) * n[t] + col - first[t]))
-        witness = {
-            "triangle": int(t[w]),
-            "p": int(pt[row[w]]),
-            "q": int(pt[col[w]]),
-            "tau": float(actual.flat[tied[w]]),
-            "tau_model": float(model_plus.flat[tied[w]]),
-            "margin": worst,
-        }
-    return bad, 2 * (len(i) - len(drop)), chron_miss, max(0.0, top, -worst), worst, witness
+        key = (row - first[t]) * n[t] + col - first[t]
+        w = int(np.argmin((np.cumsum(n * n) - n * n)[t] + key))
+        found = (int(t[w]), int(key[w]), int(pt[row[w]]), int(pt[col[w]]))
+        found += (float(actual.flat[tied[w]]), float(model_plus.flat[tied[w]]))
+    return bad, 2 * (len(i) - len(drop)), chron_miss, top, worst, found
+
+
+def _chain_batch(tau, chains, cs, direction, tol):
+    """Compare chains cs over their own point pairs, each pair in both orientations.
+
+    A side point pair's model separation is its parameter difference, so
+    its margin depends on the chain alone.  Returns per chain its smallest
+    and largest margin (inf and -inf if no pair counts), its pairs of
+    distinct points and its chronology misses.
+    """
+    i, j = _chain_pairs(chains.offsets, cs)
+    m = np.diff(chains.offsets)[cs]
+    starts = np.cumsum(m * (m - 1) // 2) - m * (m - 1) // 2
+    p, q = chains.points[i], chains.points[j]
+    _, _, margin, chron_bad = _margins(tau, p, q, chains.params[j] - chains.params[i], direction, tol)
+    keep = p != q
+    lo = np.minimum.reduceat(np.where(keep, margin.min(axis=0), np.inf), starts)
+    hi = np.maximum.reduceat(np.where(keep, margin.max(axis=0), -np.inf), starts)
+    kept = np.add.reduceat(keep, starts, dtype=np.int64)
+    miss = np.zeros_like(kept) if chron_bad is None else np.add.reduceat((chron_bad & keep).sum(axis=0), starts)
+    return lo, hi, kept, miss
+
+
+def _chain_tie(tau, chains, c, direction, tol, worst):
+    """The first pair of chain c in row-major order with margin worst: (row, col, p, q, tau, tau_model)."""
+    a, b = chains.offsets[c], chains.offsets[c + 1]
+    i, j = _chain_pairs(chains.offsets, [c])
+    p, q = chains.points[i], chains.points[j]
+    actual, model_plus, margin, _ = _margins(tau, p, q, chains.params[j] - chains.params[i], direction, tol)
+    margin[:, p == q] = np.inf
+    tied, row, col = _ties(margin, worst, i - a, j - a)
+    w = int(np.argmin(row * (b - a) + col))
+    r, s, e = int(row[w]), int(col[w]), tied[w]
+    return r, s, int(chains.points[a + r]), int(chains.points[a + s]), float(actual.flat[e]), float(model_plus.flat[e])
 
 
 def certify_curvature_bound(
@@ -916,10 +985,16 @@ def certify_curvature_bound(
     triangles is a TriangleSet or any sequence of SampledTriangle.
     Returns a certificate with the worst margin and a witness on failure:
     the first triangle attaining it, then the first pair in row-major
-    order of that triangle's side points (ab, bc, ac).  Triangles are
-    compared in batches of about _BATCH_PAIRS unordered pairs, each
-    evaluated once for both orientations, so memory stays bounded for any
-    triangle count.
+    order of that triangle's side points (ab, bc, ac).
+
+    Every unordered pair is evaluated once for both orientations, in two
+    passes of batches of about _BATCH_PAIRS pairs, so memory stays bounded
+    for any triangle count.  The hinge pass compares each triangle's pairs
+    across two sides and settles which triangles fail.  A pair within one
+    side compares its sampled separation with its parameter difference,
+    which does not depend on the triangle, so the chain pass compares each
+    distinct side chain once and counts it for every triangle that uses it
+    and did not fail.
     """
     if direction not in ("above", "below"):
         raise ValueError("direction must be 'above' or 'below'")
@@ -927,6 +1002,7 @@ def certify_curvature_bound(
     tau = space.tau
     tri = TriangleSet.of(triangles)
     chains = tri.chains
+    m = np.diff(chains.offsets)
     # per chain: its largest parameter step (0 for one point) and last parameter
     step = np.diff(chains.params, append=0.0)
     step[chains.offsets[1:] - 1] = 0.0
@@ -946,25 +1022,45 @@ def certify_curvature_bound(
     failing = ~ok.all(axis=1) | overshoot.any(axis=1)
     bad = np.zeros((len(sized), 3), dtype=bool)
 
-    worst, witness, max_slack, n_pairs, chron_miss = np.inf, None, 0.0, 0, 0
-    size = np.diff(chains.offsets)[sides]
-    n = size.sum(axis=1)
-    cum = np.cumsum(n * (n - 1) // 2)
-    marks = np.arange(_BATCH_PAIRS, cum[-1] if cum.size else 0, _BATCH_PAIRS)
-    bounds = np.unique(np.concatenate([[0], np.searchsorted(cum, marks, side="right"), [cum.size]])).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        bad[lo:hi], pairs, miss, slack, batch_worst, batch_witness = _certify_batch(
-            kappa, tau, chains, sides[lo:hi], size[lo:hi], lengths[lo:hi], u[lo:hi], failing[lo:hi], direction, tol
+    # hinge pass: found is the witness as (triangle in sized, key, p, q, tau, tau_model)
+    worst, found, max_slack, n_pairs, chron_miss = np.inf, None, 0.0, 0, 0
+    size = m[sides]
+    for lo, hi in _batches(size[:, 0] * size[:, 1] + size[:, 2] * (size[:, 0] + size[:, 1])):
+        batch = (sides[lo:hi], size[lo:hi], lengths[lo:hi], u[lo:hi], failing[lo:hi])
+        bad[lo:hi], pairs, miss, top, batch_worst, batch_found = _hinge_batch(
+            kappa, tau, chains, *batch, direction, tol, worst
         )
         n_pairs += pairs
         chron_miss += miss
-        max_slack = max(max_slack, slack)
-        if batch_worst < worst:
-            t = int(sized[lo + batch_witness["triangle"]])
-            worst, witness = batch_worst, {**batch_witness, "triangle": (int(tri.x[t]), int(tri.y[t]), int(tri.z[t]))}
+        max_slack = max(max_slack, top, -batch_worst)
+        if batch_found:
+            worst, found = batch_worst, (lo + batch_found[0], *batch_found[1:])
+    failing |= bad.any(axis=1)
+
+    # chain pass over the chains of the triangles left, each counted per use
+    uses = np.bincount(sides[~failing].ravel(), minlength=len(chains))
+    live = np.flatnonzero((uses > 0) & (m > 1))
+    chain_worst = np.full(len(chains), np.inf)
+    for lo, hi in _batches(m[live] * (m[live] - 1) // 2):
+        cs = live[lo:hi]
+        chain_worst[cs], top, kept, miss = _chain_batch(tau, chains, cs, direction, tol)
+        n_pairs += 2 * int(uses[cs] @ kept)
+        chron_miss += int(uses[cs] @ miss)
+        max_slack = max(max_slack, float(top.max()), -float(chain_worst[cs].min()))
+    lowest = float(chain_worst.min(initial=np.inf))
+    if lowest < np.inf and lowest <= worst:
+        # the first triangle left with a side at the lowest, at its first tie
+        at = (chain_worst == lowest)[sides] & ~failing[:, None]
+        t = int(np.argmax(at.any(axis=1)))
+        start = (np.cumsum(size[t]) - size[t]).tolist()
+        n_t = int(size[t].sum())
+        for s in np.flatnonzero(at[t]).tolist():
+            row, col, *tie = _chain_tie(tau, chains, sides[t, s], direction, tol, lowest)
+            key = (start[s] + row) * n_t + start[s] + col
+            if lowest < worst or (t, key) < found[:2]:
+                worst, found = lowest, (t, key, *tie)
 
     # the first failure in the one-triangle reference's order names the reason
-    failing |= bad.any(axis=1)
     order = [*~ok.T, overshoot[:, 0], bad[:, 0] | bad[:, 1], overshoot[:, 1] | overshoot[:, 2], bad[:, 2]]
     for t, k in zip(np.flatnonzero(failing).tolist(), np.argmax(order, axis=0)[failing].tolist()):
         if k < 3:  # the hinge at a, b or c is unrealizable
@@ -973,9 +1069,20 @@ def certify_curvature_bound(
             reason = _PAST_SIDE_END if k in (3, 5) else _PAST_MODEL_DOMAIN
         skipped.append((int(sized[t]), reason))
     skipped.sort()
-    if not np.isfinite(worst):
+    witness = None
+    if found:
+        t, _, p, q, actual, model = found
+        t = int(sized[t])
+        witness = {
+            "triangle": (int(tri.x[t]), int(tri.y[t]), int(tri.z[t])),
+            "p": p,
+            "q": q,
+            "tau": actual,
+            "tau_model": model,
+            "margin": worst,
+        }
+    else:
         worst = 0.0
-        witness = None
     tol_here = scaled(tol, witness["tau_model"]) if witness else tol
     passed = worst >= -tol_here and chron_miss == 0
     return Certificate(

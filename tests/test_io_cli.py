@@ -26,7 +26,7 @@ from lorentzgeo.io import (
 from lorentzgeo.parallels import LineSample
 from lorentzgeo.modelspace import Kappa
 from lorentzgeo.sampled import Chain, SampledSpace, certify_curvature_bound, sample_triangles
-from lorentzgeo.splitting import build_product
+from lorentzgeo.splitting import build_product, verify_embedding
 
 
 class TestFixtureIO:
@@ -180,6 +180,29 @@ class TestCli:
     def test_split(self, tripod_fixture):
         assert main(["split", str(tripod_fixture)]) == 0
 
+    @pytest.mark.parametrize("excess, status, code", [(0.0, "PASS", 0), (1e-6, "FAIL", 1)])
+    def test_split_embedding_fails_beyond_its_tau_bound(self, tripod_fixture, monkeypatch, excess, status, code):
+        """embedding is bounded by step + tol_tau, as roundtrip is, even where
+        causality agrees everywhere."""
+        import dataclasses
+
+        from lorentzgeo import cli
+
+        tol_tau = 1e-3
+
+        def doctored(space, classes, recovered):
+            emb = verify_embedding(space, classes, recovered)
+            assert emb.causal_agreement == 1.0
+            return dataclasses.replace(emb, max_tau_error=recovered.step + tol_tau + excess)
+
+        monkeypatch.setattr(cli, "verify_embedding", doctored)
+        assert main(["split", str(tripod_fixture), "--tol-tau", str(tol_tau)]) == code
+        checks = load_report(tripod_fixture.with_name("tripod_split.json"))["checks"]
+        (embedding,) = [c for c in checks if c["name"] == "embedding"]
+        assert embedding["status"] == status
+        assert embedding["causal_agreement"] == 1.0
+        assert embedding["max_tau_error"] == embedding["step"] + tol_tau + excess
+
     def test_split_base_without_midpoints_skips_cat0(self, tmp_path):
         """A base with no midpoints cannot be checked for CAT(0); the check
         is reported as SKIP, not left out."""
@@ -251,6 +274,22 @@ class TestCli:
         assert check["value"] <= -0.05
         assert check["reason"] == "angle sum below the flat case; the criterion claims nothing"
         assert check["fill_in_error"] is None
+
+    def test_quadrangle_failed_fill_in_fails(self, tmp_path):
+        """A quadrangle that passes the angle criterion only by a loose
+        --tol-angle has no flat fill-in on the tripod: FAIL with exit 1 and
+        the fill-in error, not an exit-2 error."""
+        path = tmp_path / "tripod.json"
+        assert main(["gen", "product", "--base", "tripod", "--step", "0.5", "--window", "6", "-o", str(path)]) == 0
+        # (t, leaf) = (-6, 1), (-3, 2), (6, 1), (0, 3) with 25 times per leaf
+        argv = ["quadrangle", str(path), "--vertices", "25,56,49,87", "--tol-angle", "2"]
+        assert main(argv) == 1
+        (check,) = load_report(tmp_path / "tripod_quadrangle.json")["checks"]
+        assert check["status"] == "FAIL"
+        assert check["reason"].startswith("quadrangle fill-in tau error ")
+        assert check["reason"].endswith(" exceeds tolerance")
+        assert 1.0 < check["fill_in_error"] < 2.0
+        assert str(check["fill_in_error"]) in check["reason"]
 
     def test_ray(self, tmp_path):
         """The report outside runtime is pinned to what one geodesic_between

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lorentzgeo.errors import DomainError, OrderViolated
 from lorentzgeo.modelspace import (
+    BOUNDARY_TOL,
     K_FLAT,
     Kappa,
     ModelTriangle,
@@ -20,6 +21,7 @@ from lorentzgeo.modelspace import (
     ds_tangent_toward,
     ds_tau,
     fvf_model,
+    hinge_tau_arr,
     polar_chronology,
     realize_plane,
     second_inequality_margin,
@@ -159,6 +161,46 @@ class TestLawOfCosines:
             assert gap_pos < 2.0 * k and gap_neg < 2.0 * k
             gaps.append(max(gap_pos, gap_neg))
         assert gaps[0] > gaps[1]
+
+
+def reference_flat_hinge_tau(r1, r2, u, opposite):
+    """hinge_tau_arr at K = 0 with q2 written as one sign-carrying formula."""
+    sg = 1.0 if opposite else -1.0
+    valid = (r1 >= 0) & (r2 >= 0) & (u >= 1.0 - BOUNDARY_TOL)
+    u = np.maximum(u, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        q2 = r1 * r1 + r2 * r2 + 2.0 * sg * r1 * r2 * u
+        scale = r1 * r1 + r2 * r2 + 2.0 * r1 * r2 * u + 1e-300
+        null = np.abs(q2) <= BOUNDARY_TOL * scale
+        timelike = (q2 > 0) & ~null
+        tau = np.where(timelike, np.sqrt(np.maximum(q2, 0.0)), 0.0)
+    zero = (r1 == 0) & (r2 == 0)
+    return np.where(zero, 0.0, tau), np.where(zero, False, timelike), np.where(zero, False, null), valid
+
+
+class TestFlatHingeTau:
+    radius = st.sampled_from([0.0, 1.0, 0.5, 3.0]) | st.floats(-1.0, 1e6, allow_subnormal=True)
+    cosh = st.sampled_from([1.0, 1.0 - 1e-13, 1.0 - 1e-9, 2.0]) | st.floats(1.0 - 1e-9, 1e6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(radius, radius, cosh), min_size=1, max_size=50), opposite=st.booleans())
+    def test_matches_the_sign_carrying_formula_bit_for_bit(self, rows, opposite):
+        r1, r2, u = (np.array(v) for v in zip(*rows))
+        got = hinge_tau_arr(K_FLAT, r1, r2, u, opposite)
+        want = reference_flat_hinge_tau(r1, r2, u, opposite)
+        assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("opposite", [True, False])
+    def test_zero_radii_and_unit_cosh(self, opposite):
+        r = np.array([0.0, 0.0, 1.0, 2.0, 1.0, 0.0])
+        s = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 3.0])
+        got = hinge_tau_arr(K_FLAT, r, s, np.ones(6), opposite)
+        want = reference_flat_hinge_tau(r, s, np.ones(6), opposite)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        # legs of one line: through the vertex they add, on one side they subtract
+        assert got[0].tolist() == ([0.0, 1.0, 1.0, 4.0, 2.0, 3.0] if opposite else [0.0, 1.0, 1.0, 0.0, 0.0, 3.0])
 
 
 class TestComparisonPoints:

@@ -1,9 +1,10 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lorentzgeo import sampled
@@ -23,6 +24,7 @@ from lorentzgeo.sampled import (
     Chain,
     SampledSpace,
     SampledTriangle,
+    TriangleSet,
     certify_curvature_bound,
     check_angle_inequalities,
     estimate_angle,
@@ -720,6 +722,105 @@ class TestBatchedCertification:
             domain = [t for t, reason in ref.skipped if reason != "size bounds"]
             assert domain and ref.n_triangles > 0
             assert_matches_reference(cert, ref, exact=k == 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cap=st.integers(10, 200),
+        seed=st.integers(0, 2**16),
+        batch_pairs=st.sampled_from([1, 40, 1 << 14]),
+        direction=st.sampled_from(["above", "below"]),
+    )
+    def test_chains_shared_by_failing_and_live_triangles_match_reference(self, cap, seed, batch_pairs, direction):
+        # at K = -1 the broken grid's triangles fail for every reason, the
+        # model-domain one only in the hinge pass, and share chains with live ones
+        space, kappa = broken_grid(), Kappa(-1.0)
+        tris = sample_triangles(space, cap=cap, seed=seed, kappa=kappa)
+        ref = reference_certificate(space, tris, kappa, direction)
+        failing = np.zeros(len(tris), dtype=bool)
+        failing[[t for t, reason in ref.skipped if reason != "size bounds"]] = True
+        live = np.ones(len(tris), dtype=bool)
+        live[[t for t, _ in ref.skipped]] = False
+        assume(np.intersect1d(tris.sides[failing], tris.sides[live]).size)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
+            cert = certify_curvature_bound(space, tris, kappa, direction)
+        assert_matches_reference(cert, ref, exact=False)
+
+    @pytest.mark.parametrize("batch_pairs", [1, 1 << 14])
+    def test_worst_chain_of_a_failing_first_user_names_the_next_triangle(self, monkeypatch, batch_pairs):
+        # points 0..7 on one line; tau(1, 2) = 11 puts the worst margin, -10
+        # below, inside the chain 0-1-2-3 alone.  Its first user (0, 3, 6)
+        # fails, its ac side overshooting; (0, 3, 7) is the next user
+        monkeypatch.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
+        i, j = np.triu_indices(8, 1)
+        tau = np.zeros((8, 8))
+        tau[i, j] = j - i
+        tau[1, 2] = 11.0
+        space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(8, dtype=bool))
+        line = Chain([0, 1, 2, 3], [0, 1, 2, 3])
+        failing = SampledTriangle(0, 3, 6, line, Chain([3, 4, 5, 6], [0, 1, 2, 3]), Chain([0, 6], [0, 7]))
+        live = SampledTriangle(0, 3, 7, line, Chain([3, 7], [0, 4]), Chain([0, 7], [0, 7]))
+        tris = TriangleSet.of([failing, live])
+        # one store entry for the shared chain, as sample_triangles builds it
+        tris = TriangleSet(tris.x, tris.y, tris.z, np.where(tris.sides == 3, 0, tris.sides), tris.chains)
+        cert = certify_curvature_bound(space, tris, Kappa(0.0), "below")
+        assert cert.skipped == [(0, sampled._PAST_SIDE_END)]
+        assert cert.witness == {"triangle": (0, 3, 7), "p": 1, "q": 2, "tau": 11.0, "tau_model": 1.0, "margin": -10.0}
+        assert cert.n_pairs == 2 * (6 + 1 + 1 + (4 * 2 - 1) + (4 * 2 - 1) + (2 * 2 - 1))  # less the shared vertices
+        assert_matches_reference(cert, reference_certificate(space, list(tris), Kappa(0.0), "below"), exact=True)
+
+    @pytest.mark.parametrize("t0, t1", [(21, 26), (63, 66)])
+    def test_first_user_failing_in_the_hinge_pass_names_the_next_triangle(self, t0, t1):
+        # on the broken grid at K = -1, triangle t0 fails only in the hinge
+        # pass (model domain) and shares its ac chain with t1, the chain's
+        # only other user; a two-way tau between that chain's ends puts the
+        # worst margin on every pair of them
+        space, kappa = broken_grid(), Kappa(-1.0)
+        tris = sample_triangles(space, cap=10_000, kappa=kappa)
+        c = tris.sides[t0, 2]
+        assert np.flatnonzero((tris.sides == c).any(axis=1)).tolist() == [t0, t1]
+        p, q = tris.chains[c].points[[0, -1]]
+        tau, causal = space.tau.copy(), space.causal.copy()
+        tau[q, p], causal[q, p] = 10.0, True
+        space = SampledSpace(tau=tau, causal=causal)
+        cert = certify_curvature_bound(space, tris, kappa, "below")
+        assert (t0, sampled._PAST_MODEL_DOMAIN) in cert.skipped
+        assert cert.witness["triangle"] == (tris.x[t1], tris.y[t1], tris.z[t1])
+        assert (cert.witness["p"], cert.witness["q"], cert.witness["margin"]) == (q, p, -10.0)
+        assert_matches_reference(cert, reference_certificate(space, tris, kappa, "below"), exact=False)
+
+    @pytest.mark.parametrize("within, hinge, first", [((1, 2), (2, 4), "within"), ((4, 5), (2, 4), "hinge")])
+    def test_within_side_and_hinge_ties_in_one_triangle_go_by_row_major_order(self, within, hinge, first):
+        # points 0..6 on one line, triangle (0, 3, 6) with sides 0-1-2-3,
+        # 3-4-5-6 and 0-6 (side points 0 1 2 3 | 3 4 5 6 | 0 6).  Raising
+        # tau by 10 on one within-side pair and on one ab x bc pair ties
+        # their margins at -10 below; the earlier row of the pair matrix wins
+        i, j = np.triu_indices(7, 1)
+        tau = np.zeros((7, 7))
+        tau[i, j] = j - i
+        for p, q in (within, hinge):
+            tau[p, q] += 10.0
+        space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(7, dtype=bool))
+        tri = SampledTriangle(0, 3, 6, Chain([0, 1, 2, 3], [0, 1, 2, 3]), Chain([3, 4, 5, 6], [0, 1, 2, 3]), Chain([0, 6], [0, 6]))
+        cert = certify_curvature_bound(space, [tri], Kappa(0.0), "below")
+        p, q = within if first == "within" else hinge
+        assert cert.witness == {"triangle": (0, 3, 6), "p": p, "q": q, "tau": tau[p, q], "tau_model": q - p, "margin": -10.0}
+        assert_matches_reference(cert, reference_certificate(space, [tri], Kappa(0.0), "below"), exact=True)
+
+    def test_bench_tripod_memory(self):
+        # tracemalloc peak of a repeated call on the bench-sized tripod
+        # product: the batches bound it, whatever the triangle count
+        space = bench_space("tripod")
+        tris = sample_triangles(space, cap=20_000, seed=1)
+        certify_curvature_bound(space, tris, Kappa(0.0), "below")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            certify_curvature_bound(space, tris, Kappa(0.0), "below")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5e6
 
 
 class TestAngleInequalities:
