@@ -201,7 +201,7 @@ def cmd_curvature(args, fixture, stage):
     kappa = Kappa(args.k)
     space = fixture.space
     with stage("sample"):
-        triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
+        triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa, geo_tol=args.geo_tol)
     with stage("certify"):
         cert = certify_curvature_bound(space, triangles, kappa, args.direction)
     if cert.n_triangles == 0:
@@ -344,19 +344,17 @@ def cmd_quadrangle(args, fixture, stage):
     try:
         rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)
     except RigidityViolated as e:  # the angle sum claims a flat fill-in that the sample refutes
-        return [{"name": name, "status": "FAIL", "reason": str(e), "fill_in_error": e.tau_error}], None
-    check = {
-        "name": name,
-        "status": "PASS" if rep.fill_in else "SKIP",
-        "value": rep.lhs_minus_rhs,
-        "flat": rep.flat,
-        "angles": rep.angles,
-        "fill_in_error": rep.fill_in.max_tau_error if rep.fill_in else None,
-        "causal_mismatches": rep.fill_in.causal_mismatches if rep.fill_in else None,
-    }
-    if not rep.fill_in:
-        check["reason"] = "angle sum below the flat case; the criterion claims nothing"
-    return [check], None
+        rep = e.report
+        check = {"status": "FAIL", "reason": str(e), "fill_in_error": e.tau_error}
+    else:
+        check = {
+            "status": "PASS" if rep.fill_in else "SKIP",
+            "fill_in_error": rep.fill_in.max_tau_error if rep.fill_in else None,
+            "causal_mismatches": rep.fill_in.causal_mismatches if rep.fill_in else None,
+        }
+        if not rep.fill_in:
+            check["reason"] = "angle sum below the flat case; the criterion claims nothing"
+    return [{"name": name, **check, "value": rep.lhs_minus_rhs, "flat": rep.flat, "angles": rep.angles}], None
 
 
 def cmd_lines(args, fixture, stage):

@@ -31,6 +31,7 @@ class RigidityViolated(LorentzGeoError):
     def __init__(self, message: str, tau_error: float | None = None):
         super().__init__(message)
         self.tau_error = tau_error  # the fill-in's largest tau error
+        self.report = None  # quadrangle_rigidity's QuadrangleReport, when it raised this
 
 
 class OrderViolated(LorentzGeoError):

@@ -8,6 +8,7 @@ series are emitted as CSV, one file per series, stable column order.
 """
 
 import base64
+import binascii
 import hashlib
 import json
 from pathlib import Path
@@ -82,33 +83,38 @@ def fixture_from_dict(doc: dict):
     little-endian float64 bytes; schema 2 holds each mask as n strings of
     n '0'/'1' characters and the entries as a JSON list.  Schema 1 holds
     both matrices dense.  Any malformed document raises ShapeError.
+
+    doc itself is not modified.  The payloads are popped from shallow
+    copies of doc and doc["space"] as they are decoded, so when the caller
+    keeps no reference to doc, each payload is freed once decoded.
     """
-    doc = _expect(doc, dict, "fixture")
+    doc = dict(_expect(doc, dict, "fixture"))
     version = doc.get("schema_version")
     if type(version) is not int or version not in (1, 2, 3):
         raise ShapeError(f"unsupported fixture schema {version!r}")
-    sp = _expect(doc.get("space"), dict, "space")
+    sp = dict(_expect(doc.pop("space", None), dict, "space"))
     n = sp.get("n")
     if type(n) is not int or n < 0:
         raise ShapeError(f"space.n must be a non-negative integer, got {n!r}")
     if version == 1:
-        tau = _array(sp.get("tau"), float, "space.tau")
-        causal = _array(sp.get("causal"), bool, "space.causal")
+        tau = _array(sp.pop("tau", None), float, "space.tau")
+        causal = _array(sp.pop("causal", None), bool, "space.causal")
         if tau.shape != (n, n) or causal.shape != (n, n):
             raise ShapeError("fixture matrices do not match the declared point count")
     else:
         if version == 2:
-            mask, values = _mask, _array(sp.get("tau"), float, "space.tau")
+            mask, values = _mask, _array(sp.pop("tau", None), float, "space.tau")
         else:
-            mask, values = _packed_mask, _packed_floats(sp.get("tau"), "space.tau")
-        causal = mask(sp.get("causal"), n, "space.causal")
-        chron = mask(sp.get("chronological"), n, "space.chronological")
+            mask, values = _packed_mask, _packed_floats(sp.pop("tau", None), "space.tau")
+        causal = mask(sp.pop("causal", None), n, "space.causal")
+        chron = mask(sp.pop("chronological", None), n, "space.chronological")
         if values.shape != (np.count_nonzero(chron),):
             raise ShapeError("space.tau must hold one value per chronological bit")
         if not ((values > 0) & (values < np.inf)).all():
             raise ShapeError("space.tau values must be positive and finite")
         tau = np.zeros((n, n))
         tau[chron] = values
+        del values
     labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
     space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
@@ -175,8 +181,8 @@ def _b64encode(array):
 
 def _b64decode(text, what):
     """Canonical base64 (no whitespace, padding required, unused bits zero) to bytes."""
-    try:
-        raw = base64.b64decode(_expect(text, str, what), validate=True)
+    try:  # what b64decode(validate=True) runs, without its ASCII copy of text
+        raw = binascii.a2b_base64(_expect(text, str, what), strict_mode=True)
     except ValueError as e:  # binascii.Error, or a non-ASCII string
         raise ShapeError(f"fixture {what} is not valid base64: {e}") from None
     tail = len(raw) % 3  # only a padded last group has unused bits
@@ -237,9 +243,21 @@ def save_fixture(path, space, lines=(), chains=(), base=None, meta=None):
 
 
 def load_fixture(path) -> Fixture:
-    """Read, validate and hash a fixture file, reading it once."""
+    """Read, validate and hash a fixture file, reading it once.
+
+    The bytes are freed once hashed and decoded to text (with the encoding
+    json.loads would detect), the text once parsed, and each payload of the
+    document once fixture_from_dict has decoded it.  At its peak a load
+    holds the space's arrays and the decoded tau entries.
+    """
     data = Path(path).read_bytes()
-    return Fixture(*fixture_from_dict(json.loads(data)), hashlib.sha256(data).hexdigest())
+    sha256 = hashlib.sha256(data).hexdigest()
+    text = data.decode(json.detect_encoding(data), "surrogatepass")
+    del data
+    parsed = [json.loads(text)]
+    del text
+    # pop hands fixture_from_dict the only reference to the document
+    return Fixture(*fixture_from_dict(parsed.pop()), sha256)
 
 
 def _plain(obj):

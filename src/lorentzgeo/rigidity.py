@@ -236,7 +236,8 @@ def quadrangle_rigidity(
     Computes (angle at p1 + angle at p3) - (angle at p2 + angle at p4); by
     the rigidity statement a value >= -tol forces equality and a flat
     convex fill-in, which is then reconstructed in the plane and validated
-    on all sampled side/diagonal points.
+    on all sampled side/diagonal points.  A fill-in that fails validation
+    raises RigidityViolated, whose report is this report without fill_in.
     """
     kappa = Kappa.of(kappa)
     tau = space.tau
@@ -267,13 +268,16 @@ def quadrangle_rigidity(
         "p4": estimate_angle(space, sides["14"], sides["43"], p4, kappa).value,
     }
     lhs_minus_rhs = angles["p1"] + angles["p3"] - angles["p2"] - angles["p4"]
-    flat = lhs_minus_rhs >= -tol
-    fill = None
-    if flat:
-        fill = _quadrangle_fill_in(space, (p1, p2, p3, p4), sides, diagonals)
-    return QuadrangleReport(
-        lhs_minus_rhs=float(lhs_minus_rhs), flat=bool(flat), angles=angles, fill_in=fill
+    rep = QuadrangleReport(
+        lhs_minus_rhs=float(lhs_minus_rhs), flat=bool(lhs_minus_rhs >= -tol), angles=angles, fill_in=None
     )
+    if rep.flat:
+        try:
+            rep.fill_in = _quadrangle_fill_in(space, (p1, p2, p3, p4), sides, diagonals)
+        except RigidityViolated as e:
+            e.report = rep
+            raise
+    return rep
 
 
 def _quadrangle_fill_in(space, corners, sides, diagonals):

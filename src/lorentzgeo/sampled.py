@@ -402,10 +402,10 @@ def _push_up_witness(chron, causal, bad_rows, bad_cols):
 # Geodesic extraction: tau-maximizing chains over the chronological DAG.
 # ---------------------------------------------------------------------------
 
-# Pairs whose dense candidate masks _geodesics builds at a time: three
-# chunk x n matrices.  Only the sparse candidates outlive a chunk; the walk
-# takes every pair at once.
-_GEODESIC_CHUNK = 128
+# Pairs whose chronological diamonds _geodesics builds at a time, as
+# chunk x n bool rows; tau is read only at the diamonds' entries.  Only the
+# sparse candidates outlive a chunk; the walk takes every pair at once.
+_GEODESIC_CHUNK = 256
 
 
 def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) -> ChainStore:
@@ -427,25 +427,30 @@ def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) ->
     each pair on its own.
     """
     tau = space.tau
+    n = space.n
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     m = xs.size
     target = tau[xs, ys]
     slack = geo_tol * (1.0 + np.abs(target))  # scaled(geo_tol, target)
+    flat = tau.ravel()  # a view unless tau is not C-contiguous
+    chron = space.chron
+    chron_t = np.ascontiguousarray(chron.T)  # row y: the chronological past of y
     parts = []
     for lo in range(0, max(m, 1), _GEODESIC_CHUNK):  # at least once, so that no pairs give empty arrays
         chunk = slice(lo, lo + _GEODESIC_CHUNK)
-        # points exactly on a maximizing chain: tau(x,v) + tau(v,y) == tau(x,y)
-        from_x = tau[xs[chunk], :]
-        to_y = tau[:, ys[chunk]].T
-        on_geo = (np.minimum(from_x, to_y) > 0) & (from_x + to_y >= (target[chunk] - slack[chunk])[:, None])
-        pair, c = np.divmod(np.flatnonzero(on_geo), tau.shape[0])  # np.nonzero(on_geo), faster
-        d = from_x[pair, c]
+        # the diamond x << v << y, then the points on a maximizing chain in it:
+        # tau(x,v) + tau(v,y) == tau(x,y), up to the slack
+        diamond = chron[xs[chunk]] & chron_t[ys[chunk]]
+        pair, c = np.divmod(np.flatnonzero(diamond), n)  # np.nonzero(diamond), faster
+        d = flat.take(xs[chunk][pair] * n + c)  # faster than tau[x, c]
+        keep = d + flat.take(c * n + ys[chunk][pair]) >= (target[chunk] - slack[chunk])[pair]
+        pair, c, d = pair[keep], c[keep], d[keep]
         # earliest-first: each pair's candidates in order of distance from its start
         order = np.lexsort((c, d, pair))
-        parts.append((np.bincount(pair, minlength=len(on_geo)), c[order], d[order]))
+        parts.append((np.bincount(pair, minlength=len(diamond)), c[order], d[order]))
     size, cand, dist = map(np.concatenate, zip(*parts))
-    del parts, from_x, to_y, on_geo
+    del parts, flat, chron, chron_t, diamond, keep
     end = np.cumsum(size)
     nxt = end - size  # each pair's first candidate still ahead of its current point
 
@@ -605,13 +610,13 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
     return triples
 
 
-def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0)):
+def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0), geo_tol: float = DEFAULT_GEO_TOL):
     """Deterministic triangle enumeration, stratified random beyond the cap.
 
     Returns a TriangleSet whose triangles' longest sides respect the size
     bounds for the given curvature; triples violating them are skipped.
     Its chain store holds every distinct side once, extracted in one
-    _geodesics call.
+    _geodesics call that admits chain points within geo_tol.
     """
     kappa = Kappa.of(kappa)
     triples = _triangle_triples(space.tau, cap, seed, kappa)
@@ -619,7 +624,7 @@ def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0)):
     x, y, z = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     del triples  # its Python ints outweigh the chain store
     sides, which = np.unique(np.concatenate([x * n + y, y * n + z, x * n + z]), return_inverse=True)
-    return TriangleSet(x, y, z, which.reshape(3, -1).T, _geodesics(space, sides // n, sides % n))
+    return TriangleSet(x, y, z, which.reshape(3, -1).T, _geodesics(space, sides // n, sides % n, geo_tol))
 
 
 # ---------------------------------------------------------------------------

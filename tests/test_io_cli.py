@@ -2,6 +2,7 @@ import base64
 import copy
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,44 @@ class TestFixtureIO:
             assert np.array_equal((old.tau + 0.0).view(np.uint64), loaded.tau.view(np.uint64))
             assert np.array_equal(old.causal, loaded.causal)
             assert json.dumps(fixture_to_dict(old), sort_keys=True) == text
+
+    def test_load_peak_memory(self, tmp_path):
+        """A load holds at most one form of the file, and one payload beside
+        the arrays it builds: its peak stays within 1.25 file sizes of what
+        it returns (22.8 MiB on this 10.5 MiB file; holding the bytes, the
+        text, the document and a copy of the tau payload at once took
+        56 MiB)."""
+        path = tmp_path / "egrid.json"
+        argv = ["gen", "product", "--base", "euclid-grid", "--m", "5", "--step", "0.25", "--window", "8"]
+        assert main([*argv, "-o", str(path)]) == 0
+        load_fixture(path)  # imports and first-call caches fall outside the traced load
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fixture = load_fixture(path)
+            retained, peak = (size - start for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert fixture.space.n == 1625
+        assert peak <= retained + 1.25 * path.stat().st_size
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-be", "utf-32", "utf-8-sig"])
+    def test_load_detects_encoding(self, tmp_path, encoding):
+        """A fixture in any encoding json.loads detects loads to the same space."""
+        space, lines = build_product(base_pair(1.5), np.arange(-2.0, 2.5, 0.5))
+        path = tmp_path / "f.json"
+        save_fixture(path, space, lines, base=base_pair(1.5))
+        other = tmp_path / f"{encoding}.json"
+        other.write_bytes(path.read_text().encode(encoding))
+        loaded = load_fixture(other)
+        assert loaded.sha256 == file_digest(other)
+        assert fixture_to_dict(*loaded[:5]) == fixture_to_dict(*load_fixture(path)[:5])
+
+    def test_fixture_from_dict_leaves_its_argument(self):
+        for doc in (valid_fixture(), compact(valid_fixture()), dense(valid_fixture())):
+            before = copy.deepcopy(doc)
+            fixture_from_dict(doc)
+            assert doc == before
 
     def test_out_of_range_indices_rejected(self):
         space = minkowski_grid(3, 3, 1.0)
@@ -277,8 +316,8 @@ class TestCli:
 
     def test_quadrangle_failed_fill_in_fails(self, tmp_path):
         """A quadrangle that passes the angle criterion only by a loose
-        --tol-angle has no flat fill-in on the tripod: FAIL with exit 1 and
-        the fill-in error, not an exit-2 error."""
+        --tol-angle has no flat fill-in on the tripod: FAIL with exit 1, the
+        fill-in error and the angle sum, not an exit-2 error."""
         path = tmp_path / "tripod.json"
         assert main(["gen", "product", "--base", "tripod", "--step", "0.5", "--window", "6", "-o", str(path)]) == 0
         # (t, leaf) = (-6, 1), (-3, 2), (6, 1), (0, 3) with 25 times per leaf
@@ -290,6 +329,12 @@ class TestCli:
         assert check["reason"].endswith(" exceeds tolerance")
         assert 1.0 < check["fill_in_error"] < 2.0
         assert str(check["fill_in_error"]) in check["reason"]
+        # the angle sum that claimed the fill-in is kept
+        assert check["value"] == pytest.approx(-1.145, abs=5e-4)
+        assert check["flat"] is True
+        assert set(check["angles"]) == {"p1", "p2", "p3", "p4"}
+        angles = check["angles"]
+        assert check["value"] == pytest.approx(angles["p1"] + angles["p3"] - angles["p2"] - angles["p4"])
 
     def test_ray(self, tmp_path):
         """The report outside runtime is pinned to what one geodesic_between
@@ -464,6 +509,27 @@ class TestCli:
             assert main([command, str(path), *extra]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, payload, message",
+        [
+            ("causal", "7I*=", "fixture space.causal is not valid base64: Only base64 data is allowed"),
+            (
+                "chronological",
+                "ZA\u00e9=",
+                "fixture space.chronological is not valid base64: string argument should contain only ASCII characters",
+            ),
+            ("tau", "AAAAAAAA8D8", "fixture space.tau is not valid base64: Incorrect padding"),  # 1.0, unpadded
+            ("causal", "7IB=", "fixture space.causal has nonzero unused bits in its last base64 group"),
+        ],
+        ids=["bad-char", "non-ascii", "bad-padding", "unused-bits"],
+    )
+    def test_malformed_payload_message(self, tmp_path, capsys, field, payload, message):
+        """Each malformed base64 payload exits 2 with one line naming the field and the fault."""
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(with_space(valid_fixture(), **{field: payload})))
+        assert main(["axioms", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_axioms_report_diagnostics(self, grid_fixture, tmp_path):
         assert main(["axioms", str(grid_fixture), "-o", str(tmp_path / "r.json")]) == 0
@@ -640,6 +706,22 @@ class TestCli:
         assert len(reasons) >= 2 and sum(reasons.values()) == check["skipped"] == len(cert.skipped)
         runtime = report["runtime"]
         assert all(runtime[key] >= 0 for key in ("load_s", "sample_s", "certify_s"))
+
+    @pytest.mark.parametrize("direction", ["above", "below"])
+    def test_geo_tol_reaches_certified_chains(self, tmp_path, direction):
+        """--geo-tol sets which points the certified side chains admit.  At
+        the default 1e-7 the de Sitter fan fails its own K = 1 bound (-0.00247
+        above, -0.00126 below) on points only near the geodesic; admitted at
+        1e-12 it passes both ways at rounding scale."""
+        path = tmp_path / "ds.json"
+        assert main(["gen", "desitter-sample", "--fan-phi", "0.5", "-o", str(path)]) == 0
+        out = tmp_path / "r.json"
+        argv = ["curvature", str(path), "--k", "1", "--direction", direction, "--geo-tol", "1e-12", "-o", str(out)]
+        assert main(argv) == 0
+        (check,) = load_report(out)["checks"]
+        assert check["status"] == "PASS"
+        assert -1e-9 < check["max_violation"] < 0
+        assert check["flagged_chains"] == 0
 
     def test_desitter_gen_with_fan(self, tmp_path):
         path = tmp_path / "ds.json"
