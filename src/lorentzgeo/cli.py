@@ -313,7 +313,7 @@ def cmd_fvf(args, fixture, stage):
 def cmd_rigidity(args, fixture, stage):
     space = fixture.space
     kappa = Kappa(args.k)
-    triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa)
+    triangles = sample_triangles(space, cap=args.cap, seed=args.seed, kappa=kappa, geo_tol=args.geo_tol)
     checks = []
     for k, tri in enumerate(triangles):
         try:

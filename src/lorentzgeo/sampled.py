@@ -256,6 +256,45 @@ class AxiomReport:
 
 _WITNESS_CAP = 20
 
+# Rows (and columns) of the blocks in which _products runs the 0/1
+# products; each row panel is reduced before the next one is computed.
+_PANEL = 128
+
+
+def _occupied(a):
+    """Which _PANEL x _PANEL blocks of the bool matrix a hold a true entry."""
+    starts = np.arange(0, a.shape[0], _PANEL)
+    return np.logical_or.reduceat(np.logical_or.reduceat(a, starts, axis=0), starts, axis=1)
+
+
+def _products(n, terms):
+    """Row panels of the 0/1 product sum(sign * a @ b), one at a time.
+
+    terms holds (sign, a, b) with bool n x n operands and sign +1 or -1.
+    Yields (lo, panel), panel being rows lo:lo + len(panel) of the sum in
+    float32.  Only the current blocks are turned into float32, and a
+    block of a that is all false, or a block row of b that is, is skipped;
+    each block of a meets b only from the first to the last occupied
+    column block of b's block row.  On a time-sorted space every block
+    below the diagonal is skipped.
+    """
+    occupied = [(_occupied(a), _occupied(b)) for _, a, b in terms]
+    for p, lo in enumerate(range(0, n, _PANEL)):
+        panel = np.zeros((min(_PANEL, n - lo), n), dtype=np.float32)
+        for (sign, a, b), (a_occ, b_occ) in zip(terms, occupied):
+            for q in np.flatnonzero(a_occ[p]).tolist():
+                cols = np.flatnonzero(b_occ[q])
+                if not cols.size:
+                    continue
+                inner = slice(q * _PANEL, (q + 1) * _PANEL)
+                c0, c1 = int(cols[0]) * _PANEL, (int(cols[-1]) + 1) * _PANEL
+                part = a[lo : lo + _PANEL, inner].astype(np.float32) @ b[inner, c0:c1].astype(np.float32)
+                if sign > 0:
+                    panel[:, c0:c1] += part
+                else:
+                    panel[:, c0:c1] -= part
+        yield lo, panel
+
 
 def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     """Check the order axioms of a sampled space.
@@ -266,12 +305,18 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     enforced by SampledSpace itself.)  The report lists up to a few
     witnesses per kind plus full counts.
 
-    Push-up is counted with 0/1 matrix products: with C = causal and
-    H = chronological, the number of middle points j with i <= j << k or
+    Transitivity and push-up are counted with 0/1 matrix products: with
+    C = causal and H = chronological, (C@C)[i, k] > 0 where i <= j <= k for
+    some j, and the number of middle points j with i <= j << k or
     i << j <= k is (C@H - (C&H)@(C&H) + H@C)[i, k], summed where i << k
-    fails.  The products run in float32; every partial sum and every
-    intermediate of that order of evaluation is an integer in [0, n], so
-    each count is exact while n < 2**24.
+    fails.  The products run in float32, one row panel of _PANEL rows at
+    a time (_products), and each panel is reduced to its counts, its
+    row-major transitivity witnesses and its push-up rows and columns
+    before the next one is computed; blocks whose operand is all false
+    (on a time-sorted space, everything below the diagonal) are skipped.
+    Every partial sum, in whatever order BLAS and the blocks add them, is
+    an integer of magnitude at most 2n, so float32 holds it exactly while
+    n < 2**23 and every count is the same in any summation order.
 
     The reverse triangle inequality is checked per middle point j over
     its causal past x causal future only: tau(i, k) violates it when
@@ -288,6 +333,7 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     tau, causal = space.tau, space.causal
+    n = space.n
     violations = []
     counts = {}
 
@@ -308,29 +354,39 @@ def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
     anti = chron & chron.T
     if anti.any():
         record("chronology-not-antisymmetric", np.nonzero(anti), anti.sum() // 2)
+    del chron, m, refl, anti
 
-    c32 = causal.astype(np.float32)
-    m = ((c32 @ c32) > 0) & ~causal
-    if m.any():
-        record("causal-not-transitive", np.nonzero(m), m.sum())
+    reached, firsts = 0, []
+    for lo, panel in _products(n, [(1, causal, causal)]):
+        bad = (panel > 0) & ~causal[lo : lo + len(panel)]
+        c = int(np.count_nonzero(bad))
+        if c:
+            reached += c
+            i, k = np.nonzero(bad)
+            firsts.append((i[:_WITNESS_CAP] + lo, k[:_WITNESS_CAP]))
+    if reached:
+        record("causal-not-transitive", [np.concatenate(a) for a in zip(*firsts)], reached)
 
     rti_count, rti_witness, exact_tests = _reverse_triangle(tau, causal, tol)
     if rti_count:
         counts["reverse-triangle"] = rti_count
         violations.append({"kind": "reverse-triangle", "witness": rti_witness})
 
-    h32 = chron.astype(np.float32)
-    ch32 = (causal & chron).astype(np.float32)
-    up = c32 @ h32
-    up -= ch32 @ ch32
-    up += h32 @ c32
-    up[chron] = 0.0
-    push_count = int(up.sum(dtype=np.float64))
+    chron = tau > 0
+    both = causal & chron
+    push_count = 0
+    bad_rows, bad_cols = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for lo, up in _products(n, [(1, causal, chron), (-1, both, both), (1, chron, causal)]):
+        rows = slice(lo, lo + len(up))
+        up[chron[rows]] = 0.0
+        push_count += int(up.sum(dtype=np.float64))
+        hit = up > 0
+        bad_rows[rows] = hit.any(axis=1)
+        bad_cols |= hit.any(axis=0)
+    del both
     if push_count:
         counts["push-up"] = push_count
-        hit = up > 0
-        witness = _push_up_witness(chron, causal, hit.any(axis=1), hit.any(axis=0))
-        violations.append({"kind": "push-up", "witness": witness})
+        violations.append({"kind": "push-up", "witness": _push_up_witness(chron, causal, bad_rows, bad_cols)})
 
     triples = int(np.dot(causal.sum(axis=0, dtype=np.int64), causal.sum(axis=1, dtype=np.int64)))
     return AxiomReport(violations=violations, counts=counts, triples_checked=triples, exact_tests=exact_tests)
@@ -348,8 +404,12 @@ def _reverse_triangle(tau, causal, tol):
     sizes = n_past * n_future
     past_at = np.concatenate(([0], np.cumsum(n_past))).tolist()
     future_at = np.concatenate(([0], np.cumsum(n_future))).tolist()
-    past_i = np.nonzero(causal.T)[1]  # causal pasts, j-major
-    future_k = np.nonzero(causal)[1]  # causal futures, i-major
+    # causal pasts, j-major, and futures, i-major: flat indices taken mod n
+    # in place, without the (row, col) pair np.nonzero would return
+    past_i = np.flatnonzero(causal.T)
+    past_i %= n
+    future_k = np.flatnonzero(causal)
+    future_k %= n
     flat = tau.ravel()
     largest = int(sizes.max(initial=0))
     idx_buf, got_buf, lhs_buf, low_buf = (np.empty(largest, dtype=t) for t in (np.int64, float, float, bool))
@@ -544,9 +604,10 @@ def _bounded(words, h):
             return m >> 32
 
 
-def _transitive(chron, hh) -> bool:
-    """Whether x << y << z always gives x << z; hh counts the y per (x, z)."""
-    return not np.any((hh > 0) & ~chron)
+def _transitive(escaped) -> bool:
+    """Whether x << y << z always gives x << z; escaped[x] is set when some
+    such z is not in the future of x."""
+    return not escaped.any()
 
 
 def _triangle_triples(tau, cap, seed, kappa) -> list:
@@ -568,13 +629,16 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
     n = tau.shape[0]
     chron = tau > 0
     # hh[x, z] counts the y with x << y << z, exact in float32 while n < 2**24;
-    # masked in place to the (x, z) inside the size bound, it counts the triples
-    hh = chron.astype(np.float32)
-    hh = hh @ hh
-    transitive = _transitive(chron, hh)
-    hh *= chron & (tau < kappa.dk)
-    counts = hh.sum(axis=1, dtype=np.float64).astype(np.int64)
-    del hh
+    # masked in place to the (x, z) inside the size bound, it counts the
+    # triples.  It is taken one row panel at a time (_products).
+    counts = np.zeros(n, dtype=np.int64)
+    escaped = np.zeros(n, dtype=bool)
+    for lo, hh in _products(n, [(1, chron, chron)]):
+        rows = slice(lo, lo + len(hh))
+        escaped[rows] = ((hh > 0) & ~chron[rows]).any(axis=1)
+        hh *= chron[rows] & (tau[rows] < kappa.dk)
+        counts[rows] = hh.sum(axis=1, dtype=np.float64)
+    transitive = _transitive(escaped)
     futures = [np.flatnonzero(chron[i]) for i in range(n)]
     triples = []
     if int(counts.sum()) <= cap:

@@ -723,6 +723,26 @@ class TestCli:
         assert -1e-9 < check["max_violation"] < 0
         assert check["flagged_chains"] == 0
 
+    def test_geo_tol_reaches_rigidity_chains(self, tmp_path, monkeypatch):
+        """rigidity extracts its triangles' side chains at --geo-tol, the
+        tolerance its report echoes, as curvature does."""
+        from lorentzgeo import cli
+
+        taken = []
+
+        def spy(*args, **kwargs):
+            taken.append(kwargs.get("geo_tol"))
+            return sample_triangles(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_triangles", spy)
+        path = tmp_path / "ds.json"
+        assert main(["gen", "desitter-sample", "--fan-phi", "0.5", "-o", str(path)]) == 0
+        out = tmp_path / "r.json"
+        argv = ["rigidity", str(path), "--k", "1", "--cap", "200", "--geo-tol", "1e-12", "-o", str(out)]
+        assert main(argv) in (0, 1)
+        assert taken == [1e-12]
+        assert load_report(out)["tolerances"]["geo_tol"] == 1e-12
+
     def test_desitter_gen_with_fan(self, tmp_path):
         path = tmp_path / "ds.json"
         assert (

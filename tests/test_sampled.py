@@ -143,6 +143,112 @@ def assert_reverse_triangle_matches(space, tol=1e-9):
     return rep
 
 
+def reference_axiom_products(space, tol=1e-9):
+    """validate_axioms with its 0/1 products as whole n x n float32 matrices.
+
+    validate_axioms takes them one row panel at a time and skips empty
+    blocks; this is the whole-matrix form it is held to, with the
+    reverse-triangle scan of reference_reverse_triangle.
+    """
+    tau, causal = space.tau, space.causal
+    violations = []
+    counts = {}
+
+    def record(kind, idx_arrays, count):
+        counts[kind] = counts.get(kind, 0) + int(count)
+        for w in zip(*(a[: sampled._WITNESS_CAP] for a in idx_arrays)):
+            violations.append({"kind": kind, "witness": tuple(int(i) for i in w)})
+
+    chron = tau > 0
+    m = chron & ~causal
+    if m.any():
+        record("chronological-not-causal", np.nonzero(m), m.sum())
+    refl = ~np.diag(causal)
+    if refl.any():
+        record("causal-not-reflexive", (np.flatnonzero(refl),), refl.sum())
+    anti = chron & chron.T
+    if anti.any():
+        record("chronology-not-antisymmetric", np.nonzero(anti), anti.sum() // 2)
+    c32 = causal.astype(np.float32)
+    m = ((c32 @ c32) > 0) & ~causal
+    if m.any():
+        record("causal-not-transitive", np.nonzero(m), m.sum())
+
+    rti_count, rti_witness, screened = reference_reverse_triangle(space, tol)
+    if rti_count:
+        counts["reverse-triangle"] = rti_count
+        violations.append({"kind": "reverse-triangle", "witness": rti_witness})
+
+    h32 = chron.astype(np.float32)
+    ch32 = (causal & chron).astype(np.float32)
+    up = c32 @ h32 - ch32 @ ch32 + h32 @ c32
+    up[chron] = 0.0
+    push_count = int(up.sum(dtype=np.float64))
+    if push_count:
+        counts["push-up"] = push_count
+        hit = up > 0
+        witness = sampled._push_up_witness(chron, causal, hit.any(axis=1), hit.any(axis=0))
+        violations.append({"kind": "push-up", "witness": witness})
+
+    triples = int(np.dot(causal.sum(axis=0, dtype=np.int64), causal.sum(axis=1, dtype=np.int64)))
+    return AxiomReport(violations=violations, counts=counts, triples_checked=triples, exact_tests=screened)
+
+
+def assert_axiom_products_match(space, tol=1e-9):
+    rep = validate_axioms(space, tol)
+    want = reference_axiom_products(space, tol)
+    assert rep == want
+    assert list(rep.counts.items()) == list(want.counts.items())  # the report keeps this order
+    return rep
+
+
+AXIOM_KINDS = {
+    "chronological-not-causal",
+    "causal-not-reflexive",
+    "chronology-not-antisymmetric",
+    "causal-not-transitive",
+    "reverse-triangle",
+    "push-up",
+}
+
+
+def with_violations(space, seed):
+    """A copy of space with violations of every kind planted at random:
+    causal entries flipped and dropped from the diagonal, chronological
+    tau entries shrunk by 10 % or zeroed, and a few chronological pairs
+    made chronological both ways."""
+    rng = np.random.default_rng(seed)
+    tau, causal = space.tau.copy(), space.causal.copy()
+    n = space.n
+    edits = max(1, n // 8)
+    i, k = rng.integers(n, size=(2, edits))
+    causal[i, k] = ~causal[i, k]
+    d = rng.integers(n, size=max(1, edits // 8))
+    causal[d, d] = False
+    ii, kk = np.nonzero(tau > 0)
+    if ii.size:
+        pick = rng.choice(ii.size, min(ii.size, 2 * edits), replace=False)
+        tau[ii[pick], kk[pick]] *= rng.choice([0.0, 0.9], size=pick.size)
+        back = pick[: max(1, edits // 4)]
+        tau[kk[back], ii[back]] = 1.0
+    return SampledSpace(tau=tau, causal=causal)
+
+
+@functools.cache
+def permuted_grid():
+    """The 17x17 grid with violations planted, its points in random order."""
+    space = with_violations(minkowski_grid(17, 17, 1.0), 11)
+    p = np.random.default_rng(12).permutation(space.n)
+    return SampledSpace(tau=space.tau[np.ix_(p, p)], causal=space.causal[np.ix_(p, p)])
+
+
+def plane_space(n, seed):
+    """n random points of the Minkowski plane, indexed in time order."""
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([np.sort(rng.uniform(0.0, 10.0, n)), rng.uniform(0.0, 4.0, n)])
+    return space_from_plane_points(pts)
+
+
 @functools.cache
 def shrunk_grid15():
     """15x15 grid with a random 5 % of its chronological tau entries shrunk by 10 %."""
@@ -317,6 +423,65 @@ class TestReverseTriangleScan:
         assert len(chron) > sampled._WITNESS_CAP
         assert rep.counts == {"chronological-not-causal": len(chron)}
         assert [v["witness"] for v in rep.violations] == [tuple(w) for w in chron[: sampled._WITNESS_CAP].tolist()]
+
+
+class TestAxiomProducts:
+    """validate_axioms' row-panel products against reference_axiom_products."""
+
+    def test_permuted_grid_skips_no_block(self):
+        space = permuted_grid()
+        assert sampled._occupied(space.causal).all() and sampled._occupied(space.tau > 0).all()
+        assert not sampled._occupied(minkowski_grid(17, 17, 1.0).causal).all()  # time order skips blocks
+        rep = assert_axiom_products_match(space)
+        assert set(rep.counts) == AXIOM_KINDS and all(rep.counts.values())
+        assert len(rep.violations) > len(AXIOM_KINDS)
+
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+    def test_sizes_around_the_panel_edge(self, n, planted):
+        space = plane_space(n, n)
+        if planted:
+            space = with_violations(space, n)
+        rep = assert_axiom_products_match(space)
+        assert rep.ok != planted
+
+    def test_chronology_outside_causality(self):
+        grid = minkowski_grid(15, 15, 1.0)
+        causal = grid.causal.copy()
+        ii, kk = np.nonzero(grid.tau > 0)
+        pick = np.random.default_rng(8).choice(ii.size, 40, replace=False)
+        causal[ii[pick], kk[pick]] = False
+        space = SampledSpace(tau=grid.tau.copy(), causal=causal)
+        assert not np.array_equal(space.causal & space.chron, space.chron)
+        rep = assert_axiom_products_match(space)
+        assert rep.counts["chronological-not-causal"] == 40
+        assert rep.counts["causal-not-transitive"] > 0
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_shrunk_grid(self, tol):
+        assert_axiom_products_match(shrunk_grid15(), tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(space=broken_spaces(), tol=st.sampled_from([0.0, 1e-9, 0.05]), panel=st.sampled_from([1, 5, 128]))
+    def test_broken_spaces(self, space, tol, panel):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampled, "_PANEL", panel)
+            assert_axiom_products_match(space, tol)
+
+    def test_grid31_memory(self):
+        # tracemalloc peak of a repeated call on the bench's 31x31 grid,
+        # above its 7.4 MB tau and 0.9 MB causal: the products run in row
+        # panels, so no n x n float32 matrix is held
+        space = minkowski_grid(31, 31, 1.0)
+        validate_axioms(space)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert validate_axioms(space).ok
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20
 
 
 class TestGeodesics:
@@ -1345,6 +1510,15 @@ class TestTriangleDraw:
         assert got == reference_triangle_triples(chain4(), 2, seed, Kappa(0.0))
         assert 1 in ranges[:-1]
 
+    @pytest.mark.parametrize("panel", [1, 7])
+    @pytest.mark.parametrize("cap", [150, 5000])
+    @pytest.mark.parametrize("name", ["cleared", "tripod"])
+    def test_panel_size_does_not_change_the_triples(self, monkeypatch, name, cap, panel):
+        # cap 150 takes the draw path, 5000 enumerates
+        monkeypatch.setattr(sampled, "_PANEL", panel)
+        tau = oracle_space(name, 0.0, 0).tau
+        assert sampled._triangle_triples(tau, cap, 2, Kappa(0.0)) == reference_triangle_triples(tau, cap, 2, Kappa(0.0))
+
     def test_stops_at_max_attempts(self):
         # 187 of the small grid's 1409 triples lie inside the K = -1 bound;
         # 50 * 180 attempts find 143 of them at seed 1
@@ -1364,3 +1538,18 @@ class TestTriangleSampling:
         a = sample_triangles(grid11, cap=200, seed=9)
         b = sample_triangles(grid11, cap=200, seed=9)
         assert [(t.x, t.y, t.z) for t in a] == [(t.x, t.y, t.z) for t in b]
+
+    def test_egrid_memory(self):
+        # tracemalloc peak of a repeated call on the 1,625-point euclid-grid
+        # product of the split benchmark: the draw counts its triples with
+        # H @ H in row panels, so no n x n float32 matrix is held
+        space = product_fixture("euclid-grid", step=0.25, window=8.0, m=5)[0]
+        sample_triangles(space, cap=2000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert len(sample_triangles(space, cap=2000)) == 2000
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6
