@@ -148,6 +148,17 @@ def _index(flag, value, count, what):
     return value
 
 
+def _vertices(text, count):
+    """--vertices: four comma-separated point indices, each checked against count."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != 4:
+        raise ValueError(f"--vertices needs four comma-separated point indices, got {text!r}")
+    return [_index("--vertices", v, count, "points") for v in values]
+
+
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
@@ -339,7 +350,7 @@ def cmd_rigidity(args, fixture, stage):
 
 def cmd_quadrangle(args, fixture, stage):
     space = fixture.space
-    p1, p2, p3, p4 = (_index("--vertices", int(v), space.n, "points") for v in args.vertices.split(","))
+    p1, p2, p3, p4 = _vertices(args.vertices, space.n)
     name = f"quadrangle({p1},{p2},{p3},{p4})"
     try:
         rep = quadrangle_rigidity(space, p1, p2, p3, p4, kappa=Kappa(args.k), tol=args.tol_angle)

@@ -77,12 +77,10 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
 def fixture_from_dict(doc: dict):
     """Validate and rebuild (space, lines, chains, base, meta) from JSON.
 
-    Schemas 2 and 3 hold `causal`, the chronological mask (tau > 0) and
-    `tau`'s positive entries in row-major order.  Schema 3 holds each mask
-    as base64 of its np.packbits bytes and the entries as base64 of
-    little-endian float64 bytes; schema 2 holds each mask as n strings of
-    n '0'/'1' characters and the entries as a JSON list.  Schema 1 holds
-    both matrices dense.  Any malformed document raises ShapeError.
+    The fixture (schema 3) holds `causal` and the chronological mask
+    (tau > 0) as base64 of their np.packbits bytes, and `tau`'s positive
+    entries in row-major order as base64 of little-endian float64 bytes.
+    Any other schema, or any malformed document, raises ShapeError.
 
     doc itself is not modified.  The payloads are popped from shallow
     copies of doc and doc["space"] as they are decoded, so when the caller
@@ -90,31 +88,22 @@ def fixture_from_dict(doc: dict):
     """
     doc = dict(_expect(doc, dict, "fixture"))
     version = doc.get("schema_version")
-    if type(version) is not int or version not in (1, 2, 3):
-        raise ShapeError(f"unsupported fixture schema {version!r}")
+    if type(version) is not int or version != FIXTURE_SCHEMA:
+        raise ShapeError(f"unsupported fixture schema {version!r}: re-generate it with lorentzgeo gen")
     sp = dict(_expect(doc.pop("space", None), dict, "space"))
     n = sp.get("n")
     if type(n) is not int or n < 0:
         raise ShapeError(f"space.n must be a non-negative integer, got {n!r}")
-    if version == 1:
-        tau = _array(sp.pop("tau", None), float, "space.tau")
-        causal = _array(sp.pop("causal", None), bool, "space.causal")
-        if tau.shape != (n, n) or causal.shape != (n, n):
-            raise ShapeError("fixture matrices do not match the declared point count")
-    else:
-        if version == 2:
-            mask, values = _mask, _array(sp.pop("tau", None), float, "space.tau")
-        else:
-            mask, values = _packed_mask, _packed_floats(sp.pop("tau", None), "space.tau")
-        causal = mask(sp.pop("causal", None), n, "space.causal")
-        chron = mask(sp.pop("chronological", None), n, "space.chronological")
-        if values.shape != (np.count_nonzero(chron),):
-            raise ShapeError("space.tau must hold one value per chronological bit")
-        if not ((values > 0) & (values < np.inf)).all():
-            raise ShapeError("space.tau values must be positive and finite")
-        tau = np.zeros((n, n))
-        tau[chron] = values
-        del values
+    values = _packed_floats(sp.pop("tau", None), "space.tau")
+    causal = _packed_mask(sp.pop("causal", None), n, "space.causal")
+    chron = _packed_mask(sp.pop("chronological", None), n, "space.chronological")
+    if values.shape != (np.count_nonzero(chron),):
+        raise ShapeError("space.tau must hold one value per chronological bit")
+    if not ((values > 0) & (values < np.inf)).all():
+        raise ShapeError("space.tau values must be positive and finite")
+    tau = np.zeros((n, n))
+    tau[chron] = values
+    del values
     labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
     space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
@@ -205,19 +194,6 @@ def _packed_floats(text, what):
     if len(raw) % 8:
         raise ShapeError(f"fixture {what} must be whole little-endian float64 values")
     return np.frombuffer(raw, "<f8")
-
-
-def _mask(rows, n, what):
-    """Decode a schema-2 mask, checking it is n rows of n '0'/'1' characters."""
-    rows = _expect(rows, list, what)
-    if len(rows) != n or not all(type(r) is str and len(r) == n for r in rows):
-        raise ShapeError(f"fixture {what} must be {n} strings of {n} characters")
-    # "replace" keeps a non-ASCII character at one byte ('?'), rejected below
-    codes = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
-    mask = codes == ord("1")
-    if not (mask | (codes == ord("0"))).all():
-        raise ShapeError(f"fixture {what} may hold only the characters 0 and 1")
-    return mask.reshape(n, n)
 
 
 def _float(value, what):

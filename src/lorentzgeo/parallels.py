@@ -62,7 +62,7 @@ class LineSample:
         if not (0 <= k < len(self.points)) or abs(self.t0 + k * self.step - t) > 1e-9 * (
             1 + abs(t)
         ):
-            raise KeyError(f"parameter {t} not on the grid of {self.label or 'line'}")
+            raise ValueError(f"parameter {t} not on the grid of {self.label or 'line'}")
         return int(self.points[k])
 
     def __len__(self) -> int:
@@ -113,32 +113,23 @@ def _overlaps(first: LineSample, second: LineSample):
             yield s, i, i + d
 
 
-def weakly_parallel_offset(space, alpha: LineSample, beta: LineSample, window: float | None = None):
+def weakly_parallel_offset(space, alpha: LineSample, beta: LineSample):
     """Smallest nonnegative grid offsets realizing mutual causal precedence.
 
     Returns (s_ab, s_ba) with alpha(t) <= beta(t + s_ab) and
     beta(t) <= alpha(t + s_ba) on every overlapping grid parameter, or
-    None when no tested offset works.  Raises WindowExhausted when a
-    caller-supplied window is smaller than what the data could test.
+    None when no offset the lines overlap at works.
     """
     def scan(first: LineSample, second: LineSample):
-        capacity = 0.0
         for s, i, j in _overlaps(first, second):
-            capacity = max(capacity, s)
-            if (window is None or s <= window) and space.causal[first.points[i], second.points[j]].all():
-                return s, capacity
-        return None, capacity
+            if space.causal[first.points[i], second.points[j]].all():
+                return float(s)
+        return None
 
-    s_ab, cap_ab = scan(alpha, beta)
-    s_ba, cap_ba = scan(beta, alpha)
-    if s_ab is not None and s_ba is not None:
-        return float(s_ab), float(s_ba)
-    if window is not None and window < max(cap_ab, cap_ba):
-        raise WindowExhausted(
-            f"no offset found up to window {window}; data allows offsets up to "
-            f"{max(cap_ab, cap_ba)}"
-        )
-    return None
+    s_ab, s_ba = scan(alpha, beta), scan(beta, alpha)
+    if s_ab is None or s_ba is None:
+        return None
+    return s_ab, s_ba
 
 
 @dataclass
@@ -214,12 +205,8 @@ class StripProfile:
     max_dev: np.ndarray
     angle_probe: dict = field(default_factory=dict)
 
-    def value_at(self, c: float):
-        k = int(np.argmin(np.abs(self.offsets - c)))
-        return self.F[k], self.Fp[k]
 
-
-def strip_profile(space, alpha: LineSample, beta: LineSample, offsets=None, kappa=Kappa(0.0), angle_probes: int = 0):
+def strip_profile(space, alpha: LineSample, beta: LineSample, kappa=Kappa(0.0), angle_probes: int = 0):
     """Per-offset constancy statistics of the separation profile.
 
     The derivative F'(c+) is taken from a one-sided three-point stencil
@@ -227,9 +214,6 @@ def strip_profile(space, alpha: LineSample, beta: LineSample, offsets=None, kapp
     there) and divided by 2F.
     """
     cands = list(_overlaps(alpha, beta))
-    if offsets is not None:
-        wanted = np.asarray(offsets, dtype=float)
-        cands = [c for c in cands if np.any(np.abs(wanted - c[0]) <= 1e-9 * (1 + c[0]))]
     if len(cands) < 3:
         raise WindowExhausted("need at least three offsets for the profile")
     offs = np.array([s for s, _, _ in cands])
@@ -381,20 +365,23 @@ def _comparison_offsets(space, anchor_past, anchor_future, points):
     return np.sqrt(np.maximum(tbar * tbar - d1 * d1, 0.0))
 
 
+_PREFIX_FRACTION = 0.5
+
+
 def asymptotic_ray(
     space,
     alpha: LineSample,
     p: int,
     horizons,
     geo_tol: float = DEFAULT_GEO_TOL,
-    prefix_fraction: float = 0.5,
 ) -> RayReport:
     """Geodesics from p to ever-later line points, with drift diagnostics.
 
     The drift between consecutive approximants is the largest change of
     the comparison-plane spatial offset (anchored at p and at the later
     line point) across parameter-matched prefix points; it tends to zero
-    exactly when the approximants stabilize toward the parallel ray.
+    exactly when the approximants stabilize toward the parallel ray.  The
+    prefix compared is the first _PREFIX_FRACTION of the shortest chain.
     """
     horizons = sorted(horizons)
     if len(horizons) < 2:
@@ -406,7 +393,7 @@ def asymptotic_ray(
             raise NotInPast(f"point {p} is not in the past of the line at parameter {t}")
         targets.append(idx)
     chains = list(_geodesics(space, [p] * len(targets), targets, geo_tol))
-    prefix = prefix_fraction * chains[0].total
+    prefix = _PREFIX_FRACTION * chains[0].total
     drifts = []
     for a, b, far in zip(chains, chains[1:], targets[1:]):
         pa = a.points[(a.params > 0) & (a.params <= prefix)]

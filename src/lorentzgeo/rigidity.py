@@ -24,7 +24,7 @@ from .modelspace import (
     realize_plane,
     vertex_hinges,
 )
-from .sampled import SampledTriangle, estimate_angle, geodesic_between, plane_map_check
+from .sampled import SampledTriangle, _geodesics, estimate_angle, plane_map_check
 from .tolerances import DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU, scaled
 
 
@@ -226,8 +226,6 @@ def quadrangle_rigidity(
     p2: int,
     p3: int,
     p4: int,
-    side_chains: dict | None = None,
-    diagonal_chains: dict | None = None,
     kappa=K_FLAT,
     tol: float = DEFAULT_TOL_ANGLE,
 ) -> QuadrangleReport:
@@ -246,21 +244,10 @@ def quadrangle_rigidity(
         if tau[a, b] <= 0:
             raise OrderViolated(f"expected {a} << {b}; tau = {tau[a, b]}")
 
-    def chain(store, key, a, b):
-        if store and key in store:
-            return store[key]
-        return geodesic_between(space, a, b)
-
-    sides = {
-        "12": chain(side_chains, "12", p1, p2),
-        "14": chain(side_chains, "14", p1, p4),
-        "23": chain(side_chains, "23", p2, p3),
-        "43": chain(side_chains, "43", p4, p3),
-    }
-    diagonals = {
-        "24": chain(diagonal_chains, "24", p2, p4),
-        "13": chain(diagonal_chains, "13", p1, p3),
-    }
+    # the four sides, then the two diagonals: all chronological by the checks above
+    chains = _geodesics(space, [p1, p1, p2, p4, p2, p1], [p2, p4, p3, p3, p4, p3])
+    sides = dict(zip(("12", "14", "23", "43"), chains))
+    diagonals = {"24": chains[4], "13": chains[5]}
     angles = {
         "p1": estimate_angle(space, sides["12"], sides["14"], p1, kappa).value,
         "p3": estimate_angle(space, sides["23"], sides["43"], p3, kappa).value,

@@ -30,6 +30,7 @@ from .modelspace import (
     vertex_hinges,
 )
 from .tolerances import (
+    DEFAULT_AXIOM_TOL,
     DEFAULT_CERT_TOL,
     DEFAULT_GEO_TOL,
     DEFAULT_TOL_ANGLE,
@@ -296,7 +297,7 @@ def _products(n, terms):
         yield lo, panel
 
 
-def validate_axioms(space: SampledSpace, tol: float = 1e-9) -> AxiomReport:
+def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> AxiomReport:
     """Check the order axioms of a sampled space.
 
     Verifies: chronology implies causality, reflexivity, transitivity,
@@ -713,10 +714,6 @@ class AngleEstimate:
     converged: bool
     last_delta: float
 
-    @property
-    def signed_value(self) -> float:
-        return self.sign * self.value
-
 
 def _chain_from_vertex(chain: Chain, vertex: int):
     """Points/params of a chain measured away from one of its endpoints.
@@ -752,29 +749,34 @@ def geodesic_through(space, c1: Chain, c2: Chain, vertex: int, geo_tol: float = 
     return bool(np.all(np.abs(through - want) <= geo_tol * (1.0 + want)))
 
 
+_MAX_RUNGS = 12  # ladder points taken from each chain
+
+
 def estimate_angle(
     space,
     alpha: Chain,
     beta: Chain,
     vertex: int,
     kappa=Kappa(0.0),
-    max_rungs: int = 12,
     tol_angle: float = DEFAULT_TOL_ANGLE,
     claimed: str = "above",
 ) -> AngleEstimate:
     """Hinge angle at a vertex from two sampled chains.
 
     Builds the ladder of comparison angles theta(s, t) over pairs of chain
-    parameters near the vertex (entries where the comparison triangle is
-    not realizable are skipped), then extrapolates the smallest scales
-    linearly to zero.  The monotone flag checks the signed ladder against
-    the direction expected for the claimed curvature bound.
+    parameters near the vertex, the first _MAX_RUNGS points of each chain
+    (entries where the comparison triangle is not realizable are skipped),
+    then extrapolates the smallest scales linearly to zero.  The monotone
+    flag checks the signed ladder against the direction expected for the
+    claimed curvature bound, "above" or "below".
     """
+    if claimed not in ("above", "below"):
+        raise ValueError("claimed must be 'above' or 'below'")
     kappa = Kappa.of(kappa)
     pts_a, s_a, o_a = _chain_from_vertex(alpha, vertex)
     pts_b, s_b, o_b = _chain_from_vertex(beta, vertex)
-    pts_a, s_a = pts_a[:max_rungs], s_a[:max_rungs]
-    pts_b, s_b = pts_b[:max_rungs], s_b[:max_rungs]
+    pts_a, s_a = pts_a[:_MAX_RUNGS], s_a[:_MAX_RUNGS]
+    pts_b, s_b = pts_b[:_MAX_RUNGS], s_b[:_MAX_RUNGS]
     if not len(pts_a) or not len(pts_b):
         raise DomainError("chains have no points besides the vertex")
     sign = +1 if o_a != o_b else -1

@@ -324,12 +324,15 @@ class EmbeddingReport:
     untrimmed_max_error: float
 
 
-def verify_embedding(space, classes, base: BaseMetric, trim_steps: int = 3) -> EmbeddingReport:
+_TRIM_STEPS = 3  # half-width, in grid steps, of the model-cone band verify_embedding trims
+
+
+def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     """Compare sampled separations against the recovered product model.
 
     For synchronised representatives alpha, beta the model predicts
     tau = sqrt(max(0, (t-s)^2 - dS^2)) and causality at t - s >= dS.
-    Pairs within trim_steps grid steps of the model cone are excluded
+    Pairs within _TRIM_STEPS grid steps of the model cone are excluded
     from the stats (the inf-formula quantizes dS up by at most one step,
     which distorts exactly that band) but counted.
     """
@@ -357,7 +360,7 @@ def verify_embedding(space, classes, base: BaseMetric, trim_steps: int = 3) -> E
         model_causal = du >= cone
         model_tau = np.zeros_like(q2)
         np.sqrt(q2, out=model_tau, where=model_causal & (q2 > 0))
-        band = (np.abs(du - ds) < trim_steps * h) & finite
+        band = (np.abs(du - ds) < _TRIM_STEPS * h) & finite
         band[:, own] |= du[:, own] <= 0  # only future-directed self pairs are informative
         err = np.abs(actual_tau - model_tau)
         untrimmed = max(untrimmed, float(err.max()))

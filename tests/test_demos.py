@@ -30,8 +30,11 @@ def test_cli_workflow_demo(tmp_path):
 @pytest.mark.parametrize(
     "name",
     [
+        "01_model_space.py",  # the model-space kernels
         "02_curvature_certification.py",  # sample_triangles -> certify_curvature_bound
         "03_rigidity_and_quadrangles.py",  # triangle_between -> rigidity
+        "04_parallel_lines_and_strips.py",  # strip_profile, flat strips, concatenation angles
+        "05_splitting_pipeline.py",  # verify_embedding, round_trip
     ],
 )
 def test_api_demo(name, tmp_path):

@@ -71,11 +71,6 @@ class TestWeaklyParallel:
         space, lines = pair_product
         assert weakly_parallel_offset(space, lines[0], lines[0]) == (0.0, 0.0)
 
-    def test_window_exhausted(self, pair_product):
-        space, lines = pair_product
-        with pytest.raises(WindowExhausted):
-            weakly_parallel_offset(space, lines[0], lines[1], window=0.5)
-
     def test_empty_line_overlaps_nothing(self, pair_product):
         space, lines = pair_product
         empty = LineSample(points=[], t0=-8.0, step=0.25)

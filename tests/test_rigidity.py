@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lorentzgeo import rigidity
 from lorentzgeo.errors import MissingChains, OrderViolated, RigidityViolated
 from lorentzgeo.fixtures import base_pair, product_fixture, space_from_plane_points
 from lorentzgeo.rigidity import (
@@ -173,6 +174,37 @@ class TestQuadrangle:
         rep = quadrangle_rigidity(space, p1, p2, p3, p4)
         assert rep.lhs_minus_rhs <= -0.05
         assert not rep.flat
+
+    def test_one_walk_chains_match_pairwise_geodesics(self, planar_quad, monkeypatch):
+        """The six chains of the one _geodesics call equal geodesic_between's, bit for bit."""
+        walks = []
+
+        def spy(space, xs, ys, *args):
+            walks.append((list(xs), list(ys), geodesics(space, xs, ys, *args)))
+            return walks[-1][2]
+
+        geodesics = rigidity._geodesics
+        monkeypatch.setattr(rigidity, "_geodesics", spy)
+        tripod, _, _ = product_fixture("tripod", step=0.5, window=10.0)
+        T = 41
+
+        def idx(x, t):
+            return x * T + int(round((t + 10) / 0.5))
+
+        cases = [
+            (planar_quad, (0, 1, 2, 3)),
+            (tripod, (idx(1, 0.0), idx(2, 3.0), idx(1, 9.0), idx(3, 6.0))),  # criterion 07's branch quadrangle
+            (tripod, (idx(1, 0.0), idx(2, 3.0), idx(1, 9.0), idx(2, 6.0))),  # flat: inside one leaf-pair strip
+        ]
+        for space, (p1, p2, p3, p4) in cases:
+            quadrangle_rigidity(space, p1, p2, p3, p4)
+            xs, ys, store = walks.pop()
+            assert sorted(zip(xs, ys)) == sorted([(p1, p2), (p1, p4), (p2, p3), (p4, p3), (p2, p4), (p1, p3)])
+            for x, y, chain in zip(xs, ys, store):
+                alone = geodesic_between(space, x, y)
+                assert np.array_equal(chain.points, alone.points)
+                assert np.array_equal(chain.params.view(np.uint64), alone.params.view(np.uint64))
+                assert np.float64(chain.deficit).view(np.uint64) == np.float64(alone.deficit).view(np.uint64)
 
     def test_order_violation(self, planar_quad):
         with pytest.raises(OrderViolated):

@@ -556,6 +556,8 @@ class TestEstimateAngle:
         above = estimate_angle(space, alpha, beta, x, claimed="above")
         below = estimate_angle(space, alpha, beta, x, claimed="below")
         assert above.monotone and not below.monotone
+        with pytest.raises(ValueError, match="claimed"):
+            estimate_angle(space, alpha, beta, x, claimed="upper")
 
     def test_undefined_when_all_spacelike(self):
         # two near-parallel 1-rung chains: the only pair is spacelike

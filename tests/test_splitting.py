@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lorentzgeo import splitting
 from lorentzgeo.errors import NotParallel, ShapeError
 from lorentzgeo.fixtures import (
     base_euclid_grid,
@@ -262,7 +263,7 @@ class TestSameClass:
 
 class TestOracles:
     @pytest.mark.parametrize("name", sorted(PRODUCTS))
-    def test_compute_dS_and_embedding_match_the_pair_loops(self, name):
+    def test_compute_dS_and_embedding_match_the_pair_loops(self, name, monkeypatch):
         space, lines = PRODUCTS[name]()
         classes = extract_line_classes(space, lines, lines[0])
         rec = compute_dS(space, classes)
@@ -271,8 +272,9 @@ class TestOracles:
         assert list(rec.witnesses.items()) == list(witnesses.items())
         assert rec.infinite_pairs == infinite
         assert verify_embedding(space, classes, rec) == oracle_verify_embedding(space, classes, rec)
-        for trim in (0, 1):
-            assert verify_embedding(space, classes, rec, trim) == oracle_verify_embedding(space, classes, rec, trim)
+        for trim in (0, 1):  # other band widths, through the module constant
+            monkeypatch.setattr(splitting, "_TRIM_STEPS", trim)
+            assert verify_embedding(space, classes, rec) == oracle_verify_embedding(space, classes, rec, trim)
 
     def test_unequal_lengths_are_kept(self):
         space, lines = _unequal_lengths()
