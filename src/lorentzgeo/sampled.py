@@ -573,24 +573,49 @@ def triangle_between(space, x, y, z, geo_tol=DEFAULT_GEO_TOL) -> SampledTriangle
     return SampledTriangle(x, y, z, *_geodesics(space, [x, y, x], [y, z, z], geo_tol))
 
 
-_RAW_BLOCK = 2048  # PCG64 outputs fetched at a time by _words
+_WINDOW = 4096  # PCG64 outputs read at a time by _window; each gives two words
 _LOW32 = 0xFFFFFFFF
 
 
-def _words(bit_generator):
-    """The 32-bit words numpy's bounded draws read from a fresh bit generator.
+def _window(bit_generator):
+    """The 32-bit words of the next _WINDOW PCG64 outputs, as uint64.
 
-    Each 64-bit output gives its low half, then its high half, as PCG64's
-    next_uint32 does.  Outputs are fetched _RAW_BLOCK at a time.
+    These are the words numpy's bounded draws read: each output gives its
+    low half, then its high half, as PCG64's next_uint32 does.
     """
-    while True:
-        for raw in bit_generator.random_raw(_RAW_BLOCK).tolist():
-            yield raw & _LOW32
-            yield raw >> 32
+    raw = bit_generator.random_raw(_WINDOW)
+    return np.stack([raw & _LOW32, raw >> 32], axis=1).ravel()
+
+
+class _Words:
+    """The word stream of a fresh bit generator, held one window at a time.
+
+    words[at:] are the words not read yet.  refill() drops the read ones
+    and appends a _window.  Iterating reads one word as a Python int, as
+    the scalar _bounded does, refilling when the words run out.
+    """
+
+    def __init__(self, bit_generator):
+        self.bit_generator = bit_generator
+        self.words = np.zeros(0, dtype=np.uint64)
+        self.at = 0
+
+    def refill(self):
+        self.words = np.concatenate([self.words[self.at :], _window(self.bit_generator)])
+        self.at = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self.at == len(self.words):
+            self.refill()
+        self.at += 1
+        return int(self.words[self.at - 1])
 
 
 def _bounded(words, h):
-    """Generator.integers(h) for 1 <= h <= 2**32, read from a _words stream.
+    """Generator.integers(h) for 1 <= h <= 2**32, read from a _Words stream.
 
     numpy's rule (Lemire's multiply-shift with rejection): m = u * h for a
     word u, drawn again while the low half of m is below (2**32 - h) % h;
@@ -605,27 +630,223 @@ def _bounded(words, h):
             return m >> 32
 
 
+def _bounded_arr(words, h):
+    """_bounded's rule on arrays: (draw, accepted) for uint64 words and ranges.
+
+    h is a uint64 array or an int, 1 <= h <= 2**32.  draw is m >> 32 as
+    int64, m = u * h; accepted is false where _bounded would draw again.
+    A range of one gives 0, accepted.
+    """
+    m = words * h
+    return (m >> 32).astype(np.int64), (m & _LOW32) >= (_LOW32 + 1 - h) % h
+
+
 def _transitive(escaped) -> bool:
     """Whether x << y << z always gives x << z; escaped[x] is set when some
     such z is not in the future of x."""
     return not escaped.any()
 
 
-def _triangle_triples(tau, cap, seed, kappa) -> list:
+def _futures(chron):
+    """The future of every point as CSR (indptr, indices).
+
+    F(x) is indices[indptr[x]:indptr[x + 1]], increasing int32, filled
+    one _PANEL of rows at a time.
+    """
+    n = chron.shape[0]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(chron.sum(axis=1), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for lo in range(0, n, _PANEL):
+        hi = min(lo + _PANEL, n)
+        indices[indptr[lo] : indptr[hi]] = np.nonzero(chron[lo:hi])[1]
+    return indptr, indices
+
+
+def _triples(parts):
+    """Three int64 arrays x, y, z from a list of (x, y, z) array parts."""
+    if not parts:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    return tuple(np.concatenate(p).astype(np.int64) for p in zip(*parts))
+
+
+class _Draw:
+    """The stratified triple draw of _triangle_triples over the futures CSR.
+
+    Entry e of the CSR is a pair x << y = indices[e].  z is drawn from
+    zs(e): F(y) when the relation is transitive, else F(x) & F(y), whose
+    sizes come from common, the row panels of chron @ chron.T at the
+    entries.  multi[e] says whether that draw reads a word (|zs(e)| > 1).
+    """
+
+    def __init__(self, chron, indptr, indices, xs, transitive, seed):
+        self.chron, self.indptr, self.indices, self.xs = chron, indptr, indices, xs
+        self.sizes = np.diff(indptr)
+        self.transitive = transitive
+        n = chron.shape[0]
+        self.multi = np.empty(len(indices), dtype=np.uint8)
+        if transitive:
+            self.common = None
+            many = self.sizes > 1
+            for lo in range(0, n, _PANEL):
+                span = slice(indptr[lo], indptr[min(lo + _PANEL, n)])
+                self.multi[span] = many[indices[span]]
+        else:
+            self.common = np.empty(len(indices), dtype=np.int32)
+            for lo, panel in _products(n, [(1, chron, chron.T)]):
+                span = slice(indptr[lo], indptr[lo + len(panel)])
+                self.common[span] = panel[chron[lo : lo + len(panel)]]
+            np.greater(self.common, 1, out=self.multi, casting="unsafe")
+        # indptr[x], |F(x)| and whether y's draw reads a word, per x of xs
+        self.slots = (indptr[xs].tolist(), self.sizes[xs].tolist(), (self.sizes[xs] > 1).astype(int).tolist())
+        self.words = _Words(np.random.default_rng(seed).bit_generator)
+
+    def even_table(self, words):
+        """The words an even attempt (x uniform) reads from each offset below
+        len(words) - 2, as bytes, every draw taken as accepted."""
+        m = len(words) - 2
+        many_x = int(self.xs.size > 1)
+        x = self.xs[_bounded_arr(words[:m], self.xs.size)[0]]
+        size = self.sizes[x]
+        dy = _bounded_arr(words[many_x : many_x + m], size.astype(np.uint64))[0]
+        return (many_x + (size > 1) + self.multi[self.indptr[x] + dy]).astype(np.uint8).tobytes()
+
+    def walk(self, table, first, stop):
+        """Start offsets of attempts first, first + 1, ... (at most stop),
+        from words.at on, every draw taken as accepted; words.at is left
+        after the last.  It walks attempt pairs (odd, even) while the five
+        words a pair reads at most lie in the window."""
+        w = memoryview(self.words.words)
+        multi = memoryview(self.multi)
+        ptr, size, step = self.slots
+        count = len(ptr)
+        o, a, end = self.words.at, first, len(w) - 5
+        starts = []
+        if a % 2 == 0 and a <= stop:  # the even attempt after a replayed odd one
+            starts.append(o)
+            o += table[o]
+            a += 1
+        r = a % count
+        while o <= end and a < stop:
+            starts.append(o)
+            o += step[r] + multi[ptr[r] + ((w[o] * size[r]) >> 32)]
+            starts.append(o)
+            o += table[o]
+            a += 2
+            r = (r + 2) % count
+        self.words.at = o
+        return starts
+
+    def zs(self, x, y, k, size):
+        """z, the k-th point of zs for each pair x << y; -1 where zs is empty."""
+        z = np.full(len(x), -1, dtype=np.int64)
+        has = size > 0
+        if self.transitive:
+            z[has] = self.indices[self.indptr[y[has]] + k[has]]
+            return z
+        for lo in range(0, len(x), _PANEL):
+            rows = self.chron[x[lo : lo + _PANEL]] & self.chron[y[lo : lo + _PANEL]]
+            z[lo : lo + _PANEL] = (np.cumsum(rows, axis=1, dtype=np.int32) <= k[lo : lo + _PANEL, None]).sum(axis=1)
+        z[~has] = -1
+        return z
+
+    def attempts(self, starts, first):
+        """(x, y, z, accepted) of attempts first, first + 1, ... whose words
+        start at starts; accepted is false where a draw was rejected."""
+        w = self.words.words
+        at = np.array(starts, dtype=np.int64)
+        a = np.arange(first, first + len(at))
+        even = a % 2 == 0
+        xi, accepted = _bounded_arr(w[at], self.xs.size)
+        x = self.xs[np.where(even, xi, a % self.xs.size)]
+        accepted |= ~even
+        at += even & (self.xs.size > 1)
+        size = self.sizes[x]
+        dy, ok = _bounded_arr(w[at], size.astype(np.uint64))
+        accepted &= ok
+        at += size > 1
+        e = self.indptr[x] + dy
+        y = self.indices[e].astype(np.int64)
+        zn = self.sizes[y] if self.transitive else self.common[e].astype(np.int64)
+        dz, ok = _bounded_arr(w[at], np.maximum(zn, 1).astype(np.uint64))
+        return x, y, self.zs(x, y, dz, zn), accepted & ok
+
+    def replay(self, a, start):
+        """(x, y, z) of attempt a from word start with the scalar _bounded,
+        which draws again on a rejected word; words.at is left after it."""
+        words = self.words
+        words.at = start
+        count = self.xs.size
+        x = int(self.xs[a % count if a % 2 else _bounded(words, count)])
+        e = int(self.indptr[x]) + _bounded(words, int(self.sizes[x]))
+        y = int(self.indices[e])
+        zn = int(self.sizes[y] if self.transitive else self.common[e])
+        k = _bounded(words, zn) if zn else 0
+        return np.array([x]), np.array([y]), self.zs(np.array([x]), np.array([y]), np.array([k]), np.array([zn]))
+
+    def triples(self, tau, cap, dk):
+        """The first cap distinct triples inside the size bound dk, in attempt
+        order, from at most 50 * cap attempts."""
+        n = tau.shape[0]
+        words = self.words
+        seen = np.array([-1])  # the keys drawn so far, sorted after a sentinel below every key
+        parts, found, first, stop = [], 0, 1, 50 * cap
+        table, table_of = None, None
+        while found < cap and first <= stop:
+            while len(words.words) - words.at < 5:  # one attempt pair
+                words.refill()
+            if table_of is not words.words:
+                table, table_of = self.even_table(words.words), words.words
+            starts = self.walk(table, first, stop)
+            x, y, z, accepted = self.attempts(starts, first)
+            rejected = np.flatnonzero(~accepted)
+            taken = int(rejected[0]) if rejected.size else len(starts)
+            batch = [(x[:taken], y[:taken], z[:taken])]
+            if rejected.size:
+                batch.append(self.replay(first + taken, starts[taken]))
+                taken += 1
+            first += taken
+            x, y, z = _triples(batch)
+            x, y, z = x[z >= 0], y[z >= 0], z[z >= 0]
+            keys, where = np.unique((x * n + y) * n + z, return_index=True)
+            at = np.searchsorted(seen, keys, side="right")
+            new = seen[at - 1] != keys
+            fresh = np.sort(where[new])
+            seen = np.insert(seen, at[new], keys[new])
+            keep = fresh[tau[x[fresh], z[fresh]] < dk][: cap - found]
+            parts.append((x[keep], y[keep], z[keep]))
+            found += len(keep)
+        return _triples(parts)
+
+
+def _triangle_triples(tau, cap, seed, kappa):
     """Vertex triples (x, y, z) with x << y << z for sample_triangles, in order.
 
-    Only triples whose longest side tau(x, z) is inside the size bound for
-    kappa are taken: every one when there are at most cap of them, else a
-    stratified random draw of distinct ones.
+    Returns three int64 arrays.  Only triples whose longest side tau(x, z)
+    is inside the size bound for kappa are taken: every one when there are
+    at most cap of them, else a stratified random draw of distinct ones.
+
+    Attempts alternate x between a round-robin over the points with
+    triples (odd attempts) and a uniform pick (even ones); y is uniform in
+    the future of x and z uniform in the futures of both, which is just
+    the future of y when the chronological relation is transitive.  An
+    attempt stops at an empty zs; a repeated triple or one outside the
+    size bound is not taken (the first occurrence wins), and the draw
+    stops at cap triples or 50 * cap attempts.
 
     The draw gives the triples that calling np.random.default_rng(seed)
-    .integers once per choice would give, but reads the PCG64 words itself
-    (_words, _bounded) and runs over Python ints.  Attempts alternate x
-    between a round-robin over the points with triples and a uniform pick;
-    y is uniform in the future of x and z uniform in the futures of both.
-    When the chronological relation is transitive the second set is just
-    the future of y.  tests/test_sampled.py keeps the loop that calls
-    Generator.integers as the oracle the draw is held to.
+    .integers once per choice would give, but reads the PCG64 words
+    itself, one _window at a time.  A choice from h > 1 values reads one
+    word when it is accepted (_bounded), so an attempt reads at most three.
+    For each window, one array pass tables how many words an even attempt
+    starting at each offset reads; a walk over attempt pairs then records
+    where each attempt starts, with one multiply-shift and two lookups for
+    an odd attempt and one table lookup for an even one.  The attempts'
+    triples are rebuilt as arrays from those offsets, checking that every
+    draw was accepted.  At the first rejected draw the rest of the window
+    is dropped, that attempt is replayed with the scalar _bounded, and the
+    walk resumes after it.  tests/test_sampled.py keeps the loop that
+    calls Generator.integers as the oracle the draw is held to.
     """
     n = tau.shape[0]
     chron = tau > 0
@@ -640,39 +861,17 @@ def _triangle_triples(tau, cap, seed, kappa) -> list:
         hh *= chron[rows] & (tau[rows] < kappa.dk)
         counts[rows] = hh.sum(axis=1, dtype=np.float64)
     transitive = _transitive(escaped)
-    futures = [np.flatnonzero(chron[i]) for i in range(n)]
-    triples = []
-    if int(counts.sum()) <= cap:
-        for x in range(n):
-            fx = futures[x]
-            yy, zz = np.nonzero(chron[np.ix_(fx, fx)])
-            y, z = fx[yy], fx[zz]
-            keep = tau[x, z] < kappa.dk
-            triples += zip([x] * int(keep.sum()), y[keep].tolist(), z[keep].tolist())
-        return triples
-
-    words = _words(np.random.default_rng(seed).bit_generator)
-    dk = kappa.dk
-    seen = set()
-    xs = np.flatnonzero(counts > 0).tolist()
-    attempts = 0
-    max_attempts = 50 * cap
-    while len(triples) < cap and attempts < max_attempts:
-        attempts += 1
-        x = xs[attempts % len(xs)] if attempts % 2 else xs[_bounded(words, len(xs))]
-        fx = futures[x]
-        y = int(fx[_bounded(words, fx.size)])
-        zs = futures[y] if transitive else fx[chron[y, fx]]
-        if not zs.size:
-            continue
-        z = int(zs[_bounded(words, zs.size)])
-        key = (x * n + y) * n + z
-        if key in seen:
-            continue
-        seen.add(key)
-        if tau[x, z] < dk:
-            triples.append((x, y, z))
-    return triples
+    indptr, indices = _futures(chron)
+    xs = np.flatnonzero(counts > 0)
+    if int(counts.sum()) > cap:
+        return _Draw(chron, indptr, indices, xs, transitive, seed).triples(tau, cap, kappa.dk)
+    parts = []
+    for x in xs.tolist():
+        fx = indices[indptr[x] : indptr[x + 1]]
+        yy, zz = np.nonzero(chron[np.ix_(fx, fx)])
+        keep = tau[x, fx[zz]] < kappa.dk
+        parts.append((np.full(int(keep.sum()), x), fx[yy[keep]], fx[zz[keep]]))
+    return _triples(parts)
 
 
 def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0), geo_tol: float = DEFAULT_GEO_TOL):
@@ -684,10 +883,8 @@ def sample_triangles(space, cap=20_000, seed=0, kappa=Kappa(0.0), geo_tol: float
     _geodesics call that admits chain points within geo_tol.
     """
     kappa = Kappa.of(kappa)
-    triples = _triangle_triples(space.tau, cap, seed, kappa)
+    x, y, z = _triangle_triples(space.tau, cap, seed, kappa)
     n = space.n
-    x, y, z = np.array(triples, dtype=np.int64).reshape(-1, 3).T
-    del triples  # its Python ints outweigh the chain store
     sides, which = np.unique(np.concatenate([x * n + y, y * n + z, x * n + z]), return_inverse=True)
     return TriangleSet(x, y, z, which.reshape(3, -1).T, _geodesics(space, sides // n, sides % n, geo_tol))
 

@@ -381,6 +381,7 @@ class TestCli:
             (["quadrangle", "--vertices", "1,2,3"], "--vertices needs four comma-separated point indices, got '1,2,3'"),
             (["quadrangle", "--vertices", "1,2,3,x"], "--vertices needs four comma-separated point indices, got '1,2,3,x'"),
             (["ray", "--point", "0", "--horizons", "2.5,4"], "parameter 2.5 not on the grid of x=0"),
+            (["ray", "--point", "0", "--horizons", "3,x"], "--horizons needs comma-separated numbers, got '3,x'"),
         ]:
             capsys.readouterr()
             assert main([argv[0], str(grid_fixture), *argv[1:], "-o", str(tmp_path / "r.json")]) == 2
@@ -628,6 +629,33 @@ class TestCli:
         assert flag.split("=")[0] in err and base in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--fan-phi", "0.5", "--fan-horizons", "3,x"], "--fan-horizons needs comma-separated numbers, got '3,x'"),
+            (["--fan-horizons", "3,4"], "--fan-horizons is unused without --fan-phi"),
+        ],
+    )
+    def test_gen_fan_flags_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "f.json"
+        capsys.readouterr()
+        assert main(["gen", "desitter-sample", *flags, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_ray_with_one_drift_is_skip(self, tmp_path):
+        """Two horizons give one drift, too few to show whether a ray
+        stabilizes: SKIP with that reason, exit 0, drifts kept."""
+        path, out = tmp_path / "g9.json", tmp_path / "r.json"
+        assert main(["gen", "minkowski-grid", "--nt", "9", "--nx", "9", "-o", str(path)]) == 0
+        assert main(["ray", str(path), "--point", "0", "--horizons", "2,2", "-o", str(out)]) == 0
+        (check,) = load_report(out)["checks"]
+        assert check["status"] == "SKIP" and check["reason"] == "fewer than two finite drifts"
+        assert check["drifts"] == [0.0] and check["ratios"] == []
+        # three horizons give two drifts, and a verdict
+        assert main(["ray", str(path), "--point", "0", "--horizons", "2,3,4", "-o", str(out)]) in (0, 1)
+        assert load_report(out)["checks"][0]["status"] in ("PASS", "FAIL")
+
     def test_gen_flags_the_base_takes(self, tmp_path):
         out = tmp_path / "f.json"
         argv = ["gen", "product", "--base", "hyperbolic-sample", "--m", "3", "--window", "1", "-o", str(out)]
@@ -814,9 +842,9 @@ FUZZ_COMMANDS = [
     ["split"],
     ["roundtrip"],
 ]
-# valid_fixture() holds no quadrangle p1 << p2 << p4 << p3, and two horizons
-# give one drift, too few to show that a ray stabilizes
-VALID_FIXTURE_EXIT = {"quadrangle": 2, "ray": 1}
+# valid_fixture() holds no quadrangle p1 << p2 << p4 << p3; its two ray
+# horizons give one drift, too few for a verdict, so ray reports SKIP
+VALID_FIXTURE_EXIT = {"quadrangle": 2}
 
 
 class TestFixtureFuzz:

@@ -1271,6 +1271,58 @@ def reference_triangle_triples(tau, cap, seed, kappa) -> list:
     return triples
 
 
+
+def drawn(tau, cap, seed, kappa) -> list:
+    """_triangle_triples as a list of (x, y, z) tuples of ints."""
+    return list(zip(*(a.tolist() for a in sampled._triangle_triples(tau, cap, seed, kappa))))
+
+
+def scalar_triangle_triples(tau, cap, seed, kappa) -> list:
+    """The draw path of _triangle_triples as one Python loop over the scalar
+    _bounded, reading the words of a sampled._Words stream: the loop the
+    draw ran before it walked windows of words.  It reads whatever
+    sampled._window hands out, so a test that patches the words holds the
+    draw to it."""
+    n = tau.shape[0]
+    chron = tau > 0
+    futures = [np.flatnonzero(row) for row in chron]
+    h = chron.astype(np.float32)
+    hh = h @ h
+    counts = (hh * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
+    transitive = not ((hh > 0) & ~chron).any()
+    assert int(counts.sum()) > cap, "the enumeration path draws nothing"
+    words = sampled._Words(np.random.default_rng(seed).bit_generator)
+    triples, seen = [], set()
+    xs = np.flatnonzero(counts > 0).tolist()
+    attempts = 0
+    while len(triples) < cap and attempts < 50 * cap:
+        attempts += 1
+        x = xs[attempts % len(xs)] if attempts % 2 else xs[sampled._bounded(words, len(xs))]
+        fx = futures[x]
+        y = int(fx[sampled._bounded(words, fx.size)])
+        zs = futures[y] if transitive else fx[chron[y, fx]]
+        if not zs.size:
+            continue
+        z = int(zs[sampled._bounded(words, zs.size)])
+        if (x, y, z) in seen:
+            continue
+        seen.add((x, y, z))
+        if tau[x, z] < kappa.dk:
+            triples.append((x, y, z))
+    return triples
+
+
+def zeroed(window, every):
+    """sampled._window with every word divisible by every set to 0, which
+    each range that is not a power of two rejects."""
+
+    def patched(bit_generator):
+        words = window(bit_generator)
+        words[words % every == 0] = 0
+        return words
+
+    return patched
+
 def triple_count(tau, kappa):
     """Number of triples x << y << z with tau(x, z) inside the size bound."""
     chron = tau > 0
@@ -1458,8 +1510,26 @@ class TestTriangleDraw:
     def test_bounded_matches_generator_integers(self, ranges, seed):
         # ranges just above 2**31 reject about half of their words
         rng = np.random.default_rng(seed)
-        words = sampled._words(np.random.default_rng(seed).bit_generator)
-        assert [sampled._bounded(words, h) for h in ranges] == [int(rng.integers(h)) for h in ranges]
+        want = [int(rng.integers(h)) for h in ranges]
+        words = sampled._Words(np.random.default_rng(seed).bit_generator)
+        assert [sampled._bounded(words, h) for h in ranges] == want
+        # the array rule, one word at a time: a draw is the first accepted
+        # word after the previous draw's, and a range of one reads none
+        words = sampled._Words(np.random.default_rng(seed).bit_generator)
+        got, read, flags = [], [], []
+        for h in ranges:
+            draw, accepted = 0, h == 1
+            while not accepted:
+                read.append((next(words), h))
+                draw, accepted = (v.item() for v in sampled._bounded_arr(np.uint64(read[-1][0]), np.uint64(h)))
+                flags.append(accepted)
+            got.append(draw)
+        assert got == want
+        # and the same rule on all those words in one call
+        u, h = (np.array(v, dtype=np.uint64).reshape(-1) for v in (list(zip(*read)) or [[], []]))
+        draws, accepted = sampled._bounded_arr(u, h)
+        assert draws.dtype == np.int64 and accepted.tolist() == flags
+        assert draws[accepted].tolist() == [d for d, h in zip(want, ranges) if h > 1]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1471,8 +1541,55 @@ class TestTriangleDraw:
     def test_draw_matches_reference(self, spec, cap, seed, k):
         tau = oracle_space(*spec).tau
         cap = min(cap, triple_count(tau, Kappa(k)) - 1)  # fewer than all: the draw path
-        got = sampled._triangle_triples(tau, cap, seed, Kappa(k))
+        got = drawn(tau, cap, seed, Kappa(k))
         assert got == reference_triangle_triples(tau, cap, seed, Kappa(k))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        spec=ORACLE_SPACES,
+        cap=st.integers(1, 200),
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([-1.0, 0.0, 1.0]),
+        window=st.sampled_from([1, 3, 64]),
+    )
+    def test_window_size_does_not_change_the_triples(self, spec, cap, seed, k, window):
+        # a window of one output holds two words, fewer than one attempt
+        # may read, so attempts straddle windows
+        tau = oracle_space(*spec).tau
+        cap = min(cap, triple_count(tau, Kappa(k)) - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampled, "_WINDOW", window)
+            assert drawn(tau, cap, seed, Kappa(k)) == reference_triangle_triples(tau, cap, seed, Kappa(k))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=ORACLE_SPACES,
+        cap=st.integers(1, 300),
+        seed=st.integers(0, 2**16),
+        k=st.sampled_from([-1.0, 0.0, 1.0]),
+        every=st.sampled_from([2, 5, 31]),
+        window=st.sampled_from([1, 3, 64, 4096]),
+    )
+    def test_rejected_draws_are_replayed(self, spec, cap, seed, k, every, window):
+        tau = oracle_space(*spec).tau
+        cap = min(cap, triple_count(tau, Kappa(k)) - 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampled, "_WINDOW", window)
+            mp.setattr(sampled, "_window", zeroed(sampled._window, every))
+            assert drawn(tau, cap, seed, Kappa(k)) == scalar_triangle_triples(tau, cap, seed, Kappa(k))
+
+    @pytest.mark.parametrize("name, every", [("grid21", 7), ("tripod", 2)])
+    def test_bench_scale_rejections_are_replayed(self, monkeypatch, name, every):
+        replayed = []
+        replay = sampled._Draw.replay
+        monkeypatch.setattr(sampled._Draw, "replay", lambda self, a, start: replayed.append(a) or replay(self, a, start))
+        monkeypatch.setattr(sampled, "_window", zeroed(sampled._window, every))
+        tau = bench_space(name).tau
+        want = scalar_triangle_triples(tau, 3000, 5, Kappa(0.0))
+        assert drawn(tau, 3000, 5, Kappa(0.0)) == want
+        assert len(want) == 3000
+        # replays come in attempt order, each after the walk resumed
+        assert len(replayed) > 10 and replayed == sorted(set(replayed))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("name", ["grid21", "tripod"])
@@ -1483,7 +1600,7 @@ class TestTriangleDraw:
         want = reference_triangle_triples(tau, 20_000, seed, Kappa(0.0))
         assert len(want) == 20_000
         for k in (0.0, 1.0):
-            assert sampled._triangle_triples(tau, 20_000, seed, Kappa(k)) == want
+            assert drawn(tau, 20_000, seed, Kappa(k)) == want
 
     def test_non_transitive_space_takes_indexed_zs(self, monkeypatch):
         tau = cleared_grid().tau
@@ -1496,21 +1613,46 @@ class TestTriangleDraw:
         transitive = sampled._transitive
         monkeypatch.setattr(sampled, "_transitive", lambda *a: taken.append(transitive(*a)) or taken[-1])
         want = reference_triangle_triples(tau, 300, 4, Kappa(0.0))
-        assert sampled._triangle_triples(tau, 300, 4, Kappa(0.0)) == want
+        assert drawn(tau, 300, 4, Kappa(0.0)) == want
         assert taken == [False]
         # the shortcut would draw z from the future of y alone, a different stream
         monkeypatch.setattr(sampled, "_transitive", lambda *a: True)
-        assert sampled._triangle_triples(tau, 300, 4, Kappa(0.0)) != want
+        assert drawn(tau, 300, 4, Kappa(0.0)) != want
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_range_of_one_consumes_no_word(self, monkeypatch, seed):
         # from x = 0 or 1, y = 2 leaves z = 3 alone; later draws read on
-        ranges = []
-        bounded = sampled._bounded
-        monkeypatch.setattr(sampled, "_bounded", lambda words, h: ranges.append(h) or bounded(words, h))
-        got = sampled._triangle_triples(chain4(), 2, seed, Kappa(0.0))
-        assert got == reference_triangle_triples(chain4(), 2, seed, Kappa(0.0))
+        tau = chain4()
+        seen = []
+        attempts = sampled._Draw.attempts
+
+        def observed(self, starts, first):
+            seen.append((list(starts), first, attempts(self, starts, first)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(sampled._Draw, "attempts", observed)
+        got = drawn(tau, 2, seed, Kappa(0.0))
+        assert got == reference_triangle_triples(tau, 2, seed, Kappa(0.0))
+        # the attempts' z ranges |F(y)| = 3 - y, and the words each reads:
+        # the even ones draw x from two points, every one draws y from
+        # |F(x)| = 3 - x > 1 and z only from a range above one
+        ((starts, first, (x, y, z, accepted)),) = seen
+        assert accepted.all()
+        ranges = (3 - y).tolist()
         assert 1 in ranges[:-1]
+        reads = (np.arange(first, first + len(starts)) % 2 == 0) + 1 + (3 - y > 1)
+        assert np.diff(starts).tolist() == reads[:-1].tolist()
+
+    def test_one_point_with_triples(self):
+        # 0 << 1, 2, 3 and 1 << 2, 3: only x = 0 has triples, (0, 1, 2) and
+        # (0, 1, 3), so every x is 0 and the even attempts read no word for it
+        tau = np.zeros((4, 4))
+        for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]:
+            tau[i, j] = j - i
+        for seed in range(12):
+            got = drawn(tau, 1, seed, Kappa(0.0))
+            assert got == reference_triangle_triples(tau, 1, seed, Kappa(0.0))
+            assert got in ([(0, 1, 2)], [(0, 1, 3)])
 
     @pytest.mark.parametrize("panel", [1, 7])
     @pytest.mark.parametrize("cap", [150, 5000])
@@ -1519,15 +1661,37 @@ class TestTriangleDraw:
         # cap 150 takes the draw path, 5000 enumerates
         monkeypatch.setattr(sampled, "_PANEL", panel)
         tau = oracle_space(name, 0.0, 0).tau
-        assert sampled._triangle_triples(tau, cap, 2, Kappa(0.0)) == reference_triangle_triples(tau, cap, 2, Kappa(0.0))
+        assert drawn(tau, cap, 2, Kappa(0.0)) == reference_triangle_triples(tau, cap, 2, Kappa(0.0))
 
     def test_stops_at_max_attempts(self):
         # 187 of the small grid's 1409 triples lie inside the K = -1 bound;
         # 50 * 180 attempts find 143 of them at seed 1
         tau = small_space("grid").tau
-        got = sampled._triangle_triples(tau, 180, 1, Kappa(-1.0))
+        got = drawn(tau, 180, 1, Kappa(-1.0))
         assert got == reference_triangle_triples(tau, 180, 1, Kappa(-1.0))
         assert len(got) == 143
+
+    def test_returns_int64_arrays(self):
+        tau = small_space("grid").tau
+        for cap in (100, 2000):  # the draw path, then the enumeration
+            triples = sampled._triangle_triples(tau, cap, 0, Kappa(0.0))
+            assert len(triples) == 3 and all(a.dtype == np.int64 and a.ndim == 1 for a in triples)
+        assert all(a.size == 0 for a in sampled._triangle_triples(tau, 10, 0, Kappa(-100.0)))
+
+    def test_bench_grid_draw_memory(self):
+        # tracemalloc peak of a repeated draw of 20,000 triples on the
+        # bench's 21x21 grid: the futures are one int32 CSR, the seen keys
+        # one sorted int64 array and the triples int64 arrays
+        tau = bench_space("grid21").tau
+        sampled._triangle_triples(tau, 20_000, 1, Kappa(0.0))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert len(sampled._triangle_triples(tau, 20_000, 1, Kappa(0.0))[0]) == 20_000
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 2**20
 
 
 class TestTriangleSampling:
