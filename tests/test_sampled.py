@@ -1526,8 +1526,8 @@ class TestTriangleDraw:
             got.append(draw)
         assert got == want
         # and the same rule on all those words in one call
-        u, h = (np.array(v, dtype=np.uint64).reshape(-1) for v in (list(zip(*read)) or [[], []]))
-        draws, accepted = sampled._bounded_arr(u, h)
+        u = np.array([word for word, _ in read], dtype=np.uint64)
+        draws, accepted = sampled._bounded_arr(u, np.array([h for _, h in read], dtype=np.uint64))
         assert draws.dtype == np.int64 and accepted.tolist() == flags
         assert draws[accepted].tolist() == [d for d, h in zip(want, ranges) if h > 1]
 
