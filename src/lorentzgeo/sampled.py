@@ -591,8 +591,8 @@ class _Words:
     """The word stream of a fresh bit generator, held one window at a time.
 
     words[at:] are the words not read yet.  refill() drops the read ones
-    and appends a _window.  Iterating reads one word as a Python int, as
-    the scalar _bounded does, refilling when the words run out.
+    and appends a _window.  next() reads one word as a Python int, as the
+    scalar _bounded does, refilling when the words run out.
     """
 
     def __init__(self, bit_generator):
@@ -603,9 +603,6 @@ class _Words:
     def refill(self):
         self.words = np.concatenate([self.words[self.at :], _window(self.bit_generator)])
         self.at = 0
-
-    def __iter__(self):
-        return self
 
     def __next__(self):
         if self.at == len(self.words):
