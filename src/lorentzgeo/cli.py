@@ -44,14 +44,21 @@ from .sampled import (
     validate_axioms,
 )
 from .splitting import compute_dS, extract_line_classes, verify_base_metric_cat0, verify_embedding
-from .tolerances import DEFAULT_GEO_TOL, DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU
+from .tolerances import DEFAULT_CERT_TOL, DEFAULT_GEO_TOL, DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU
 
 
-def _add_common(p):
-    p.add_argument("--tol-tau", type=float, default=DEFAULT_TOL_TAU)
-    p.add_argument("--tol-angle", type=float, default=DEFAULT_TOL_ANGLE)
-    p.add_argument("--geo-tol", type=float, default=DEFAULT_GEO_TOL)
-    p.add_argument("--seed", type=int, default=0)
+# Options that several commands read, as (flag, type, default)
+K = ("--k", float, 0.0)
+SEED = ("--seed", int, 0)
+TOL_TAU = ("--tol-tau", float, DEFAULT_TOL_TAU)
+TOL_ANGLE = ("--tol-angle", float, DEFAULT_TOL_ANGLE)
+GEO_TOL = ("--geo-tol", float, DEFAULT_GEO_TOL)
+TOLERANCES = ("tol_tau", "tol_angle", "geo_tol")  # echoed into the report when the command takes them
+
+
+def _add_options(p, options):
+    for flag, typ, default in options:
+        p.add_argument(flag, type=typ, default=default, required=default is None)
     p.add_argument("-o", "--output", type=Path, default=None)
 
 
@@ -66,7 +73,7 @@ def build_parser():
     mk.add_argument("--nt", type=int, default=21)
     mk.add_argument("--nx", type=int, default=21)
     mk.add_argument("--step", type=float, default=1.0)
-    _add_common(mk)
+    _add_options(mk, [SEED])
     ds = gsub.add_parser("desitter-sample")
     ds.add_argument("--n-angles", type=int, default=12)
     ds.add_argument("--n-times", type=int, default=25)
@@ -74,7 +81,7 @@ def build_parser():
     ds.add_argument("--fan-phi", type=float, default=None)
     ds.add_argument("--fan-horizons", type=str, default=None)
     ds.add_argument("--fan-points", type=int, default=24)
-    _add_common(ds)
+    _add_options(ds, [SEED])
     pr = gsub.add_parser("product")
     pr.add_argument("--base", required=True, choices=sorted(fx._BASES))
     pr.add_argument("--step", type=float, default=0.5)
@@ -84,14 +91,12 @@ def build_parser():
     pr.add_argument("--subdiv", type=int, default=None, help="tripod leg subdivisions")
     pr.add_argument("--m", type=int, default=None, help="grid side / sample size")
     pr.add_argument("--spacing", type=float, default=None, help="grid spacing")
-    _add_common(pr)
+    _add_options(pr, [SEED])
 
-    for name, (_, extra) in FIXTURE_COMMANDS.items():
+    for name, (_, options) in FIXTURE_COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("fixture", type=Path)
-        for flag, typ, default in extra:
-            p.add_argument(flag, type=typ, default=default, required=default is None)
-        _add_common(p)
+        _add_options(p, options)
 
     pd = sub.add_parser("plotdata", help="emit CSV series from a report")
     pd.add_argument("report", type=Path)
@@ -123,7 +128,7 @@ def run_fixture_command(args, command) -> int:
     report = make_report(
         args.command,
         {"fixture": str(args.fixture), "sha256": fixture.sha256},
-        {"tol_tau": args.tol_tau, "tol_angle": args.tol_angle, "geo_tol": args.geo_tol},
+        {key: value for key, value in vars(args).items() if key in TOLERANCES},
         checks,
         series,
         runtime,
@@ -173,7 +178,7 @@ def _numbers(flag, text):
 
 
 def cmd_gen(args):
-    lines, chains, base, meta = [], [], None, {}
+    lines, base, meta = [], None, {}
     if args.kind == "minkowski-grid":
         space = fx.minkowski_grid(args.nt, args.nx, args.step)
         lines = [fx.grid_vertical_line(args.nt, args.nx, args.step, ix) for ix in range(args.nx)]
@@ -196,7 +201,7 @@ def cmd_gen(args):
             kwargs["seed"] = args.seed
         space, lines, base = fx.product_fixture(args.base, step=args.step, window=args.window, **kwargs)
     out = args.output or Path(f"{args.kind}.json")
-    save_fixture(out, space, lines, chains, base, meta)
+    save_fixture(out, space, lines, base, meta)
     print(f"fixture ({space.n} points, {len(lines)} lines) -> {out}")
     return 0
 
@@ -244,6 +249,7 @@ def cmd_curvature(args, fixture, stage):
             "skipped_by_reason": dict(Counter(reason for _, reason in cert.skipped)),
             "geodesic_pairs": len(triangles.chains),
             "flagged_chains": int(np.count_nonzero(triangles.chains.flagged(args.geo_tol))),
+            "cert_tol": DEFAULT_CERT_TOL,
         }
     ]
     return checks, None
@@ -543,20 +549,20 @@ def cmd_plotdata(args):
     return 0
 
 
-# Each fixture command: its function and its extra (flag, type, default)
-# options; a None default makes the flag required.
+# Each fixture command: its function and the (flag, type, default) options it
+# reads, besides -o; a None default makes the flag required.
 FIXTURE_COMMANDS = {
     "axioms": (cmd_axioms, []),
-    "curvature": (cmd_curvature, [("--k", float, 0.0), ("--direction", str, "above"), ("--cap", int, 20_000)]),
-    "angles": (cmd_angles, [("--k", float, 0.0), ("--cap", int, 60)]),
-    "fvf": (cmd_fvf, [("--point", int, None), ("--vertex", int, None), ("--target", int, None), ("--k", float, 0.0)]),
-    "rigidity": (cmd_rigidity, [("--k", float, 0.0), ("--cap", int, 100)]),
-    "quadrangle": (cmd_quadrangle, [("--vertices", str, None), ("--k", float, 0.0)]),
-    "lines": (cmd_lines, []),
-    "strip": (cmd_strip, [("--alpha", int, 0), ("--beta", int, 1)]),
-    "ray": (cmd_ray, [("--line", int, 0), ("--point", int, None), ("--horizons", str, None)]),
-    "split": (cmd_split, [("--reference", int, 0)]),
-    "roundtrip": (cmd_roundtrip, []),
+    "curvature": (cmd_curvature, [K, ("--direction", str, "above"), ("--cap", int, 20_000), SEED, GEO_TOL]),
+    "angles": (cmd_angles, [K, ("--cap", int, 60), SEED, TOL_ANGLE, GEO_TOL]),
+    "fvf": (cmd_fvf, [("--point", int, None), ("--vertex", int, None), ("--target", int, None), K, TOL_ANGLE, GEO_TOL]),
+    "rigidity": (cmd_rigidity, [K, ("--cap", int, 100), SEED, TOL_TAU, TOL_ANGLE, GEO_TOL]),
+    "quadrangle": (cmd_quadrangle, [("--vertices", str, None), K, TOL_ANGLE]),
+    "lines": (cmd_lines, [GEO_TOL]),
+    "strip": (cmd_strip, [("--alpha", int, 0), ("--beta", int, 1), TOL_TAU]),
+    "ray": (cmd_ray, [("--line", int, 0), ("--point", int, None), ("--horizons", str, None), GEO_TOL]),
+    "split": (cmd_split, [("--reference", int, 0), TOL_TAU, GEO_TOL]),
+    "roundtrip": (cmd_roundtrip, [TOL_TAU, GEO_TOL]),
 }
 
 

@@ -237,8 +237,9 @@ def base_euclid_grid(m: int = 4, spacing: float = 1.0) -> MetricSampleIn:
     return MetricSampleIn(dist=dist, labels=labels, midpoints=mids, meta={"base": "euclid-grid", "m": m, "spacing": spacing})
 
 
-def base_hyperbolic_sample(m: int = 6, radius: float = 0.7, seed: int = 0) -> MetricSampleIn:
+def base_hyperbolic_sample(m: int = 6, seed: int = 0) -> MetricSampleIn:
     """Random points in the Poincare disk with hyperbolic distances."""
+    radius = 0.7  # Euclidean radius of the disk the points are drawn from
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < m:

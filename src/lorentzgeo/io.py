@@ -1,8 +1,8 @@
 """Fixture and report files.
 
 Fixtures are schema-versioned JSON: the space matrices as base64 binary
-payloads, optional line samples, chains, and the generator base when the
-fixture is a product.  Reports are JSON with deterministic ordering; the
+payloads, optional line samples, and the generator base when the fixture
+is a product.  Reports are JSON with deterministic ordering; the
 runtime block is excluded from the determinism contract.  Plot-ready
 series are emitted as CSV, one file per series, stable column order.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NoSeries, ShapeError
 from .parallels import LineSample
-from .sampled import Chain, SampledSpace
+from .sampled import SampledSpace
 from .splitting import MetricSampleIn
 
 FIXTURE_SCHEMA = 3
@@ -30,13 +30,12 @@ class Fixture(NamedTuple):
 
     space: SampledSpace
     lines: list
-    chains: list
     base: MetricSampleIn | None
     meta: dict
     sha256: str
 
 
-def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSampleIn | None = None, meta=None) -> dict:
+def fixture_to_dict(space: SampledSpace, lines=(), base: MetricSampleIn | None = None, meta=None) -> dict:
     chron = space.chron
     doc = {
         "schema_version": FIXTURE_SCHEMA,
@@ -58,9 +57,6 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
             }
             for ln in lines
         ],
-        "chains": [
-            {"points": ch.points.tolist(), "params": ch.params.tolist()} for ch in chains
-        ],
         "base": None,
         "meta": _plain(meta or {}),
     }
@@ -75,12 +71,13 @@ def fixture_to_dict(space: SampledSpace, lines=(), chains=(), base: MetricSample
 
 
 def fixture_from_dict(doc: dict):
-    """Validate and rebuild (space, lines, chains, base, meta) from JSON.
+    """Validate and rebuild (space, lines, base, meta) from JSON.
 
     The fixture (schema 3) holds `causal` and the chronological mask
     (tau > 0) as base64 of their np.packbits bytes, and `tau`'s positive
     entries in row-major order as base64 of little-endian float64 bytes.
-    Any other schema, or any malformed document, raises ShapeError.
+    Unknown top-level keys are ignored.  Any other schema, or any
+    malformed document, raises ShapeError.
 
     doc itself is not modified.  The payloads are popped from shallow
     copies of doc and doc["space"] as they are decoded, so when the caller
@@ -120,28 +117,23 @@ def fixture_from_dict(doc: dict):
                 label=_optional(ln.get("label"), str, "line label"),
             )
         )
-    chains = []
-    for ch in _expect(doc.get("chains", []), list, "chains"):
-        ch = _expect(ch, dict, "chain")
-        pts = _indices(ch.get("points"), n, "chain")
-        chains.append(Chain(points=pts, params=_array(ch.get("params"), float, "chain params")))
     base = None
     if doc.get("base"):
         b = _expect(doc["base"], dict, "base")
-        midpoints = {}
+        dist = _array(b.get("dist"), float, "base.dist")
+        labels = _optional(b.get("labels"), list, "base.labels")
+        meta = _expect(b.get("meta", {}), dict, "base.meta")
+        try:
+            base = MetricSampleIn(dist=dist, labels=labels, meta=meta)
+        except ShapeError as e:
+            raise ShapeError(f"fixture base.dist: {e}") from None
         for row in _expect(b.get("midpoints", []), list, "base.midpoints"):
-            triple = _indices(row, None, "base midpoint")
+            triple = _indices(row, base.m, "base midpoint")
             if triple.size != 3:
                 raise ShapeError("base midpoints must be [i, j, m] triples")
             i, j, m = triple.tolist()
-            midpoints[(i, j)] = m
-        base = MetricSampleIn(
-            dist=_array(b.get("dist"), float, "base.dist"),
-            labels=_optional(b.get("labels"), list, "base.labels"),
-            midpoints=midpoints,
-            meta=_expect(b.get("meta", {}), dict, "base.meta"),
-        )
-    return space, lines, chains, base, _expect(doc.get("meta", {}), dict, "meta")
+            base.midpoints[(i, j)] = m
+    return space, lines, base, _expect(doc.get("meta", {}), dict, "meta")
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string"}
@@ -212,8 +204,8 @@ def _indices(value, n, what):
     return pts
 
 
-def save_fixture(path, space, lines=(), chains=(), base=None, meta=None):
-    doc = fixture_to_dict(space, lines, chains, base, meta)
+def save_fixture(path, space, lines=(), base=None, meta=None):
+    doc = fixture_to_dict(space, lines, base, meta)
     Path(path).write_text(json.dumps(doc, sort_keys=True))
     return path
 

@@ -596,10 +596,10 @@ def ds_check_point(p, tol: float = DS_QUADRIC_TOL):
     return p
 
 
-def ds_tau(p, q, tol: float = DS_QUADRIC_TOL):
+def ds_tau(p, q):
     """Time separation and relation of two points of the de Sitter quadric."""
-    p = ds_check_point(p, tol)
-    q = ds_check_point(q, tol)
+    p = ds_check_point(p)
+    q = ds_check_point(q)
     if np.array_equal(p, q):
         return 0.0, Relation.SAME
     g = ds_form(p, q)

@@ -29,7 +29,7 @@ from .sampled import (
     geodesic_through,
     plane_map_check,
 )
-from .tolerances import DEFAULT_GEO_TOL, DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU, scaled
+from .tolerances import DEFAULT_GEO_TOL, DEFAULT_TOL_TAU, scaled
 
 
 @dataclass(frozen=True)
@@ -434,8 +434,6 @@ def concat_angle(
     beta_plus: Chain,
     p: int,
     kappa=Kappa(0.0),
-    tol_angle: float = DEFAULT_TOL_ANGLE,
-    geo_tol: float = DEFAULT_GEO_TOL,
 ):
     """Angle between a past and a future chain at p, and the line test.
 
@@ -443,7 +441,7 @@ def concat_angle(
     witness across the concatenation, which the zero-angle criterion
     predicts to hold exactly when the angle vanishes.
     """
-    est = estimate_angle(space, beta_minus, beta_plus, p, kappa, tol_angle=tol_angle)
+    est = estimate_angle(space, beta_minus, beta_plus, p, kappa)
     if est.sign < 0:  # both chains leave p toward the same time orientation
         raise DomainError("concatenation needs one past- and one future-directed chain")
-    return est.value, geodesic_through(space, beta_minus, beta_plus, p, geo_tol), est
+    return est.value, geodesic_through(space, beta_minus, beta_plus, p), est

@@ -161,7 +161,6 @@ def fill_in_reconstruct(
     space,
     tri: SampledTriangle,
     interior_chains,
-    tol: float = DEFAULT_TOL_TAU,
 ) -> FlatFillIn:
     """Map the sampled triangle interior onto the flat filled-in triangle.
 
@@ -209,7 +208,7 @@ def fill_in_reconstruct(
             pt = plane_side_point(model, coords3, SidePosition(side_name, float(s)))
             plane.setdefault(int(p), (pt.t, pt.x))
 
-    return _checked_fill_in(space, plane, (tri.x, tri.y, tri.z), scaled(tol, lengths["ac"]), "fill-in")
+    return _checked_fill_in(space, plane, (tri.x, tri.y, tri.z), scaled(DEFAULT_TOL_TAU, lengths["ac"]), "fill-in")
 
 
 @dataclass

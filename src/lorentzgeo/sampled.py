@@ -57,9 +57,11 @@ class SampledSpace:
             )
         if self.labels is not None and len(self.labels) != n:
             raise ShapeError(f"{len(self.labels)} labels for {n} points")
-        if not np.isfinite(self.tau).all():
+        # no n x n temporaries: NaN reaches both ends, +inf the max, -inf the min
+        low, high = self.tau.min(initial=0.0), self.tau.max(initial=0.0)
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ShapeError("tau contains non-finite entries")
-        if (self.tau < 0).any():
+        if low < 0:
             raise ShapeError("tau contains negative entries")
         if np.diag(self.tau).any():
             raise ShapeError("tau has a nonzero diagonal")
@@ -1240,7 +1242,6 @@ def certify_curvature_bound(
     triangles,
     kappa=Kappa(0.0),
     direction: str = "above",
-    tol: float = DEFAULT_CERT_TOL,
 ) -> Certificate:
     """Triangle-comparison certification of a timelike curvature bound.
 
@@ -1250,7 +1251,8 @@ def certify_curvature_bound(
     triangles is a TriangleSet or any sequence of SampledTriangle.
     Returns a certificate with the worst margin and a witness on failure:
     the first triangle attaining it, then the first pair in row-major
-    order of that triangle's side points (ab, bc, ac).
+    order of that triangle's side points (ab, bc, ac).  The bound passes
+    down to a margin of -DEFAULT_CERT_TOL * (1 + |tau_model|) at the witness.
 
     Every unordered pair is evaluated once for both orientations, in two
     passes of batches of about _BATCH_PAIRS pairs, so memory stays bounded
@@ -1293,7 +1295,7 @@ def certify_curvature_bound(
     for lo, hi in _batches(size[:, 0] * size[:, 1] + size[:, 2] * (size[:, 0] + size[:, 1])):
         batch = (sides[lo:hi], size[lo:hi], lengths[lo:hi], u[lo:hi], failing[lo:hi])
         bad[lo:hi], pairs, miss, top, batch_worst, batch_found = _hinge_batch(
-            kappa, tau, chains, *batch, direction, tol, worst
+            kappa, tau, chains, *batch, direction, DEFAULT_CERT_TOL, worst
         )
         n_pairs += pairs
         chron_miss += miss
@@ -1308,7 +1310,7 @@ def certify_curvature_bound(
     chain_worst = np.full(len(chains), np.inf)
     for lo, hi in _batches(m[live] * (m[live] - 1) // 2):
         cs = live[lo:hi]
-        chain_worst[cs], top, kept, miss = _chain_batch(tau, chains, cs, direction, tol)
+        chain_worst[cs], top, kept, miss = _chain_batch(tau, chains, cs, direction, DEFAULT_CERT_TOL)
         n_pairs += 2 * int(uses[cs] @ kept)
         chron_miss += int(uses[cs] @ miss)
         max_slack = max(max_slack, float(top.max()), -float(chain_worst[cs].min()))
@@ -1320,7 +1322,7 @@ def certify_curvature_bound(
         start = (np.cumsum(size[t]) - size[t]).tolist()
         n_t = int(size[t].sum())
         for s in np.flatnonzero(at[t]).tolist():
-            row, col, *tie = _chain_tie(tau, chains, sides[t, s], direction, tol, lowest)
+            row, col, *tie = _chain_tie(tau, chains, sides[t, s], direction, DEFAULT_CERT_TOL, lowest)
             key = (start[s] + row) * n_t + start[s] + col
             if lowest < worst or (t, key) < found[:2]:
                 worst, found = lowest, (t, key, *tie)
@@ -1348,7 +1350,7 @@ def certify_curvature_bound(
         }
     else:
         worst = 0.0
-    tol_here = scaled(tol, witness["tau_model"]) if witness else tol
+    tol_here = scaled(DEFAULT_CERT_TOL, witness["tau_model"]) if witness else DEFAULT_CERT_TOL
     passed = worst >= -tol_here and chron_miss == 0
     return Certificate(
         direction=direction,

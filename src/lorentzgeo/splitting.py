@@ -31,9 +31,11 @@ class MetricSampleIn:
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=float)
-        m = self.dist.shape[0]
+        m = self.dist.shape[0] if self.dist.ndim else 0
         if self.dist.shape != (m, m):
             raise ShapeError(f"distance matrix must be square, got {self.dist.shape}")
+        if not np.isfinite(self.dist).all():
+            raise ShapeError("distances must be finite")
         if not np.allclose(self.dist, self.dist.T, atol=1e-12):
             raise ShapeError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(self.dist)) > 0):
@@ -267,7 +269,7 @@ class Cat0Report:
         return self.triangle_violation is None and self.min_margin >= -1e-9
 
 
-def verify_base_metric_cat0(dist, midpoints, tol: float = 1e-9) -> Cat0Report:
+def verify_base_metric_cat0(dist, midpoints) -> Cat0Report:
     """Metric axioms plus the nonpositive-curvature midpoint inequality.
 
     For each triple (x; y, z) whose midpoint m of (y, z) is available:
@@ -280,7 +282,7 @@ def verify_base_metric_cat0(dist, midpoints, tol: float = 1e-9) -> Cat0Report:
     d = np.asarray(dist, dtype=float)
     m = d.shape[0]
     symmetry_dev = float(np.abs(d - d.T).max())
-    tri = MetricSampleIn(dist=0.5 * (d + d.T)).check_triangle_inequality(tol)
+    tri = MetricSampleIn(dist=0.5 * (d + d.T)).check_triangle_inequality(1e-9)
     margins = []
     skipped = 0
     mid = {}
@@ -411,15 +413,15 @@ class RoundTripReport:
         )
 
 
-def round_trip(base: MetricSampleIn, t_grid, tol: float = DEFAULT_TOL_TAU) -> RoundTripReport:
+def round_trip(base: MetricSampleIn, t_grid) -> RoundTripReport:
     """Full pipeline check: product -> lines -> classes -> dS -> compare.
 
     The recovered dS must match the generator's distances to one grid
     step entrywise.
     """
     space, lines = build_product(base, t_grid)
-    classes = extract_line_classes(space, lines, reference=lines[0], tol=tol)
-    recovered = compute_dS(space, classes, tol)
+    classes = extract_line_classes(space, lines, reference=lines[0])
+    recovered = compute_dS(space, classes)
     # canonical lines arrive one per base point, in order
     dev = float(np.abs(recovered.dS - base.dist).max())
     finite = np.isfinite(recovered.dS)

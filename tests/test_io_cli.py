@@ -1,15 +1,19 @@
+import argparse
 import base64
 import copy
 import json
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lorentzgeo import cli
 from lorentzgeo.cli import main
 from lorentzgeo.errors import NoSeries, ShapeError
 from lorentzgeo.fixtures import base_pair, base_point, minkowski_grid
@@ -26,28 +30,27 @@ from lorentzgeo.io import (
 )
 from lorentzgeo.parallels import LineSample
 from lorentzgeo.modelspace import Kappa
-from lorentzgeo.sampled import Chain, SampledSpace, certify_curvature_bound, sample_triangles
+from lorentzgeo.sampled import SampledSpace, certify_curvature_bound, sample_triangles
 from lorentzgeo.splitting import build_product, verify_embedding
+from lorentzgeo.tolerances import DEFAULT_CERT_TOL
 
 
 class TestFixtureIO:
     def test_round_trip_identity(self, tmp_path):
         space, lines = build_product(base_pair(1.5), np.arange(-2.0, 2.5, 0.5))
-        chain = Chain([0, 1, 2], [0.0, 0.5, 1.0])
         path = tmp_path / "f.json"
-        save_fixture(path, space, lines, [chain], base_pair(1.5), {"note": 1})
-        space2, lines2, chains2, base2, meta2, sha256 = load_fixture(path)
+        save_fixture(path, space, lines, base_pair(1.5), {"note": 1})
+        space2, lines2, base2, meta2, sha256 = load_fixture(path)
         assert sha256 == file_digest(path)
         assert np.array_equal(space2.tau, space.tau)
         assert np.array_equal(space2.causal, space.causal)
         assert len(lines2) == len(lines)
         assert np.array_equal(lines2[0].points, lines[0].points)
         assert lines2[0].step == lines[0].step
-        assert np.array_equal(chains2[0].points, chain.points)
         assert np.array_equal(base2.dist, base_pair(1.5).dist)
         assert meta2 == {"note": 1}
         # byte-identical on re-save
-        save_fixture(tmp_path / "g.json", space2, lines2, chains2, base2, meta2)
+        save_fixture(tmp_path / "g.json", space2, lines2, base2, meta2)
         assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
 
     def test_bad_schema_rejected(self):
@@ -124,7 +127,17 @@ class TestFixtureIO:
         other.write_bytes(path.read_text().encode(encoding))
         loaded = load_fixture(other)
         assert loaded.sha256 == file_digest(other)
-        assert fixture_to_dict(*loaded[:5]) == fixture_to_dict(*load_fixture(path)[:5])
+        assert fixture_to_dict(*loaded[:4]) == fixture_to_dict(*load_fixture(path)[:4])
+
+    def test_unknown_top_level_keys_ignored(self):
+        """A fixture written with the retired `chains` list, or any other
+        unknown top-level key, loads as the fixture without it."""
+        doc = valid_fixture()
+        assert "chains" not in doc
+        chains = [{"points": [0, 1, 2], "params": [0.0, 1.0, 2.0]}]
+        for extra in ({"chains": []}, {"chains": chains}, {"note": [1]}):
+            loaded = fixture_from_dict({**doc, **extra})
+            assert fixture_to_dict(*loaded) == doc
 
     def test_fixture_from_dict_leaves_its_argument(self):
         doc = valid_fixture()
@@ -161,6 +174,53 @@ class TestReports:
         r1 = make_report("axioms", {}, {}, [], runtime={"seconds": 1.0})
         r2 = make_report("axioms", {}, {}, [], runtime={"seconds": 99.0})
         assert deterministic_view(r1) == deterministic_view(r2)
+
+
+def subcommands(parser):
+    """The subparsers of parser by name; {} for a leaf command."""
+    return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+
+# One run per subcommand that reaches every option read the subcommand makes:
+# (subcommand path, fixture of TestCli or None, flags)
+OPTION_RUNS = [
+    (("axioms",), "grid", []),
+    (("curvature",), "grid", ["--cap", "5"]),
+    (("angles",), "grid", ["--cap", "5"]),
+    (("fvf",), "grid", ["--point", "0", "--vertex", "7", "--target", "35"]),
+    (("rigidity",), "grid", ["--cap", "10"]),
+    (("quadrangle",), "grid", ["--vertices", "3,16,45,31"]),
+    (("lines",), "tripod", []),
+    (("strip",), "tripod", ["--alpha", "1", "--beta", "2"]),
+    (("ray",), "grid", ["--point", "0", "--horizons", "2,4,6"]),
+    (("split",), "tripod", []),
+    (("roundtrip",), "tripod", []),
+    (("gen", "minkowski-grid"), None, ["--nt", "3", "--nx", "3"]),
+    (("gen", "desitter-sample"), None, ["--n-angles", "4", "--n-times", "5", "--fan-phi", "0.5"]),
+    (("gen", "product"), None, ["--base", "hyperbolic-sample", "--m", "3", "--window", "1"]),
+]
+# Only product's hyperbolic-sample base reads gen --seed; the other kinds
+# take it too, so that one --seed can be passed to every gen.
+UNREAD_OPTIONS = {("gen", "minkowski-grid"): {"seed"}, ("gen", "desitter-sample"): {"seed"}}
+# The tolerance and seed flags, each with a value that is not its default
+FLAG_VALUES = {"--tol-tau": "2e-07", "--tol-angle": "2e-06", "--geo-tol": "2e-07", "--seed": "1"}
+# The ones each subcommand takes
+KEPT_FLAGS = {
+    ("axioms",): [],
+    ("curvature",): ["--seed", "--geo-tol"],
+    ("angles",): ["--seed", "--tol-angle", "--geo-tol"],
+    ("fvf",): ["--tol-angle", "--geo-tol"],
+    ("rigidity",): ["--seed", "--tol-tau", "--tol-angle", "--geo-tol"],
+    ("quadrangle",): ["--tol-angle"],
+    ("lines",): ["--geo-tol"],
+    ("strip",): ["--tol-tau"],
+    ("ray",): ["--geo-tol"],
+    ("split",): ["--tol-tau", "--geo-tol"],
+    ("roundtrip",): ["--tol-tau", "--geo-tol"],
+    ("gen", "minkowski-grid"): ["--seed"],
+    ("gen", "desitter-sample"): ["--seed"],
+    ("gen", "product"): ["--seed"],
+}
 
 
 class TestCli:
@@ -233,7 +293,7 @@ class TestCli:
         is reported as SKIP, not left out."""
         path = tmp_path / "hyp.json"
         assert main(["gen", "product", "--base", "hyperbolic-sample", "-o", str(path)]) == 0
-        assert not load_fixture(path)[3].midpoints
+        assert not load_fixture(path).base.midpoints
         assert main(["split", str(path)]) == 0
         checks = load_report(tmp_path / "hyp_split.json")["checks"]
         assert [c["name"] for c in checks] == ["classes", "embedding", "base-cat0"]
@@ -346,7 +406,8 @@ class TestCli:
             }
         ]
         assert report["series"] == {"ray_drift": {"columns": ["t_n", "drift"], "rows": [[16.0, drifts[0]], [32.0, drifts[1]]]}}
-        assert report["inputs"]["sha256"] == "278c144f118bfa29763078b43724e613031c7dc7174a7617108aa22a4884a69b"
+        # the fixture's bytes, without the "chains": [] it carried before that list was retired
+        assert report["inputs"]["sha256"] == "bbe5a3967ed3668507a70968812c1e9f25948d25c95824e5b820cd92afc64f69"
 
     def test_deterministic_reports(self, tripod_fixture):
         out1 = tripod_fixture.with_name("r1.json")
@@ -415,6 +476,7 @@ class TestCli:
             lambda doc: {**doc, "lines": [1]},
             lambda doc: {**doc, "lines": [{**doc["lines"][0], "label": 5}]},
             lambda doc: {**doc, "base": {**doc["base"], "labels": 5}},
+            lambda doc: {**doc, "base": {**doc["base"], "dist": 5}},
             # the version must be the integer 3
             lambda doc: {**doc, "schema_version": True},
             lambda doc: {**doc, "schema_version": 2.0},
@@ -450,6 +512,7 @@ class TestCli:
             "line-not-object",
             "line-label-number",
             "base-labels-number",
+            "base-dist-number",
             "schema-true",
             "schema-2.0",
             "schema-3.0",
@@ -488,6 +551,39 @@ class TestCli:
             assert main([command, str(path), *extra]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "key, entry, value, field",
+        [
+            ("dist", (0, 1), float("inf"), "base.dist"),
+            ("dist", (0, 1), float("nan"), "base.dist"),
+            # the tripod base's midpoints are [[1, 2, 0], [1, 3, 0], [2, 3, 0]]
+            ("midpoints", (0, 2), -1, "base midpoint"),
+            ("midpoints", (0, 0), 99, "base midpoint"),
+            ("midpoints", (0, 2), 99, "base midpoint"),
+        ],
+        ids=["dist-inf", "dist-nan", "midpoint-negative", "pair-too-large", "midpoint-too-large"],
+    )
+    def test_malformed_base_exit_2(self, tripod_fixture, tmp_path, capsys, key, entry, value, field):
+        """A non-finite base distance or a midpoint triple outside the base
+        exits 2 with one line naming the field, never a verdict or a wrapped index."""
+        doc = json.loads(tripod_fixture.read_text())
+        i, j = entry
+        doc["base"][key][i][j] = value
+        if key == "dist":
+            doc["base"][key][j][i] = value
+        with pytest.raises(ShapeError, match=field):
+            fixture_from_dict(doc)
+        tripod_fixture.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        for command in ("split", "roundtrip"):
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, str(tripod_fixture), "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "field, payload, message",
@@ -660,7 +756,7 @@ class TestCli:
         out = tmp_path / "f.json"
         argv = ["gen", "product", "--base", "hyperbolic-sample", "--m", "3", "--window", "1", "-o", str(out)]
         assert main(argv) == 0
-        assert load_fixture(out)[3].dist.shape == (3, 3)
+        assert load_fixture(out).base.dist.shape == (3, 3)
 
     def test_curvature_report_diagnostics(self, tmp_path):
         # a 6x6 grid with a sixth of its chronological tau entries shrunk:
@@ -690,6 +786,7 @@ class TestCli:
         assert check["geodesic_pairs"] == len(chains) > 0
         assert check["flagged_chains"] == flagged > 0
         assert check["skipped_by_reason"] == reasons
+        assert check["cert_tol"] == DEFAULT_CERT_TOL  # the margin floor the verdict used
         assert len(reasons) >= 2 and sum(reasons.values()) == check["skipped"] == len(cert.skipped)
         runtime = report["runtime"]
         assert all(runtime[key] >= 0 for key in ("load_s", "sample_s", "certify_s"))
@@ -755,6 +852,65 @@ class TestCli:
         )
         assert main(["axioms", str(path)]) == 0
 
+    @staticmethod
+    def option_argv(request, path, fixture, extra):
+        """The run of OPTION_RUNS without -o: the subcommand, its fixture file if any, and its flags."""
+        files = [str(request.getfixturevalue(f"{fixture}_fixture"))] if fixture else []
+        return [*path, *files, *extra]
+
+    @pytest.mark.parametrize("path, fixture, extra", OPTION_RUNS, ids=[" ".join(run[0]) for run in OPTION_RUNS])
+    def test_every_option_is_read(self, request, tmp_path, monkeypatch, path, fixture, extra):
+        """A subcommand defines only options that main, run_fixture_command
+        or its cmd_* function read as args attributes (the report's
+        tolerance echo reads the namespace whole, so it counts for none)."""
+        reads = set()
+
+        class Recorder(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        parser = cli.build_parser()
+        recording = SimpleNamespace(parse_args=lambda argv: Recorder(**vars(parser.parse_args(argv))))
+        monkeypatch.setattr(cli, "build_parser", lambda: recording)
+        argv = self.option_argv(request, path, fixture, extra)
+        assert main([*argv, "-o", str(tmp_path / "out.json")]) in (0, 1)
+        sub = parser
+        for name in path:
+            sub = subcommands(sub)[name]
+        defined = {a.dest for a in sub._actions if a.dest != "help"}
+        assert defined - reads == UNREAD_OPTIONS.get(path, set())
+
+    @pytest.mark.parametrize("path, fixture, extra", OPTION_RUNS, ids=[" ".join(run[0]) for run in OPTION_RUNS])
+    def test_retired_flags_exit_2_and_kept_ones_work(self, request, tmp_path, capsys, path, fixture, extra):
+        """Each tolerance or seed flag a subcommand does not read is an
+        unrecognized argument; the ones it reads run and the report echoes
+        exactly its tolerance flags, so axioms echoes {}."""
+        argv = self.option_argv(request, path, fixture, extra)
+        out = tmp_path / "out.json"
+        kept = KEPT_FLAGS[path]
+        for flag in sorted(set(FLAG_VALUES) - set(kept)):
+            capsys.readouterr()
+            assert main([*argv, flag, FLAG_VALUES[flag], "-o", str(out)]) == 2
+            assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+            assert not out.exists()
+        code = main([*argv, "-o", str(out)])
+        assert code in (0, 1)
+        out.unlink()
+        assert main([*argv, *(v for flag in kept for v in (flag, FLAG_VALUES[flag])), "-o", str(out)]) == code
+        if path[0] != "gen":
+            echoed = {flag[2:].replace("-", "_"): float(FLAG_VALUES[flag]) for flag in kept if flag != "--seed"}
+            assert load_report(out)["tolerances"] == echoed
+
+    def test_option_runs_cover_every_subcommand(self):
+        """The two tests above see every subcommand but plotdata, which takes only its report and -o."""
+
+        def leaves(parser, path=()):
+            subs = subcommands(parser)
+            return {leaf for name, sub in subs.items() for leaf in leaves(sub, (*path, name))} if subs else {path}
+
+        assert leaves(cli.build_parser()) - {("plotdata",)} == {run[0] for run in OPTION_RUNS} == set(KEPT_FLAGS)
+
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -764,9 +920,9 @@ JSON = st.recursive(
 
 
 def valid_fixture():
-    """A 3-point chain with its line, one chain and its one-point base."""
+    """A 3-point chain with its line and its one-point base."""
     space, lines = build_product(base_point(), [0.0, 1.0, 2.0])
-    return fixture_to_dict(space, lines, [Chain([0, 1, 2], [0.0, 1.0, 2.0])], base_point())
+    return fixture_to_dict(space, lines, base_point())
 
 
 def b64(data):

@@ -283,6 +283,33 @@ def broken_spaces(draw):
     return SampledSpace(tau=tau, causal=causal)
 
 
+class TestSampledSpace:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 1): np.nan}, "tau contains non-finite entries"),
+            ({(0, 1): np.inf}, "tau contains non-finite entries"),
+            ({(0, 1): -np.inf}, "tau contains non-finite entries"),
+            ({(0, 1): -1.0}, "tau contains negative entries"),
+            # a non-finite entry is named before a negative one or the diagonal
+            ({(0, 1): -1.0, (1, 0): np.nan}, "tau contains non-finite entries"),
+            ({(0, 1): -1.0, (2, 2): 1.0}, "tau contains negative entries"),
+            ({(2, 2): 1.0}, "tau has a nonzero diagonal"),
+        ],
+        ids=["nan", "inf", "minus-inf", "negative", "nan-and-negative", "negative-and-diagonal", "diagonal"],
+    )
+    def test_bad_tau_rejected(self, entries, message):
+        tau = np.zeros((3, 3))
+        for entry, value in entries.items():
+            tau[entry] = value
+        with pytest.raises(ShapeError, match=f"^{message}$"):
+            SampledSpace(tau=tau, causal=np.eye(3, dtype=bool))
+
+    def test_empty_space(self):
+        space = SampledSpace(tau=np.zeros((0, 0)), causal=np.zeros((0, 0), dtype=bool))
+        assert space.n == 0 and not space.tau.flags.writeable
+
+
 class TestAxioms:
     def test_chain_fixture_clean(self, chain3):
         assert validate_axioms(chain3).ok
