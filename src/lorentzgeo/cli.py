@@ -110,7 +110,8 @@ def run_fixture_command(args, command) -> int:
     The command returns (checks, series).  stage(name) is a context manager
     that records the perf_counter seconds of its block as runtime
     "<name>_s"; the load is stage "load", and "seconds" is the command's
-    work after it.  Returns the report's exit status.
+    work after it.  A command that finds nothing to check reports one SKIP
+    check.  Returns the report's exit status.
     """
     runtime = {}
 
@@ -124,6 +125,8 @@ def run_fixture_command(args, command) -> int:
         fixture = load_fixture(args.fixture)
     start = time.perf_counter()
     checks, series = command(args, fixture, stage)
+    if not checks:
+        checks = [{"name": args.command, "status": "SKIP", "reason": "nothing to check in this fixture"}]
     runtime.update(seconds=time.perf_counter() - start, timestamp=time.time())
     report = make_report(
         args.command,
@@ -580,7 +583,7 @@ def main(argv=None) -> int:
         if args.command == "plotdata":
             return cmd_plotdata(args)
         return run_fixture_command(args, FIXTURE_COMMANDS[args.command][0])
-    except (LorentzGeoError, OSError, ValueError, KeyError, IndexError) as e:
+    except (LorentzGeoError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

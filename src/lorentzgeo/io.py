@@ -124,9 +124,15 @@ def fixture_from_dict(doc: dict):
         labels = _optional(b.get("labels"), list, "base.labels")
         meta = _expect(b.get("meta", {}), dict, "base.meta")
         try:
-            base = MetricSampleIn(dist=dist, labels=labels, meta=meta)
+            base = MetricSampleIn(dist=dist, meta=meta)
         except ShapeError as e:
             raise ShapeError(f"fixture base.dist: {e}") from None
+        try:
+            base = MetricSampleIn(dist=base.dist, labels=labels, meta=meta)
+        except ShapeError as e:
+            raise ShapeError(f"fixture base.labels: {e}") from None
+        if "base_points" in space.meta and space.meta["base_points"] != base.m:
+            raise ShapeError(f"fixture base has {base.m} points, but space.meta base_points is {space.meta['base_points']!r}")
         for row in _expect(b.get("midpoints", []), list, "base.midpoints"):
             triple = _indices(row, base.m, "base midpoint")
             if triple.size != 3:

@@ -138,7 +138,6 @@ class SyncFit:
     c0: float
     max_tau_error: float
     causal_mismatches: int
-    worst: dict
 
 
 def sync_parallel_fit(space, alpha: LineSample, beta: LineSample, tol: float = DEFAULT_TOL_TAU):
@@ -146,8 +145,7 @@ def sync_parallel_fit(space, alpha: LineSample, beta: LineSample, tol: float = D
 
     Seeks (t0, c0) with tau(alpha(s), beta(t)) = sqrt((t + t0 - s)^2 - c0^2)
     and causality exactly at t + t0 - s >= c0, validated on every sampled
-    pair.  Returns a SyncFit or None (with the worst witness unavailable
-    when the regression itself is degenerate).
+    pair.  Returns a SyncFit or None.
     """
     pa, pb = alpha.points, beta.points
     A, B = alpha.params, beta.params
@@ -171,20 +169,8 @@ def sync_parallel_fit(space, alpha: LineSample, beta: LineSample, tol: float = D
     delta = u + t0
     inside = delta >= c0 - scaled(tol, c0)
     pred = np.where(inside, np.sqrt(np.maximum(delta * delta - c0 * c0, 0.0)), 0.0)
-    err = np.abs(tau - pred)
-    worst_idx = np.unravel_index(int(np.argmax(err)), err.shape)
     mism = int(np.count_nonzero(causal != inside))
-    fit = SyncFit(
-        t0=t0,
-        c0=c0,
-        max_tau_error=float(err.max()),
-        causal_mismatches=mism,
-        worst={
-            "pair": (int(pa[worst_idx[0]]), int(pb[worst_idx[1]])),
-            "tau": float(tau[worst_idx]),
-            "predicted": float(pred[worst_idx]),
-        },
-    )
+    fit = SyncFit(t0=t0, c0=c0, max_tau_error=float(np.abs(tau - pred).max()), causal_mismatches=mism)
     if fit.max_tau_error > scaled(tol, float(np.max(tau))) or mism:
         return None
     return fit
@@ -285,7 +271,6 @@ class FlatStrip:
     width: float
     max_tau_error: float
     causal_mismatches: int
-    offset_used: float
 
 
 def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: float = DEFAULT_TOL_TAU):
@@ -303,18 +288,15 @@ def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: floa
     slope = _f2_slope(profile.offsets, profile.F)
     active = np.flatnonzero(profile.F > scaled(tol, 0.0))
     width = None
-    c_used = float("nan")
     for k in active:
         if k + 2 < len(profile.F) and np.all(profile.F[k : k + 3] > 0):
             wsq = (slope[k] / 2.0) ** 2 - profile.F[k] * profile.F[k]
             if wsq < -scaled(tol, 1.0):
                 raise StripInconsistent(f"negative squared width {wsq} at offset {profile.offsets[k]}")
             width = math.sqrt(max(wsq, 0.0))
-            c_used = float(profile.offsets[k])
             break
     if width is None:
         width = fit.c0  # degenerate strip: no active offsets (same line)
-        c_used = float(profile.offsets[0]) if len(profile.offsets) else 0.0
     if abs(width - fit.c0) > scaled(tol * 10, fit.c0) + 1e-6:
         raise StripInconsistent(
             f"width identity fails: profile width {width} vs spacelike distance {fit.c0}"
@@ -333,7 +315,6 @@ def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: floa
         width=width,
         max_tau_error=err,
         causal_mismatches=mism,
-        offset_used=c_used,
     )
 
 

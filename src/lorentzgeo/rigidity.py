@@ -45,10 +45,8 @@ class EqualityReport:
     cond_iv: bool | None
     angle_gaps: dict
     tau_gap_max: float
-    tau_gap_best: float
     checked_points: int
     skipped: dict = field(default_factory=dict)
-    fill_in: "FlatFillIn | None" = None
 
     def implications_hold(self) -> bool:
         """(i) => (iii) => (iv), counting undecidable conditions as vacuous."""
@@ -137,7 +135,6 @@ def equality_conditions(
         cond_iv=cond_iv,
         angle_gaps=angle_gaps,
         tau_gap_max=tau_gap_max,
-        tau_gap_best=best if math.isfinite(best) else math.inf,
         checked_points=len(gaps),
         skipped=skipped,
     )

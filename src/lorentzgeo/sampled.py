@@ -640,12 +640,6 @@ def _bounded_arr(words, h):
     return (m >> 32).astype(np.int64), (m & _LOW32) >= (_LOW32 + 1 - h) % h
 
 
-def _transitive(escaped) -> bool:
-    """Whether x << y << z always gives x << z; escaped[x] is set when some
-    such z is not in the future of x."""
-    return not escaped.any()
-
-
 def _futures(chron):
     """The future of every point as CSR (indptr, indices).
 
@@ -673,29 +667,14 @@ class _Draw:
     """The stratified triple draw of _triangle_triples over the futures CSR.
 
     Entry e of the CSR is a pair x << y = indices[e].  z is drawn from
-    zs(e): F(y) when the relation is transitive, else F(x) & F(y), whose
-    sizes come from common, the row panels of chron @ chron.T at the
-    entries.  multi[e] says whether that draw reads a word (|zs(e)| > 1).
+    F(y), which a transitive chronology makes the common future of x and
+    y.  multi[e] says whether that draw reads a word (|F(y)| > 1).
     """
 
-    def __init__(self, chron, indptr, indices, xs, transitive, seed):
-        self.chron, self.indptr, self.indices, self.xs = chron, indptr, indices, xs
+    def __init__(self, indptr, indices, xs, seed):
+        self.indptr, self.indices, self.xs = indptr, indices, xs
         self.sizes = np.diff(indptr)
-        self.transitive = transitive
-        n = chron.shape[0]
-        self.multi = np.empty(len(indices), dtype=np.uint8)
-        if transitive:
-            self.common = None
-            many = self.sizes > 1
-            for lo in range(0, n, _PANEL):
-                span = slice(indptr[lo], indptr[min(lo + _PANEL, n)])
-                self.multi[span] = many[indices[span]]
-        else:
-            self.common = np.empty(len(indices), dtype=np.int32)
-            for lo, panel in _products(n, [(1, chron, chron.T)]):
-                span = slice(indptr[lo], indptr[lo + len(panel)])
-                self.common[span] = panel[chron[lo : lo + len(panel)]]
-            np.greater(self.common, 1, out=self.multi, casting="unsafe")
+        self.multi = (self.sizes > 1)[indices].view(np.uint8)
         # indptr[x], |F(x)| and whether y's draw reads a word, per x of xs
         self.slots = (indptr[xs].tolist(), self.sizes[xs].tolist(), (self.sizes[xs] > 1).astype(int).tolist())
         self.words = _Words(np.random.default_rng(seed).bit_generator)
@@ -736,17 +715,11 @@ class _Draw:
         self.words.at = o
         return starts
 
-    def zs(self, x, y, k, size):
-        """z, the k-th point of zs for each pair x << y; -1 where zs is empty."""
-        z = np.full(len(x), -1, dtype=np.int64)
+    def zs(self, y, k, size):
+        """z, the k-th point of F(y) for each y; -1 where F(y) is empty."""
+        z = np.full(len(y), -1, dtype=np.int64)
         has = size > 0
-        if self.transitive:
-            z[has] = self.indices[self.indptr[y[has]] + k[has]]
-            return z
-        for lo in range(0, len(x), _PANEL):
-            rows = self.chron[x[lo : lo + _PANEL]] & self.chron[y[lo : lo + _PANEL]]
-            z[lo : lo + _PANEL] = (np.cumsum(rows, axis=1, dtype=np.int32) <= k[lo : lo + _PANEL, None]).sum(axis=1)
-        z[~has] = -1
+        z[has] = self.indices[self.indptr[y[has]] + k[has]]
         return z
 
     def attempts(self, starts, first):
@@ -764,11 +737,10 @@ class _Draw:
         dy, ok = _bounded_arr(w[at], size.astype(np.uint64))
         accepted &= ok
         at += size > 1
-        e = self.indptr[x] + dy
-        y = self.indices[e].astype(np.int64)
-        zn = self.sizes[y] if self.transitive else self.common[e].astype(np.int64)
+        y = self.indices[self.indptr[x] + dy].astype(np.int64)
+        zn = self.sizes[y]
         dz, ok = _bounded_arr(w[at], np.maximum(zn, 1).astype(np.uint64))
-        return x, y, self.zs(x, y, dz, zn), accepted & ok
+        return x, y, self.zs(y, dz, zn), accepted & ok
 
     def replay(self, a, start):
         """(x, y, z) of attempt a from word start with the scalar _bounded,
@@ -777,11 +749,10 @@ class _Draw:
         words.at = start
         count = self.xs.size
         x = int(self.xs[a % count if a % 2 else _bounded(words, count)])
-        e = int(self.indptr[x]) + _bounded(words, int(self.sizes[x]))
-        y = int(self.indices[e])
-        zn = int(self.sizes[y] if self.transitive else self.common[e])
+        y = int(self.indices[int(self.indptr[x]) + _bounded(words, int(self.sizes[x]))])
+        zn = int(self.sizes[y])
         k = _bounded(words, zn) if zn else 0
-        return np.array([x]), np.array([y]), self.zs(np.array([x]), np.array([y]), np.array([k]), np.array([zn]))
+        return np.array([x]), np.array([y]), self.zs(np.array([y]), np.array([k]), np.array([zn]))
 
     def triples(self, tau, cap, dk):
         """The first cap distinct triples inside the size bound dk, in attempt
@@ -827,11 +798,15 @@ def _triangle_triples(tau, cap, seed, kappa):
 
     Attempts alternate x between a round-robin over the points with
     triples (odd attempts) and a uniform pick (even ones); y is uniform in
-    the future of x and z uniform in the futures of both, which is just
-    the future of y when the chronological relation is transitive.  An
-    attempt stops at an empty zs; a repeated triple or one outside the
-    size bound is not taken (the first occurrence wins), and the draw
-    stops at cap triples or 50 * cap attempts.
+    the future of x and z uniform in the future of y.  An attempt stops
+    at an empty F(y); a repeated triple or one outside the size bound is
+    not taken (the first occurrence wins), and the draw stops at cap
+    triples or 50 * cap attempts.
+
+    The chronology must be transitive, as in a Lorentzian pre-length
+    space: then F(y) is the common future of x and y, and the enumeration
+    and the draw see the same triples.  When some x << y << z has z
+    outside F(x), ShapeError names one such triple.
 
     The draw gives the triples that calling np.random.default_rng(seed)
     .integers once per choice would give, but reads the PCG64 words
@@ -851,7 +826,8 @@ def _triangle_triples(tau, cap, seed, kappa):
     chron = tau > 0
     # hh[x, z] counts the y with x << y << z, exact in float32 while n < 2**24;
     # masked in place to the (x, z) inside the size bound, it counts the
-    # triples.  It is taken one row panel at a time (_products).
+    # triples.  It is taken one row panel at a time (_products).  escaped[x]
+    # is set when some x << y << z has z outside F(x).
     counts = np.zeros(n, dtype=np.int64)
     escaped = np.zeros(n, dtype=bool)
     for lo, hh in _products(n, [(1, chron, chron)]):
@@ -859,11 +835,16 @@ def _triangle_triples(tau, cap, seed, kappa):
         escaped[rows] = ((hh > 0) & ~chron[rows]).any(axis=1)
         hh *= chron[rows] & (tau[rows] < kappa.dk)
         counts[rows] = hh.sum(axis=1, dtype=np.float64)
-    transitive = _transitive(escaped)
+    if escaped.any():
+        x = int(np.argmax(escaped))
+        fx = np.flatnonzero(chron[x])
+        z = int(np.argmax(chron[fx].any(axis=0) & ~chron[x]))
+        y = int(fx[np.argmax(chron[fx, z])])
+        raise ShapeError(f"chronology is not transitive: {x} << {y} << {z} but not {x} << {z}; run lorentzgeo axioms")
     indptr, indices = _futures(chron)
     xs = np.flatnonzero(counts > 0)
     if int(counts.sum()) > cap:
-        return _Draw(chron, indptr, indices, xs, transitive, seed).triples(tau, cap, kappa.dk)
+        return _Draw(indptr, indices, xs, seed).triples(tau, cap, kappa.dk)
     parts = []
     for x in xs.tolist():
         fx = indices[indptr[x] : indptr[x + 1]]
@@ -1421,7 +1402,6 @@ class FvfEmpirical:
     quotients: np.ndarray
     limit: float
     errors: np.ndarray
-    angle: AngleEstimate
     sigma: int
 
 
@@ -1449,7 +1429,6 @@ def fvf_empirical(space, gamma: Chain, p: int, kappa=Kappa(0.0), geo_tol=DEFAULT
     l0 = float(space.tau_s(p, a))
     lt = space.tau_s(p, pts)
     quotients = (lt - l0) / ts
-    est = estimate_angle(space, beta, gamma, a, kappa)
-    limit = sigma * np.cosh(est.value)
+    limit = sigma * np.cosh(estimate_angle(space, beta, gamma, a, kappa).value)
     errors = np.abs(quotients - limit)
-    return FvfEmpirical(ts=ts, quotients=quotients, limit=float(limit), errors=errors, angle=est, sigma=sigma)
+    return FvfEmpirical(ts=ts, quotients=quotients, limit=float(limit), errors=errors, sigma=sigma)

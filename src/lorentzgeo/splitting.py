@@ -42,6 +42,8 @@ class MetricSampleIn:
             raise ShapeError("distance matrix must have zero diagonal")
         if np.any(self.dist < 0):
             raise ShapeError("distances must be nonnegative")
+        if self.labels is not None and len(self.labels) != m:
+            raise ShapeError(f"{len(self.labels)} labels for {m} points")
 
     @property
     def m(self) -> int:
@@ -114,9 +116,7 @@ def build_product(base: MetricSampleIn, t_grid):
 @dataclass
 class LineClass:
     representative: LineSample
-    members: list
     shift_to_reference: float
-    c0_to_reference: float
 
 
 def same_class(l1: LineSample, l2: LineSample) -> bool:
@@ -167,15 +167,7 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
             raise NotParallel(
                 f"{g[0].label or 'line'} cannot be synchronised to the reference"
             )
-        rep = g[0].shifted(fit.t0)
-        classes.append(
-            LineClass(
-                representative=rep,
-                members=[ln.label for ln in g],
-                shift_to_reference=fit.t0,
-                c0_to_reference=fit.c0,
-            )
-        )
+        classes.append(LineClass(representative=g[0].shifted(fit.t0), shift_to_reference=fit.t0))
     return classes
 
 
@@ -198,7 +190,6 @@ class BaseMetric:
     witnesses: dict
     infinite_pairs: list
     step: float
-    classes: list = field(default_factory=list)
 
     @property
     def m(self) -> int:
@@ -251,13 +242,11 @@ def compute_dS(space, classes, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
         witnesses=witnesses,
         infinite_pairs=infinite,
         step=step,
-        classes=classes,
     )
 
 
 @dataclass
 class Cat0Report:
-    symmetry_dev: float
     triangle_violation: tuple | None
     margins: list
     min_margin: float
@@ -281,7 +270,6 @@ def verify_base_metric_cat0(dist, midpoints) -> Cat0Report:
         dist = dist.dS
     d = np.asarray(dist, dtype=float)
     m = d.shape[0]
-    symmetry_dev = float(np.abs(d - d.T).max())
     tri = MetricSampleIn(dist=0.5 * (d + d.T)).check_triangle_inequality(1e-9)
     margins = []
     skipped = 0
@@ -307,7 +295,6 @@ def verify_base_metric_cat0(dist, midpoints) -> Cat0Report:
                 margins.append({"triple": (x, y, z), "midpoint": mm, "margin": float(margin)})
     min_margin = min((r["margin"] for r in margins), default=0.0)
     return Cat0Report(
-        symmetry_dev=symmetry_dev,
         triangle_violation=tri,
         margins=margins,
         min_margin=float(min_margin),
@@ -323,7 +310,6 @@ class EmbeddingReport:
     worst: dict | None
     pairs_checked: int
     pairs_trimmed: int
-    untrimmed_max_error: float
 
 
 _TRIM_STEPS = 3  # half-width, in grid steps, of the model-cone band verify_embedding trims
@@ -342,7 +328,6 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     h = base.step
     points, params, starts, lengths = _stacked(reps)
     max_err = 0.0
-    untrimmed = 0.0
     worst = None
     agree = 0
     kept = 0
@@ -365,7 +350,6 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
         band = (np.abs(du - ds) < _TRIM_STEPS * h) & finite
         band[:, own] |= du[:, own] <= 0  # only future-directed self pairs are informative
         err = np.abs(actual_tau - model_tau)
-        untrimmed = max(untrimmed, float(err.max()))
         n_band = int(np.count_nonzero(band))
         trimmed += n_band
         kept += band.size - n_band
@@ -391,7 +375,6 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
         worst=worst,
         pairs_checked=kept,
         pairs_trimmed=trimmed,
-        untrimmed_max_error=untrimmed,
     )
 
 

@@ -2,6 +2,7 @@ import argparse
 import base64
 import copy
 import json
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -584,6 +585,76 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1 and field in err
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda b: fixture_to_dict(minkowski_grid(2, 2, 1.0), base=base_pair(1.0))["base"], "base"),
+            (lambda b: {**b, "labels": b["labels"][:1]}, "base.labels"),
+        ],
+        ids=["two-point-base", "one-label"],
+    )
+    def test_base_that_does_not_fit_the_space_exit_2(self, tripod_fixture, tmp_path, capsys, edit, field):
+        """A product whose base has another number of points than the space
+        was built over, or labels of the wrong length, exits 2 with one line
+        naming the field, never a verdict or numpy's broadcast error."""
+        doc = json.loads(tripod_fixture.read_text())
+        doc["base"] = edit(doc["base"])
+        with pytest.raises(ShapeError, match=f"^fixture {field}"):
+            fixture_from_dict(doc)
+        tripod_fixture.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        for command in ("split", "roundtrip"):
+            capsys.readouterr()
+            assert main([command, str(tripod_fixture), "-o", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: fixture {field}") and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_non_transitive_chronology_exit_2(self, tmp_path, capsys):
+        """curvature and rigidity sample triangles, which needs a transitive
+        chronology: on a grid with a tenth of its tau entries zeroed they exit
+        2 with one line naming x << y << z, and axioms reports the failures."""
+        grid = minkowski_grid(7, 7, 1.0)
+        tau = grid.tau.copy()
+        ii, jj = np.nonzero(tau > 0)
+        pick = np.random.default_rng(3).random(len(ii)) < 0.1
+        tau[ii[pick], jj[pick]] = 0.0
+        path = tmp_path / "cleared.json"
+        save_fixture(path, SampledSpace(tau=tau, causal=grid.causal))
+        out = tmp_path / "r.json"
+        line = r"error: chronology is not transitive: \d+ << \d+ << \d+ but not \d+ << \d+; run lorentzgeo axioms\n"
+        for argv in (["curvature"], ["curvature", "--direction", "below"], ["rigidity"]):
+            capsys.readouterr()
+            assert main([argv[0], str(path), *argv[1:], "-o", str(out)]) == 2
+            assert re.fullmatch(line, capsys.readouterr().err)
+            assert not out.exists()
+        assert main(["axioms", str(path), "-o", str(out)]) == 1
+        (check,) = load_report(out)["checks"]
+        assert check["status"] == "FAIL" and sum(check["counts"].values()) > 0
+
+    @pytest.mark.parametrize("command", ["angles", "rigidity", "lines"])
+    def test_nothing_to_check_is_one_skip(self, tmp_path, command):
+        """A fixture that gives a command nothing to check reports one SKIP
+        with a reason, not an empty list of checks."""
+        path = tmp_path / "tiny.json"
+        assert main(["gen", "minkowski-grid", "--nt", "2", "--nx", "2", "-o", str(path)]) == 0
+        if command == "lines":
+            doc = json.loads(path.read_text())
+            doc["lines"] = []
+            path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main([command, str(path), "-o", str(out)]) == 0
+        assert load_report(out)["checks"] == [{"name": command, "status": "SKIP", "reason": "nothing to check in this fixture"}]
+
+    @pytest.mark.parametrize("error", [KeyError, IndexError])
+    def test_a_fault_in_the_program_is_not_reported_as_bad_input(self, grid_fixture, monkeypatch, error):
+        def broken(space):
+            raise error("a fault in the program")
+
+        monkeypatch.setattr(cli, "validate_axioms", broken)
+        with pytest.raises(error):
+            main(["axioms", str(grid_fixture)])
 
     @pytest.mark.parametrize(
         "field, payload, message",

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -818,10 +819,12 @@ def broken_grid():
 
 @st.composite
 def integer_spaces(draw):
-    """A small space whose tau is the longest-path closure of integer weights
-    on a random order of its points, with some entries made two-way: both
-    orientations of a pair can then be chronological, and margins tie
-    exactly across triangles that share a side."""
+    """(closure, space): a small space whose tau is the longest-path closure
+    of integer weights on a random order of its points, and a copy with some
+    entries made two-way: both orientations of a pair can then be
+    chronological, and margins tie exactly across triangles that share a
+    side.  The copy's chronology need not be transitive, so triangles are
+    drawn on the closure."""
     n = draw(st.integers(4, 9))
     upper = np.triu_indices(n, 1)
     tau = np.zeros((n, n))
@@ -829,12 +832,13 @@ def integer_spaces(draw):
     for k in range(n):
         through = (tau[:, k] > 0)[:, None] & (tau[k, :] > 0)[None, :]
         tau = np.where(through, np.maximum(tau, tau[:, k][:, None] + tau[k, :][None, :]), tau)
+    closure = tau.copy()
     for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6)):
         if i > j:
             tau[i, j] = draw(st.integers(1, 3))
     order = np.array(draw(st.permutations(range(n))))
-    tau = tau[np.ix_(order, order)]
-    return SampledSpace(tau=tau, causal=(tau > 0) | np.eye(n, dtype=bool))
+    closure, tau = (t[np.ix_(order, order)] for t in (closure, tau))
+    return tuple(SampledSpace(tau=t, causal=(t > 0) | np.eye(n, dtype=bool)) for t in (closure, tau))
 
 
 class TestBatchedCertification:
@@ -855,16 +859,17 @@ class TestBatchedCertification:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        space=integer_spaces(),
+        spaces=integer_spaces(),
         cap=st.integers(1, 300),
         seed=st.integers(0, 2**16),
         batch_pairs=st.integers(1, 500),
         direction=st.sampled_from(["above", "below"]),
     )
-    def test_two_way_tau_and_exact_ties_match_reference(self, space, cap, seed, batch_pairs, direction):
+    def test_two_way_tau_and_exact_ties_match_reference(self, spaces, cap, seed, batch_pairs, direction):
         # tau[q, p] > 0 beside tau[p, q] > 0 exercises the mirrored orientation,
         # integer margins tie across orientations and batch boundaries
-        tris = sample_triangles(space, cap=cap, seed=seed)
+        closure, space = spaces
+        tris = sample_triangles(closure, cap=cap, seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
             cert = certify_curvature_bound(space, tris, Kappa(0.0), direction)
@@ -1316,7 +1321,6 @@ def scalar_triangle_triples(tau, cap, seed, kappa) -> list:
     h = chron.astype(np.float32)
     hh = h @ h
     counts = (hh * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
-    transitive = not ((hh > 0) & ~chron).any()
     assert int(counts.sum()) > cap, "the enumeration path draws nothing"
     words = sampled._Words(np.random.default_rng(seed).bit_generator)
     triples, seen = [], set()
@@ -1327,7 +1331,7 @@ def scalar_triangle_triples(tau, cap, seed, kappa) -> list:
         x = xs[attempts % len(xs)] if attempts % 2 else xs[sampled._bounded(words, len(xs))]
         fx = futures[x]
         y = int(fx[sampled._bounded(words, fx.size)])
-        zs = futures[y] if transitive else fx[chron[y, fx]]
+        zs = fx[chron[y, fx]]
         if not zs.size:
             continue
         z = int(zs[sampled._bounded(words, zs.size)])
@@ -1362,8 +1366,8 @@ def triple_count(tau, kappa):
 @functools.cache
 def cleared_grid():
     """The small grid with a tenth of its chronological tau entries set to
-    zero: x << y << z no longer gives x << z, so the future of y is not
-    the common future of x and y."""
+    zero: x << y << z no longer gives x << z, so its chronology is not
+    transitive."""
     grid = small_space("grid")
     tau = grid.tau.copy()
     ii, jj = np.nonzero(tau > 0)
@@ -1374,14 +1378,11 @@ def cleared_grid():
 
 @functools.cache
 def oracle_space(name, scaled_frac, seed):
-    """A small grid, de Sitter, tripod or sphere-product space, or the
-    cleared grid, with a fraction of its chronological tau entries scaled
-    by 0.7-1.3 so that chains fall short (deficit != 0) or jump straight
-    to their end."""
+    """A small grid, de Sitter, tripod or sphere-product space with a
+    fraction of its chronological tau entries scaled by 0.7-1.3 so that
+    chains fall short (deficit != 0) or jump straight to their end."""
     if name == "sphere":
         space = product_fixture("sphere-sample", step=0.5, window=2.0)[0]
-    elif name == "cleared":
-        space = cleared_grid()
     else:
         space = small_space(name)
     if not scaled_frac:
@@ -1395,7 +1396,7 @@ def oracle_space(name, scaled_frac, seed):
 
 
 ORACLE_SPACES = st.tuples(
-    st.sampled_from(["grid", "desitter", "tripod", "sphere", "cleared"]),
+    st.sampled_from(["grid", "desitter", "tripod", "sphere"]),
     st.sampled_from([0.0, 0.05, 0.3]),
     st.integers(0, 3),
 )
@@ -1629,22 +1630,16 @@ class TestTriangleDraw:
         for k in (0.0, 1.0):
             assert drawn(tau, 20_000, seed, Kappa(k)) == want
 
-    def test_non_transitive_space_takes_indexed_zs(self, monkeypatch):
+    @pytest.mark.parametrize("cap", [5000, 300])
+    def test_non_transitive_chronology_raises_with_a_witness(self, cap):
+        # the cleared grid's 1,030 triples are enumerated at cap 5000 and drawn at 300
         tau = cleared_grid().tau
-        chron = tau > 0
-        futures = [np.flatnonzero(row) for row in chron]
-        assert any(
-            not np.array_equal(fx[chron[y, fx]], futures[y]) for fx in futures for y in fx
-        )
-        taken = []
-        transitive = sampled._transitive
-        monkeypatch.setattr(sampled, "_transitive", lambda *a: taken.append(transitive(*a)) or taken[-1])
-        want = reference_triangle_triples(tau, 300, 4, Kappa(0.0))
-        assert drawn(tau, 300, 4, Kappa(0.0)) == want
-        assert taken == [False]
-        # the shortcut would draw z from the future of y alone, a different stream
-        monkeypatch.setattr(sampled, "_transitive", lambda *a: True)
-        assert drawn(tau, 300, 4, Kappa(0.0)) != want
+        with pytest.raises(ShapeError) as raised:
+            sample_triangles(cleared_grid(), cap=cap)
+        message = r"chronology is not transitive: (\d+) << (\d+) << (\d+) but not (\d+) << (\d+); run lorentzgeo axioms"
+        x, y, z, x2, z2 = map(int, re.fullmatch(message, str(raised.value)).groups())
+        assert (x2, z2) == (x, z)
+        assert tau[x, y] > 0 and tau[y, z] > 0 and tau[x, z] == 0
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_range_of_one_consumes_no_word(self, monkeypatch, seed):
@@ -1685,7 +1680,16 @@ class TestTriangleDraw:
     @pytest.mark.parametrize("cap", [150, 5000])
     @pytest.mark.parametrize("name", ["cleared", "tripod"])
     def test_panel_size_does_not_change_the_triples(self, monkeypatch, name, cap, panel):
-        # cap 150 takes the draw path, 5000 enumerates
+        # cap 150 takes the draw path, 5000 enumerates; the cleared grid's
+        # count pass finds the same first witness at every panel size
+        if name == "cleared":
+            tau = cleared_grid().tau
+            with pytest.raises(ShapeError) as whole:
+                drawn(tau, cap, 2, Kappa(0.0))
+            monkeypatch.setattr(sampled, "_PANEL", panel)
+            with pytest.raises(ShapeError, match=f"^{re.escape(str(whole.value))}$"):
+                drawn(tau, cap, 2, Kappa(0.0))
+            return
         monkeypatch.setattr(sampled, "_PANEL", panel)
         tau = oracle_space(name, 0.0, 0).tau
         assert drawn(tau, cap, 2, Kappa(0.0)) == reference_triangle_triples(tau, cap, 2, Kappa(0.0))

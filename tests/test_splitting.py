@@ -92,7 +92,6 @@ def oracle_verify_embedding(space, classes, base, trim_steps=3):
     reps = [c.representative for c in classes]
     h = base.step
     max_err = 0.0
-    untrimmed = 0.0
     worst = None
     agree = 0
     kept = 0
@@ -115,7 +114,6 @@ def oracle_verify_embedding(space, classes, base, trim_steps=3):
             if a == b:
                 band |= du <= 0
             err = np.abs(actual_tau - model_tau)
-            untrimmed = max(untrimmed, float(err.max()))
             keep = ~band
             trimmed += int(band.sum())
             kept += int(keep.sum())
@@ -137,7 +135,6 @@ def oracle_verify_embedding(space, classes, base, trim_steps=3):
         worst=worst,
         pairs_checked=kept,
         pairs_trimmed=trimmed,
-        untrimmed_max_error=untrimmed,
     )
 
 
@@ -169,6 +166,10 @@ PRODUCTS = {
 
 
 class TestBuildProduct:
+    def test_labels_must_match_the_base(self):
+        with pytest.raises(ShapeError, match="^1 labels for 2 points$"):
+            MetricSampleIn(dist=np.zeros((2, 2)), labels=["a"])
+
     def test_single_point_base_is_chain(self):
         space, lines = build_product(base_point(), [0.0, 1.0, 2.0])
         assert space.tau.tolist() == [[0, 1, 2], [0, 0, 1], [0, 0, 0]]
@@ -294,8 +295,8 @@ class TestOracles:
 
     def test_empty_representative_rejected(self):
         space, lines = build_product(base_pair(1.0), GRID)
-        empty = LineClass(LineSample(np.zeros(0, dtype=int), 0.0, 0.25), ["empty"], 0.0, 0.0)
-        full = LineClass(lines[0], ["base[0]"], 0.0, 0.0)
+        empty = LineClass(LineSample(np.zeros(0, dtype=int), 0.0, 0.25), 0.0)
+        full = LineClass(lines[0], 0.0)
         with pytest.raises(ShapeError):
             compute_dS(space, [full, empty])
 
