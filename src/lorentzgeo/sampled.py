@@ -589,52 +589,15 @@ def _window(bit_generator):
     return np.stack([raw & _LOW32, raw >> 32], axis=1).ravel()
 
 
-class _Words:
-    """The word stream of a fresh bit generator, held one window at a time.
-
-    words[at:] are the words not read yet.  refill() drops the read ones
-    and appends a _window.  next() reads one word as a Python int, as the
-    scalar _bounded does, refilling when the words run out.
-    """
-
-    def __init__(self, bit_generator):
-        self.bit_generator = bit_generator
-        self.words = np.zeros(0, dtype=np.uint64)
-        self.at = 0
-
-    def refill(self):
-        self.words = np.concatenate([self.words[self.at :], _window(self.bit_generator)])
-        self.at = 0
-
-    def __next__(self):
-        if self.at == len(self.words):
-            self.refill()
-        self.at += 1
-        return int(self.words[self.at - 1])
-
-
-def _bounded(words, h):
-    """Generator.integers(h) for 1 <= h <= 2**32, read from a _Words stream.
-
-    numpy's rule (Lemire's multiply-shift with rejection): m = u * h for a
-    word u, drawn again while the low half of m is below (2**32 - h) % h;
-    the draw is m >> 32.  A range of one consumes no word.
-    """
-    if h == 1:
-        return 0
-    threshold = (_LOW32 + 1 - h) % h
-    while True:
-        m = next(words) * h
-        if m & _LOW32 >= threshold:
-            return m >> 32
-
-
 def _bounded_arr(words, h):
-    """_bounded's rule on arrays: (draw, accepted) for uint64 words and ranges.
+    """Generator.integers(h)'s rule on arrays: (draw, accepted) for uint64
+    words and ranges.
 
-    h is a uint64 array or an int, 1 <= h <= 2**32.  draw is m >> 32 as
-    int64, m = u * h; accepted is false where _bounded would draw again.
-    A range of one gives 0, accepted.
+    numpy draws from 1 <= h <= 2**32 values by Lemire's multiply-shift with
+    rejection: m = u * h for a word u, and the draw is m >> 32 (as int64)
+    unless the low half of m is below (2**32 - h) % h.  Then accepted is
+    false, and numpy throws u away and draws again from the next word.  A
+    range of one gives 0, accepted; numpy reads no word for it.
     """
     m = words * h
     return (m >> 32).astype(np.int64), (m & _LOW32) >= (_LOW32 + 1 - h) % h
@@ -669,6 +632,7 @@ class _Draw:
     Entry e of the CSR is a pair x << y = indices[e].  z is drawn from
     F(y), which a transitive chronology makes the common future of x and
     y.  multi[e] says whether that draw reads a word (|F(y)| > 1).
+    words[at:] are the words of the seed's PCG64 stream not read yet.
     """
 
     def __init__(self, indptr, indices, xs, seed):
@@ -677,7 +641,14 @@ class _Draw:
         self.multi = (self.sizes > 1)[indices].view(np.uint8)
         # indptr[x], |F(x)| and whether y's draw reads a word, per x of xs
         self.slots = (indptr[xs].tolist(), self.sizes[xs].tolist(), (self.sizes[xs] > 1).astype(int).tolist())
-        self.words = _Words(np.random.default_rng(seed).bit_generator)
+        self.bit_generator = np.random.default_rng(seed).bit_generator
+        self.words = np.zeros(0, dtype=np.uint64)
+        self.at = 0
+
+    def refill(self):
+        """Drop the read words and append a _window."""
+        self.words = np.concatenate([self.words[self.at :], _window(self.bit_generator)])
+        self.at = 0
 
     def even_table(self, words):
         """The words an even attempt (x uniform) reads from each offset below
@@ -691,16 +662,16 @@ class _Draw:
 
     def walk(self, table, first, stop):
         """Start offsets of attempts first, first + 1, ... (at most stop),
-        from words.at on, every draw taken as accepted; words.at is left
-        after the last.  It walks attempt pairs (odd, even) while the five
-        words a pair reads at most lie in the window."""
-        w = memoryview(self.words.words)
+        from at on, every draw taken as accepted; at is left after the
+        last.  It walks attempt pairs (odd, even) while the five words a
+        pair reads at most lie in the window."""
+        w = memoryview(self.words)
         multi = memoryview(self.multi)
         ptr, size, step = self.slots
         count = len(ptr)
-        o, a, end = self.words.at, first, len(w) - 5
+        o, a, end = self.at, first, len(w) - 5
         starts = []
-        if a % 2 == 0 and a <= stop:  # the even attempt after a replayed odd one
+        if a % 2 == 0 and a <= stop:  # the walk restarts at an even attempt after a rejected word
             starts.append(o)
             o += table[o]
             a += 1
@@ -712,71 +683,58 @@ class _Draw:
             o += table[o]
             a += 2
             r = (r + 2) % count
-        self.words.at = o
+        self.at = o
         return starts
 
-    def zs(self, y, k, size):
-        """z, the k-th point of F(y) for each y; -1 where F(y) is empty."""
-        z = np.full(len(y), -1, dtype=np.int64)
-        has = size > 0
-        z[has] = self.indices[self.indptr[y[has]] + k[has]]
-        return z
-
     def attempts(self, starts, first):
-        """(x, y, z, accepted) of attempts first, first + 1, ... whose words
-        start at starts; accepted is false where a draw was rejected."""
-        w = self.words.words
+        """(x, y, z, rejected) of attempts first, first + 1, ... whose words
+        start at starts.  z is -1 where F(y) is empty.  rejected is the
+        offset of the first word an attempt read that its draw rejects, or
+        -1; what the attempt drew after that word is meaningless."""
         at = np.array(starts, dtype=np.int64)
+        rejected = np.full(len(at), -1)
+
+        def draw(h):
+            d, accepted = _bounded_arr(self.words[at], h)
+            np.copyto(rejected, at, where=~accepted & (rejected < 0))
+            return d
+
         a = np.arange(first, first + len(at))
         even = a % 2 == 0
-        xi, accepted = _bounded_arr(w[at], self.xs.size)
+        xi = draw(np.where(even, self.xs.size, 1).astype(np.uint64))  # odd attempts read no word for x
         x = self.xs[np.where(even, xi, a % self.xs.size)]
-        accepted |= ~even
         at += even & (self.xs.size > 1)
         size = self.sizes[x]
-        dy, ok = _bounded_arr(w[at], size.astype(np.uint64))
-        accepted &= ok
+        y = self.indices[self.indptr[x] + draw(size.astype(np.uint64))].astype(np.int64)
         at += size > 1
-        y = self.indices[self.indptr[x] + dy].astype(np.int64)
         zn = self.sizes[y]
-        dz, ok = _bounded_arr(w[at], np.maximum(zn, 1).astype(np.uint64))
-        return x, y, self.zs(y, dz, zn), accepted & ok
-
-    def replay(self, a, start):
-        """(x, y, z) of attempt a from word start with the scalar _bounded,
-        which draws again on a rejected word; words.at is left after it."""
-        words = self.words
-        words.at = start
-        count = self.xs.size
-        x = int(self.xs[a % count if a % 2 else _bounded(words, count)])
-        y = int(self.indices[int(self.indptr[x]) + _bounded(words, int(self.sizes[x]))])
-        zn = int(self.sizes[y])
-        k = _bounded(words, zn) if zn else 0
-        return np.array([x]), np.array([y]), self.zs(np.array([y]), np.array([k]), np.array([zn]))
+        dz = draw(np.maximum(zn, 1).astype(np.uint64))
+        z = np.full(len(y), -1, dtype=np.int64)
+        has = zn > 0
+        z[has] = self.indices[self.indptr[y[has]] + dz[has]]
+        return x, y, z, rejected
 
     def triples(self, tau, cap, dk):
         """The first cap distinct triples inside the size bound dk, in attempt
         order, from at most 50 * cap attempts."""
         n = tau.shape[0]
-        words = self.words
         seen = np.array([-1])  # the keys drawn so far, sorted after a sentinel below every key
         parts, found, first, stop = [], 0, 1, 50 * cap
         table, table_of = None, None
         while found < cap and first <= stop:
-            while len(words.words) - words.at < 5:  # one attempt pair
-                words.refill()
-            if table_of is not words.words:
-                table, table_of = self.even_table(words.words), words.words
+            while len(self.words) - self.at < 5:  # one attempt pair
+                self.refill()
+            if table_of is not self.words:
+                table, table_of = self.even_table(self.words), self.words
             starts = self.walk(table, first, stop)
-            x, y, z, accepted = self.attempts(starts, first)
-            rejected = np.flatnonzero(~accepted)
-            taken = int(rejected[0]) if rejected.size else len(starts)
-            batch = [(x[:taken], y[:taken], z[:taken])]
-            if rejected.size:
-                batch.append(self.replay(first + taken, starts[taken]))
-                taken += 1
-            first += taken
-            x, y, z = _triples(batch)
+            x, y, z, rejected = self.attempts(starts, first)
+            cut = np.flatnonzero(rejected >= 0)
+            if cut.size:  # numpy draws again from the next word: drop this one
+                taken = int(cut[0])
+                self.words = np.delete(self.words, rejected[taken])
+                self.at = starts[taken]
+                x, y, z = x[:taken], y[:taken], z[:taken]
+            first += len(x)
             x, y, z = x[z >= 0], y[z >= 0], z[z >= 0]
             keys, where = np.unique((x * n + y) * n + z, return_index=True)
             at = np.searchsorted(seen, keys, side="right")
@@ -811,16 +769,17 @@ def _triangle_triples(tau, cap, seed, kappa):
     The draw gives the triples that calling np.random.default_rng(seed)
     .integers once per choice would give, but reads the PCG64 words
     itself, one _window at a time.  A choice from h > 1 values reads one
-    word when it is accepted (_bounded), so an attempt reads at most three.
-    For each window, one array pass tables how many words an even attempt
-    starting at each offset reads; a walk over attempt pairs then records
-    where each attempt starts, with one multiply-shift and two lookups for
-    an odd attempt and one table lookup for an even one.  The attempts'
-    triples are rebuilt as arrays from those offsets, checking that every
-    draw was accepted.  At the first rejected draw the rest of the window
-    is dropped, that attempt is replayed with the scalar _bounded, and the
-    walk resumes after it.  tests/test_sampled.py keeps the loop that
-    calls Generator.integers as the oracle the draw is held to.
+    word when it is accepted (_bounded_arr), so an attempt reads at most
+    three.  For each window, one array pass tables how many words an even
+    attempt starting at each offset reads; a walk over attempt pairs then
+    records where each attempt starts, with one multiply-shift and two
+    lookups for an odd attempt and one table lookup for an even one.  The
+    attempts' triples are rebuilt as arrays from those offsets.  numpy
+    throws a rejected word away and draws again from the next one, so at
+    the first rejected word the batch is cut before its attempt, the word
+    is deleted from the window, and the walk starts again at that
+    attempt.  tests/test_sampled.py keeps the loop that calls
+    Generator.integers as the oracle the draw is held to.
     """
     n = tau.shape[0]
     chron = tau > 0
@@ -1361,7 +1320,7 @@ class HingeReport:
     skipped: dict
 
 
-def check_angle_inequalities(space, hinges, kappa=Kappa(0.0), tol_angle=DEFAULT_TOL_ANGLE, geo_tol=DEFAULT_GEO_TOL):
+def check_angle_inequalities(space, hinges, kappa=Kappa(0.0), geo_tol=DEFAULT_GEO_TOL):
     """Evaluate the angle triangle inequalities on hinge triples.
 
     Each hinge is (alpha, beta, gamma, vertex).  Reports the margin of

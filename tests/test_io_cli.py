@@ -1,4 +1,5 @@
 import argparse
+import ast
 import base64
 import copy
 import json
@@ -611,6 +612,48 @@ class TestCli:
             assert err.startswith(f"error: fixture {field}") and err.count("\n") == 1
             assert not out.exists()
 
+    def test_base_that_does_not_fit_the_lines_exit_2(self, tripod_fixture, tmp_path, capsys):
+        """Without space.meta base_points the load cannot compare the base
+        with the space, so split and roundtrip compare it with the line
+        classes: a 2-point base under the tripod's four classes exits 2 with
+        one line naming the base, never a verdict or numpy's broadcast error."""
+        doc = json.loads(tripod_fixture.read_text())
+        del doc["space"]["meta"]["base_points"]
+        doc["base"] = fixture_to_dict(minkowski_grid(2, 2, 1.0), base=base_pair(1.0))["base"]
+        assert fixture_from_dict(doc)[2].m == 2
+        tripod_fixture.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        for command in ("split", "roundtrip"):
+            capsys.readouterr()
+            assert main([command, str(tripod_fixture), "-o", str(out)]) == 2
+            assert capsys.readouterr().err == "error: fixture base has 2 points, but its lines give 4 line classes\n"
+            assert not out.exists()
+
+    def test_rigidity_without_an_interior_point_is_skip(self, grid_fixture, tmp_path):
+        """A triangle whose long side [x, z] has no interior sample point tests
+        neither (i) => (iii) nor (iii) => (iv): SKIP with a reason, with the
+        condition fields kept, and no PASS rests on such a triangle."""
+        out = tmp_path / "r.json"
+        assert main(["rigidity", str(grid_fixture), "--cap", "40", "-o", str(out)]) == 0
+        checks = load_report(out)["checks"]
+        vacuous = [c for c in checks if c.get("cond_iii", False) is None]
+        assert vacuous and len(vacuous) < len(checks)
+        for check in vacuous:
+            assert check["status"] == "SKIP"
+            assert check["reason"] == "the long side [x, z] has no interior sample point"
+            assert check["cond_iv"] is None and check["tau_gap_max"] is None
+            assert {"cond_i", "cond_ii", "angle_gaps"} <= check.keys()
+        assert all(c["cond_iii"] is not None for c in checks if c["status"] == "PASS")
+
+    def test_fvf_with_one_quotient_is_skip(self, grid_fixture, tmp_path):
+        """One difference quotient cannot show the error decreasing: SKIP, exit 0."""
+        # p = (0, 1) = 1; gamma runs from (1, 1) = 8 to (2, 1) = 15, one step
+        out = tmp_path / "r.json"
+        assert main(["fvf", str(grid_fixture), "--point", "1", "--vertex", "8", "--target", "15", "-o", str(out)]) == 0
+        (check,) = load_report(out)["checks"]
+        assert check["status"] == "SKIP" and check["reason"] == "fewer than two difference quotients"
+        assert len(load_report(out)["series"]["fvf"]["rows"]) == 1
+
     def test_non_transitive_chronology_exit_2(self, tmp_path, capsys):
         """curvature and rigidity sample triangles, which needs a transitive
         chronology: on a grid with a tenth of its tau entries zeroed they exit
@@ -981,6 +1024,26 @@ class TestCli:
             return {leaf for name, sub in subs.items() for leaf in leaves(sub, (*path, name))} if subs else {path}
 
         assert leaves(cli.build_parser()) - {("plotdata",)} == {run[0] for run in OPTION_RUNS} == set(KEPT_FLAGS)
+
+    def test_every_parameter_is_read(self):
+        """Every function and lambda in the package reads each of its
+        parameters.  The fixture commands are exempt: run_fixture_command
+        calls them all as (args, fixture, stage)."""
+        shared = {command.__name__ for command, _ in cli.FIXTURE_COMMANDS.values()}
+        unread = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                name = getattr(node, "name", "<lambda>")
+                if path.name == "cli.py" and name in shared:
+                    continue
+                a = node.args
+                params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read]
+        assert unread == []
 
 
 JSON = st.recursive(

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import re
@@ -1309,12 +1310,35 @@ def drawn(tau, cap, seed, kappa) -> list:
     return list(zip(*(a.tolist() for a in sampled._triangle_triples(tau, cap, seed, kappa))))
 
 
+def scalar_words(seed):
+    """The words sampled._window hands out for seed's stream, one Python
+    int at a time."""
+    bit_generator = np.random.default_rng(seed).bit_generator
+    while True:
+        yield from sampled._window(bit_generator).tolist()
+
+
+def scalar_bounded(words, h):
+    """Generator.integers(h) for 1 <= h <= 2**32, read from scalar_words.
+
+    numpy's rule (Lemire's multiply-shift with rejection): m = u * h for a
+    word u, drawn again while the low half of m is below (2**32 - h) % h;
+    the draw is m >> 32.  A range of one consumes no word.
+    """
+    if h == 1:
+        return 0
+    threshold = (2**32 - h) % h
+    while True:
+        m = next(words) * h
+        if m & 0xFFFFFFFF >= threshold:
+            return m >> 32
+
+
 def scalar_triangle_triples(tau, cap, seed, kappa) -> list:
     """The draw path of _triangle_triples as one Python loop over the scalar
-    _bounded, reading the words of a sampled._Words stream: the loop the
-    draw ran before it walked windows of words.  It reads whatever
-    sampled._window hands out, so a test that patches the words holds the
-    draw to it."""
+    rule, reading scalar_words: the loop the draw ran before it walked
+    windows of words.  It reads whatever sampled._window hands out, so a
+    test that patches the words holds the draw to it."""
     n = tau.shape[0]
     chron = tau > 0
     futures = [np.flatnonzero(row) for row in chron]
@@ -1322,19 +1346,19 @@ def scalar_triangle_triples(tau, cap, seed, kappa) -> list:
     hh = h @ h
     counts = (hh * (chron & (tau < kappa.dk))).sum(axis=1, dtype=np.float64).astype(np.int64)
     assert int(counts.sum()) > cap, "the enumeration path draws nothing"
-    words = sampled._Words(np.random.default_rng(seed).bit_generator)
+    words = scalar_words(seed)
     triples, seen = [], set()
     xs = np.flatnonzero(counts > 0).tolist()
     attempts = 0
     while len(triples) < cap and attempts < 50 * cap:
         attempts += 1
-        x = xs[attempts % len(xs)] if attempts % 2 else xs[sampled._bounded(words, len(xs))]
+        x = xs[attempts % len(xs)] if attempts % 2 else xs[scalar_bounded(words, len(xs))]
         fx = futures[x]
-        y = int(fx[sampled._bounded(words, fx.size)])
+        y = int(fx[scalar_bounded(words, fx.size)])
         zs = fx[chron[y, fx]]
         if not zs.size:
             continue
-        z = int(zs[sampled._bounded(words, zs.size)])
+        z = int(zs[scalar_bounded(words, zs.size)])
         if (x, y, z) in seen:
             continue
         seen.add((x, y, z))
@@ -1539,11 +1563,11 @@ class TestTriangleDraw:
         # ranges just above 2**31 reject about half of their words
         rng = np.random.default_rng(seed)
         want = [int(rng.integers(h)) for h in ranges]
-        words = sampled._Words(np.random.default_rng(seed).bit_generator)
-        assert [sampled._bounded(words, h) for h in ranges] == want
+        words = scalar_words(seed)
+        assert [scalar_bounded(words, h) for h in ranges] == want
         # the array rule, one word at a time: a draw is the first accepted
         # word after the previous draw's, and a range of one reads none
-        words = sampled._Words(np.random.default_rng(seed).bit_generator)
+        words = scalar_words(seed)
         got, read, flags = [], [], []
         for h in ranges:
             draw, accepted = 0, h == 1
@@ -1598,7 +1622,7 @@ class TestTriangleDraw:
         every=st.sampled_from([2, 5, 31]),
         window=st.sampled_from([1, 3, 64, 4096]),
     )
-    def test_rejected_draws_are_replayed(self, spec, cap, seed, k, every, window):
+    def test_rejected_words_are_dropped(self, spec, cap, seed, k, every, window):
         tau = oracle_space(*spec).tau
         cap = min(cap, triple_count(tau, Kappa(k)) - 1)
         with pytest.MonkeyPatch.context() as mp:
@@ -1607,17 +1631,34 @@ class TestTriangleDraw:
             assert drawn(tau, cap, seed, Kappa(k)) == scalar_triangle_triples(tau, cap, seed, Kappa(k))
 
     @pytest.mark.parametrize("name, every", [("grid21", 7), ("tripod", 2)])
-    def test_bench_scale_rejections_are_replayed(self, monkeypatch, name, every):
-        replayed = []
-        replay = sampled._Draw.replay
-        monkeypatch.setattr(sampled._Draw, "replay", lambda self, a, start: replayed.append(a) or replay(self, a, start))
+    def test_bench_scale_rejected_words_are_dropped(self, monkeypatch, name, every):
+        # each batch is cut at its first rejected word; record which
+        # attempt read it and for which of its draws
+        cuts = []
+        attempts = sampled._Draw.attempts
+
+        def observed(self, starts, first):
+            x, y, z, rejected = attempts(self, starts, first)
+            cut = np.flatnonzero(rejected >= 0)
+            if cut.size:
+                t = int(cut[0])
+                a = first + t
+                # even attempts read x's word first; y reads one when |F(x)| > 1
+                offset = rejected[t] - starts[t] - (a % 2 == 0)
+                cuts.append((a, "x" if offset < 0 else "y" if offset == 0 and self.sizes[x[t]] > 1 else "z"))
+            return x, y, z, rejected
+
+        monkeypatch.setattr(sampled._Draw, "attempts", observed)
         monkeypatch.setattr(sampled, "_window", zeroed(sampled._window, every))
         tau = bench_space(name).tau
         want = scalar_triangle_triples(tau, 3000, 5, Kappa(0.0))
         assert drawn(tau, 3000, 5, Kappa(0.0)) == want
         assert len(want) == 3000
-        # replays come in attempt order, each after the walk resumed
-        assert len(replayed) > 10 and replayed == sorted(set(replayed))
+        hits = {"grid21": {"x": 318, "y": 535, "z": 272}, "tripod": {"x": 2020, "y": 3695, "z": 2409}}[name]
+        assert collections.Counter(draw for _, draw in cuts) == hits
+        # in attempt order; an attempt rejects again from the word after
+        assert cuts == sorted(cuts)
+        assert any(a == b for (a, _), (b, _) in zip(cuts, cuts[1:]))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("name", ["grid21", "tripod"])
@@ -1658,8 +1699,8 @@ class TestTriangleDraw:
         # the attempts' z ranges |F(y)| = 3 - y, and the words each reads:
         # the even ones draw x from two points, every one draws y from
         # |F(x)| = 3 - x > 1 and z only from a range above one
-        ((starts, first, (x, y, z, accepted)),) = seen
-        assert accepted.all()
+        ((starts, first, (x, y, z, rejected)),) = seen
+        assert (rejected < 0).all()
         ranges = (3 - y).tolist()
         assert 1 in ranges[:-1]
         reads = (np.arange(first, first + len(starts)) % 2 == 0) + 1 + (3 - y > 1)
