@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fx
-from .errors import LorentzGeoError, RigidityViolated, ShapeError, StripInconsistent
+from .errors import LorentzGeoError, NotParallel, RigidityViolated, ShapeError, StripInconsistent
 from .io import (
     emit_plotdata,
     load_fixture,
@@ -479,22 +479,27 @@ def cmd_ray(args, fixture, stage):
     return checks, series
 
 
-def _recovered_base(args, fixture, reference):
-    """The line classes of fixture's lines around the reference line, and
-    the base metric they give.  A fixture base must have one point per
-    class; ShapeError says when it does not."""
-    classes = extract_line_classes(fixture.space, fixture.lines, reference, args.tol_tau, args.geo_tol)
+def _recovered_base(args, fixture, reference, stage):
+    """The line classes around the reference line (stage "classes") and the base metric
+    they give (stage "base").  ShapeError if a fixture base has not one point per class."""
+    with stage("classes"):
+        classes = extract_line_classes(fixture.space, fixture.lines, reference, args.tol_tau, args.geo_tol)
     base = fixture.base
     if base is not None and base.m != len(classes):
         raise ShapeError(f"fixture base has {base.m} points, but its lines give {len(classes)} line classes")
-    return classes, compute_dS(fixture.space, classes, args.tol_tau)
+    with stage("base"):
+        return classes, compute_dS(fixture.space, classes, args.tol_tau)
 
 
 def cmd_split(args, fixture, stage):
     space, lines, base = fixture.space, fixture.lines, fixture.base
     reference = lines[_index("--reference", args.reference, len(lines), "lines")]
-    classes, recovered = _recovered_base(args, fixture, reference)
-    emb = verify_embedding(space, classes, recovered)
+    try:
+        classes, recovered = _recovered_base(args, fixture, reference, stage)
+    except NotParallel as e:  # a geometric finding about the lines, not malformed input
+        return [{"name": "classes", "status": "FAIL", "reason": str(e)}], None
+    with stage("embedding"):
+        emb = verify_embedding(space, classes, recovered)
     step = recovered.step
     checks = [
         {
@@ -528,12 +533,7 @@ def cmd_split(args, fixture, stage):
     series = {
         "dS": {
             "columns": ["i", "j", "dS"],
-            "rows": [
-                [int(i), int(j), float(recovered.dS[i, j])]
-                for i in range(recovered.m)
-                for j in range(recovered.m)
-                if np.isfinite(recovered.dS[i, j])
-            ],
+            "rows": [[i, j, float(recovered.dS[i, j])] for i, j in np.argwhere(np.isfinite(recovered.dS)).tolist()],
         }
     }
     return checks, series
@@ -544,7 +544,10 @@ def cmd_roundtrip(args, fixture, stage):
     if base is None:
         raise LorentzGeoError("fixture carries no base metric; roundtrip needs a product fixture")
     reference = lines[_index("reference line", 0, len(lines), "lines")]
-    _, recovered = _recovered_base(args, fixture, reference)
+    try:
+        _, recovered = _recovered_base(args, fixture, reference, stage)
+    except NotParallel as e:
+        return [{"name": "roundtrip", "status": "FAIL", "reason": str(e)}], None
     dev = float(np.abs(recovered.dS - base.dist).max())
     step = recovered.step
     checks = [

@@ -1,14 +1,11 @@
 """Fixture and report files.
 
-Fixtures are schema-versioned JSON: the space matrices as base64 binary
-payloads, optional line samples, and the generator base when the fixture
-is a product.  Reports are JSON with deterministic ordering; the
-runtime block is excluded from the determinism contract.  Plot-ready
-series are emitted as CSV, one file per series, stable column order.
+Fixtures are a JSON header line, then the space's payloads as raw bytes.
+Reports are JSON with deterministic ordering; the runtime block is
+excluded from the determinism contract.  Plot-ready series are emitted
+as CSV, one file per series, stable column order.
 """
 
-import base64
-import binascii
 import hashlib
 import json
 from pathlib import Path
@@ -21,8 +18,10 @@ from .parallels import LineSample
 from .sampled import SampledSpace
 from .splitting import MetricSampleIn
 
-FIXTURE_SCHEMA = 3
+FIXTURE_SCHEMA = 4
 REPORT_SCHEMA = 1
+PAYLOADS = ("causal", "chronological", "tau")  # the space's binary fields, in file order
+_BYTES = (bytes, memoryview)  # the types a payload may have
 
 
 class Fixture(NamedTuple):
@@ -41,9 +40,9 @@ def fixture_to_dict(space: SampledSpace, lines=(), base: MetricSampleIn | None =
         "schema_version": FIXTURE_SCHEMA,
         "space": {
             "n": space.n,
-            "causal": _b64encode(np.packbits(space.causal)),
-            "chronological": _b64encode(np.packbits(chron)),
-            "tau": _b64encode(space.tau[chron].astype("<f8")),
+            "causal": np.packbits(space.causal).tobytes(),
+            "chronological": np.packbits(chron).tobytes(),
+            "tau": space.tau[chron].astype("<f8", copy=False).tobytes(),
             "labels": space.labels,
             "meta": _plain(space.meta),
         },
@@ -71,39 +70,32 @@ def fixture_to_dict(space: SampledSpace, lines=(), base: MetricSampleIn | None =
 
 
 def fixture_from_dict(doc: dict):
-    """Validate and rebuild (space, lines, base, meta) from JSON.
+    """Validate and rebuild (space, lines, base, meta) from a fixture document.
 
-    The fixture (schema 3) holds `causal` and the chronological mask
-    (tau > 0) as base64 of their np.packbits bytes, and `tau`'s positive
-    entries in row-major order as base64 of little-endian float64 bytes.
-    Unknown top-level keys are ignored.  Any other schema, or any
-    malformed document, raises ShapeError.
-
-    doc itself is not modified.  The payloads are popped from shallow
-    copies of doc and doc["space"] as they are decoded, so when the caller
-    keeps no reference to doc, each payload is freed once decoded.
+    The space holds the PAYLOADS as bytes or memoryviews: the np.packbits
+    of `causal` and of the chronological mask (tau > 0), and tau's positive
+    entries in row-major order as little-endian float64.  Unknown top-level
+    keys are ignored; any other schema or malformed document raises
+    ShapeError.  doc is not modified: the payloads are popped from shallow
+    copies, and tau is scattered before causal is unpacked, so when the
+    caller keeps no reference to doc the tau payload is freed first.
     """
-    doc = dict(_expect(doc, dict, "fixture"))
-    version = doc.get("schema_version")
-    if type(version) is not int or version != FIXTURE_SCHEMA:
-        raise ShapeError(f"unsupported fixture schema {version!r}: re-generate it with lorentzgeo gen")
-    sp = dict(_expect(doc.pop("space", None), dict, "space"))
-    n = sp.get("n")
-    if type(n) is not int or n < 0:
-        raise ShapeError(f"space.n must be a non-negative integer, got {n!r}")
+    n = _checked_n(doc)
+    doc = dict(doc)
+    sp = dict(doc.pop("space"))
     values = _packed_floats(sp.pop("tau", None), "space.tau")
     causal = _packed_mask(sp.pop("causal", None), n, "space.causal")
-    chron = _packed_mask(sp.pop("chronological", None), n, "space.chronological")
+    chron = _unpacked(_packed_mask(sp.pop("chronological", None), n, "space.chronological"), n)
     if values.shape != (np.count_nonzero(chron),):
         raise ShapeError("space.tau must hold one value per chronological bit")
     if not ((values > 0) & (values < np.inf)).all():
         raise ShapeError("space.tau values must be positive and finite")
     tau = np.zeros((n, n))
     tau[chron] = values
-    del values
+    del values, chron
     labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
-    space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
+    space = SampledSpace(tau=tau, causal=_unpacked(causal, n), labels=labels, meta=meta)
     lines = []
     for ln in _expect(doc.get("lines", []), list, "lines"):
         ln = _expect(ln, dict, "line")
@@ -162,34 +154,31 @@ def _array(value, dtype, what):
         raise ShapeError(f"fixture {what} is not a numeric array: {e}") from None
 
 
-def _b64encode(array):
-    return base64.b64encode(array.tobytes()).decode("ascii")
+def _checked_n(doc):
+    """doc's space.n, once doc's schema, space and n are checked."""
+    version = _expect(doc, dict, "fixture").get("schema_version")
+    if type(version) is not int or version != FIXTURE_SCHEMA:
+        raise ShapeError(f"unsupported fixture schema {version!r}: re-generate it with lorentzgeo gen")
+    n = _expect(doc.get("space"), dict, "space").get("n")
+    if type(n) is not int or n < 0:
+        raise ShapeError(f"space.n must be a non-negative integer, got {n!r}")
+    return n
 
 
-def _b64decode(text, what):
-    """Canonical base64 (no whitespace, padding required, unused bits zero) to bytes."""
-    try:  # what b64decode(validate=True) runs, without its ASCII copy of text
-        raw = binascii.a2b_base64(_expect(text, str, what), strict_mode=True)
-    except ValueError as e:  # binascii.Error, or a non-ASCII string
-        raise ShapeError(f"fixture {what} is not valid base64: {e}") from None
-    tail = len(raw) % 3  # only a padded last group has unused bits
-    if tail and base64.b64encode(raw[-tail:]).decode() != text[-4:]:
-        raise ShapeError(f"fixture {what} has nonzero unused bits in its last base64 group")
+def _packed_mask(raw, n, what):
+    """The bytes of an n x n np.packbits mask, checked for their count and zero padding."""
+    spare = -(n * n) % 8  # padding bits in the last byte
+    if not isinstance(raw, _BYTES) or len(raw) != (n * n + spare) // 8 or (spare and raw[-1] & ((1 << spare) - 1)):
+        raise ShapeError(f"fixture {what} must be {n}x{n} packed bits with zero padding")
     return raw
 
 
-def _packed_mask(text, n, what):
-    """Decode an n x n np.packbits mask, checking its byte count and zero padding."""
-    raw = _b64decode(text, what)
-    spare = -(n * n) % 8  # padding bits in the last byte
-    if len(raw) != (n * n + spare) // 8 or (spare and raw[-1] & ((1 << spare) - 1)):
-        raise ShapeError(f"fixture {what} must be {n}x{n} packed bits with zero padding")
+def _unpacked(raw, n):
     return np.unpackbits(np.frombuffer(raw, np.uint8), count=n * n).view(bool).reshape(n, n)
 
 
-def _packed_floats(text, what):
-    raw = _b64decode(text, what)
-    if len(raw) % 8:
+def _packed_floats(raw, what):
+    if not isinstance(raw, _BYTES) or len(raw) % 8:
         raise ShapeError(f"fixture {what} must be whole little-endian float64 values")
     return np.frombuffer(raw, "<f8")
 
@@ -210,27 +199,43 @@ def _indices(value, n, what):
     return pts
 
 
+def doc_to_bytes(doc: dict) -> bytes:
+    """A fixture document as file bytes: its JSON header line, then the space's payloads."""
+    space = dict(doc["space"])
+    body = [space.pop(key) for key in PAYLOADS]
+    return b"".join([json.dumps({**doc, "space": space}, sort_keys=True).encode(), b"\n", *body])
+
+
 def save_fixture(path, space, lines=(), base=None, meta=None):
-    doc = fixture_to_dict(space, lines, base, meta)
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    Path(path).write_bytes(doc_to_bytes(fixture_to_dict(space, lines, base, meta)))
     return path
 
 
 def load_fixture(path) -> Fixture:
     """Read, validate and hash a fixture file, reading it once.
 
-    The bytes are freed once hashed and decoded to text (with the encoding
-    json.loads would detect), the text once parsed, and each payload of the
-    document once fixture_from_dict has decoded it.  At its peak a load
-    holds the space's arrays and the decoded tau entries.
+    Only the header line is decoded as text; the payloads are sliced from
+    the body by the header's n, tau as a memoryview of the bytes, not a
+    copy.  The bytes are freed once tau is scattered, before causal is
+    unpacked, so at its peak a load holds the bytes, the dense tau and the
+    chronological mask.
     """
     data = Path(path).read_bytes()
     sha256 = hashlib.sha256(data).hexdigest()
-    text = data.decode(json.detect_encoding(data), "surrogatepass")
-    del data
-    parsed = [json.loads(text)]
-    del text
-    # pop hands fixture_from_dict the only reference to the document
+    cut = data.find(b"\n")
+    try:
+        doc = json.loads((data if cut < 0 else data[:cut]).decode())
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise ShapeError(f"fixture header is not UTF-8 JSON: {e}") from None
+    size = (_checked_n(doc) ** 2 + 7) // 8
+    if cut < 0:
+        raise ShapeError("fixture has no payload: a newline and the payload bytes must follow its header")
+    body = memoryview(data)[cut + 1 :]
+    doc["space"].update(causal=bytes(body[:size]), chronological=bytes(body[size : 2 * size]), tau=body[2 * size :])
+    del data, body
+    parsed = [doc]
+    del doc
+    # pop hands fixture_from_dict the only reference to the document, and so to the bytes
     return Fixture(*fixture_from_dict(parsed.pop()), sha256)
 
 
@@ -240,14 +245,8 @@ def _plain(obj):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # a numpy scalar's tolist() is the Python int, float or bool
     return obj
 
 

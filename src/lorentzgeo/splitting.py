@@ -139,8 +139,10 @@ def same_class(l1: LineSample, l2: LineSample) -> bool:
 def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAULT_TOL_TAU, geo_tol: float = DEFAULT_GEO_TOL):
     """Group lines by shift equivalence and synchronise them to a reference.
 
-    Raises NotParallel when a line fails the geodesic witness or is not
-    weakly parallel to the reference within the sampled windows.
+    Raises NotParallel when a line fails the geodesic witness, is not
+    weakly parallel to the reference within the sampled windows, or fails
+    the synchronised fit, and WindowExhausted when a class shares fewer
+    than two chronological pairs with the reference, too few to fit.
     """
     all_lines = list(lines)
     for ln in all_lines + [reference]:
@@ -163,10 +165,12 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
     classes = []
     for g in groups:
         fit = sync_parallel_fit(space, reference, g[0], tol)
+        label = g[0].label or "line"
+        if fit is None and np.count_nonzero(space.tau[np.ix_(reference.points, g[0].points)]) < 2:
+            # the fit has two unknowns (shift and distance), so the sample cannot decide
+            raise WindowExhausted(f"{label} has fewer than two chronological pairs with the reference to synchronise it")
         if fit is None:
-            raise NotParallel(
-                f"{g[0].label or 'line'} cannot be synchronised to the reference"
-            )
+            raise NotParallel(f"{label} cannot be synchronised to the reference")
         classes.append(LineClass(representative=g[0].shifted(fit.t0), shift_to_reference=fit.t0))
     return classes
 

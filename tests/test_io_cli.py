@@ -2,8 +2,12 @@ import argparse
 import ast
 import base64
 import copy
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -15,12 +19,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lorentzgeo
 from lorentzgeo import cli
 from lorentzgeo.cli import main
 from lorentzgeo.errors import NoSeries, ShapeError
 from lorentzgeo.fixtures import base_pair, base_point, minkowski_grid
 from lorentzgeo.io import (
+    PAYLOADS,
     deterministic_view,
+    doc_to_bytes,
     emit_plotdata,
     file_digest,
     fixture_from_dict,
@@ -56,14 +63,14 @@ class TestFixtureIO:
         assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
 
     def test_bad_schema_rejected(self):
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             with pytest.raises(ShapeError, match=f"^unsupported fixture schema {version}: re-generate it with lorentzgeo gen$"):
                 fixture_from_dict({"schema_version": version})
 
     def test_only_positive_tau_written(self):
         space = minkowski_grid(3, 3, 1.0)
         doc = fixture_to_dict(space)
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         chron, values = unpack(doc)
         assert len(values) == chron.sum() == np.count_nonzero(space.tau)
         assert all(v > 0 for v in values)
@@ -78,7 +85,7 @@ class TestFixtureIO:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_compact_round_trip(self, data):
-        """Schema 3 restores tau and causal bit for bit."""
+        """Schema 4 restores tau and causal bit for bit, and re-saves to the same bytes."""
         n = data.draw(st.integers(1, 6))
         order = data.draw(st.permutations(range(n)))
         value = st.sampled_from([5e-324, 1.7976931348623157e308, 0.30000000000000004, 1 / 3, 0.0, -0.0]) | st.floats(
@@ -90,21 +97,20 @@ class TestFixtureIO:
                 tau[order[a], order[b]] = data.draw(value)
         extra = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
         space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(n, dtype=bool) | extra)
-        doc = fixture_to_dict(space)
-        assert doc["schema_version"] == 3
-        text = json.dumps(doc, sort_keys=True)
-        loaded = fixture_from_dict(json.loads(text))[0]
-        # zeros come back as +0.0: schema 3 stores only the positive entries
-        assert np.array_equal(loaded.tau.view(np.uint64), (space.tau + 0.0).view(np.uint64))
-        assert np.array_equal(loaded.causal, space.causal)
-        assert json.dumps(fixture_to_dict(loaded), sort_keys=True) == text
+        assert fixture_to_dict(space)["schema_version"] == 4
+        with tempfile.TemporaryDirectory() as tmp:
+            data = save_fixture(Path(tmp) / "f.json", space).read_bytes()
+            loaded = load_fixture(Path(tmp) / "f.json").space
+            # zeros come back as +0.0: schema 4 stores only the positive entries
+            assert np.array_equal(loaded.tau.view(np.uint64), (space.tau + 0.0).view(np.uint64))
+            assert np.array_equal(loaded.causal, space.causal)
+            assert save_fixture(Path(tmp) / "g.json", loaded).read_bytes() == data
 
     def test_load_peak_memory(self, tmp_path):
-        """A load holds at most one form of the file, and one payload beside
-        the arrays it builds: its peak stays within 1.25 file sizes of what
-        it returns (22.8 MiB on this 10.5 MiB file; holding the bytes, the
-        text, the document and a copy of the tau payload at once took
-        56 MiB)."""
+        """A load holds the file's bytes only until tau is scattered, and
+        unpacks causal after: its peak stays within 1.25 file sizes of what
+        it returns (31.0 MiB for 22.8 MiB returned on this 7.9 MiB file;
+        unpacking causal while the bytes were alive took 33.2 MiB)."""
         path = tmp_path / "egrid.json"
         argv = ["gen", "product", "--base", "euclid-grid", "--m", "5", "--step", "0.25", "--window", "8"]
         assert main([*argv, "-o", str(path)]) == 0
@@ -119,17 +125,18 @@ class TestFixtureIO:
         assert fixture.space.n == 1625
         assert peak <= retained + 1.25 * path.stat().st_size
 
-    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-be", "utf-32", "utf-8-sig"])
-    def test_load_detects_encoding(self, tmp_path, encoding):
-        """A fixture in any encoding json.loads detects loads to the same space."""
-        space, lines = build_product(base_pair(1.5), np.arange(-2.0, 2.5, 0.5))
-        path = tmp_path / "f.json"
-        save_fixture(path, space, lines, base=base_pair(1.5))
-        other = tmp_path / f"{encoding}.json"
-        other.write_bytes(path.read_text().encode(encoding))
-        loaded = load_fixture(other)
-        assert loaded.sha256 == file_digest(other)
-        assert fixture_to_dict(*loaded[:4]) == fixture_to_dict(*load_fixture(path)[:4])
+    def test_file_is_a_header_line_then_the_payloads(self, tmp_path):
+        """The first line is the JSON document without its payloads; the
+        body is causal, chronological and tau, with no length fields."""
+        space = minkowski_grid(3, 3, 1.0)
+        path = save_fixture(tmp_path / "f.json", space)
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = fixture_to_dict(space)
+        sp = doc["space"]
+        assert json.loads(header) == {**doc, "space": {k: v for k, v in sp.items() if k not in PAYLOADS}}
+        assert len(sp["causal"]) == len(sp["chronological"]) == 11  # ceil(81 / 8)
+        assert len(sp["tau"]) == 8 * np.count_nonzero(space.tau)
+        assert body == sp["causal"] + sp["chronological"] + sp["tau"]
 
     def test_unknown_top_level_keys_ignored(self):
         """A fixture written with the retired `chains` list, or any other
@@ -223,6 +230,13 @@ KEPT_FLAGS = {
     ("gen", "desitter-sample"): ["--seed"],
     ("gen", "product"): ["--seed"],
 }
+# The runtime stage keys each command records besides load_s, seconds and timestamp
+STAGES = {
+    "axioms": {"scan_s"},
+    "curvature": {"sample_s", "certify_s"},
+    "split": {"classes_s", "base_s", "embedding_s"},
+    "roundtrip": {"classes_s", "base_s"},
+}
 
 
 class TestCli:
@@ -247,9 +261,9 @@ class TestCli:
         """A product fixture with its lines list emptied."""
         path = tmp_path / "nolines.json"
         assert main(["gen", "product", "--base", "pair", "--step", "0.5", "--window", "2", "-o", str(path)]) == 0
-        doc = json.loads(path.read_text())
+        doc = read_doc(path)
         doc["lines"] = []
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         return path
 
     def test_axioms_pass(self, grid_fixture):
@@ -271,10 +285,6 @@ class TestCli:
     def test_split_embedding_fails_beyond_its_tau_bound(self, tripod_fixture, monkeypatch, excess, status, code):
         """embedding is bounded by step + tol_tau, as roundtrip is, even where
         causality agrees everywhere."""
-        import dataclasses
-
-        from lorentzgeo import cli
-
         tol_tau = 1e-3
 
         def doctored(space, classes, recovered):
@@ -301,6 +311,48 @@ class TestCli:
         assert [c["name"] for c in checks] == ["classes", "embedding", "base-cat0"]
         assert checks[2] == {"name": "base-cat0", "status": "SKIP", "reason": "base has no midpoints"}
 
+    @pytest.mark.parametrize("doctor", ["cross-tau-scaled", "point-swapped"])
+    def test_non_parallel_line_is_fail(self, tmp_path, capsys, doctor):
+        """A line that is not parallel to the reference, or not a line, is a
+        finding about the space: split reports one FAIL classes check and
+        roundtrip one FAIL roundtrip check, both exit 1 with the reason, as
+        lines does, and neither exits 2."""
+        path = tmp_path / "tripod.json"
+        assert main(["gen", "product", "--base", "tripod", "--step", "0.5", "--window", "8", "-o", str(path)]) == 0
+        space, lines, base, meta, _ = load_fixture(path)
+        if doctor == "cross-tau-scaled":
+            line_of = np.empty(space.n, dtype=int)
+            for k, ln in enumerate(lines):
+                line_of[ln.points] = k
+            cross = line_of[:, None] != line_of[None, :]
+            space = SampledSpace(tau=np.where(cross, 1.05 * space.tau, space.tau), causal=space.causal, meta=space.meta)
+            reason, lines_code = "base[1] cannot be synchronised to the reference", 0
+        else:
+            points = lines[1].points.copy()
+            points[16] = lines[2].points[16]
+            lines[1] = dataclasses.replace(lines[1], points=points)
+            reason, lines_code = "base[1] fails the line witness: ", 1
+        save_fixture(path, space, lines, base, meta)
+        out = tmp_path / "r.json"
+        assert main(["lines", str(path), "-o", str(out)]) == lines_code
+        for command, name in (("split", "classes"), ("roundtrip", "roundtrip")):
+            capsys.readouterr()
+            assert main([command, str(path), "-o", str(out)]) == 1
+            assert capsys.readouterr().err == ""
+            (check,) = load_report(out)["checks"]
+            assert check.keys() == {"name", "status", "reason"}
+            assert check["name"] == name and check["status"] == "FAIL"
+            assert check["reason"].startswith(reason)
+            assert doctor == "point-swapped" or check["reason"] == reason
+
+    def test_unsynchronisable_window_is_not_a_fail(self, grid_fixture, capsys):
+        """On the 7x7 grid the vertical line x=5 meets the reference x=0 in
+        one chronological pair, too few to fit a synchronisation: the sample
+        cannot decide, so split exits 2 as before, never with a FAIL."""
+        assert main(["split", str(grid_fixture)]) == 2
+        assert capsys.readouterr().err == "error: x=5 has fewer than two chronological pairs with the reference to synchronise it\n"
+        assert not grid_fixture.with_name("grid_split.json").exists()
+
     def test_lines_and_strip(self, tripod_fixture):
         assert main(["lines", str(tripod_fixture)]) == 0
         assert main(["strip", str(tripod_fixture), "--alpha", "1", "--beta", "2"]) == 0
@@ -310,9 +362,9 @@ class TestCli:
         """A line with fewer than two points compares nothing, so it is not a PASS."""
         path = tmp_path / "short.json"
         assert main(["gen", "product", "--base", "pair", "--step", "0.5", "--window", "2", "-o", str(path)]) == 0
-        doc = json.loads(path.read_text())
+        doc = read_doc(path)
         doc["lines"][1]["points"] = points
-        path.write_text(json.dumps(doc))
+        write_doc(path, doc)
         assert main(["lines", str(path)]) == 0
         checks = load_report(tmp_path / "short_lines.json")["checks"]
         assert [c["status"] for c in checks] == ["PASS", "SKIP"]
@@ -408,8 +460,8 @@ class TestCli:
             }
         ]
         assert report["series"] == {"ray_drift": {"columns": ["t_n", "drift"], "rows": [[16.0, drifts[0]], [32.0, drifts[1]]]}}
-        # the fixture's bytes, without the "chains": [] it carried before that list was retired
-        assert report["inputs"]["sha256"] == "bbe5a3967ed3668507a70968812c1e9f25948d25c95824e5b820cd92afc64f69"
+        # the fixture's bytes in schema 4
+        assert report["inputs"]["sha256"] == "f7c0e1bb5643cea9484a8186e7b780937a7142a0ebff047a523c3c9181d052ab"
 
     def test_deterministic_reports(self, tripod_fixture):
         out1 = tripod_fixture.with_name("r1.json")
@@ -420,8 +472,7 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["curvature", "axioms", "lines", "split"])
     def test_non_finite_tau_exit_2(self, tripod_fixture, command):
-        doc = json.loads(tripod_fixture.read_text())
-        tripod_fixture.write_text(json.dumps(set_tau(doc, 0, 40, float("nan"))))
+        write_doc(tripod_fixture, set_tau(read_doc(tripod_fixture), 0, 40, float("nan")))
         assert main([command, str(tripod_fixture)]) == 2
 
     def test_vacuous_certificate_is_skip(self, tmp_path):
@@ -451,52 +502,48 @@ class TestCli:
             assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_retired_schema_exit_2(self, tmp_path, capsys, version):
-        """A schema-1 or schema-2 file exits 2 with one line that says how to replace it."""
-        doc = valid_fixture()
+        """A schema-1, 2 or 3 file exits 2 with one line that says how to
+        replace it, both as one line of JSON with base64 payloads (the
+        schema-3 layout) and as a header line with a body."""
+        doc = {**valid_fixture(), "schema_version": version}
+        text = {key: base64.b64encode(doc["space"][key]).decode() for key in PAYLOADS}
         path = tmp_path / "old.json"
-        path.write_text(json.dumps({**doc, "schema_version": version}))
-        for command, *extra in FUZZ_COMMANDS:
-            capsys.readouterr()
-            assert main([command, str(path), *extra]) == 2
-            assert capsys.readouterr().err == f"error: unsupported fixture schema {version}: re-generate it with lorentzgeo gen\n"
+        for data in (json.dumps({**doc, "space": {**doc["space"], **text}}).encode(), doc_to_bytes(doc)):
+            path.write_bytes(data)
+            for command, *extra in FUZZ_COMMANDS:
+                capsys.readouterr()
+                assert main([command, str(path), *extra]) == 2
+                assert capsys.readouterr().err == f"error: unsupported fixture schema {version}: re-generate it with lorentzgeo gen\n"
 
     @pytest.mark.parametrize("command", ["curvature", "axioms"])
     @pytest.mark.parametrize("entry, value", [((0, 40), -1.0), ((7, 7), 0.5)])
     def test_negative_tau_or_nonzero_diagonal_exit_2(self, tripod_fixture, command, entry, value):
-        doc = json.loads(tripod_fixture.read_text())
-        tripod_fixture.write_text(json.dumps(set_tau(doc, *entry, value)))
+        write_doc(tripod_fixture, set_tau(read_doc(tripod_fixture), *entry, value))
         assert main([command, str(tripod_fixture)]) == 2
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda doc: [doc],
+            lambda doc: list(doc),
             lambda doc: {**doc, "space": [1]},
             lambda doc: {**doc, "space": {**doc["space"], "n": [2]}},
             lambda doc: {**doc, "lines": [1]},
             lambda doc: {**doc, "lines": [{**doc["lines"][0], "label": 5}]},
             lambda doc: {**doc, "base": {**doc["base"], "labels": 5}},
             lambda doc: {**doc, "base": {**doc["base"], "dist": 5}},
-            # the version must be the integer 3
+            # the version must be the integer 4
             lambda doc: {**doc, "schema_version": True},
             lambda doc: {**doc, "schema_version": 2.0},
             lambda doc: {**doc, "schema_version": 3.0},
-            # schema 3: causal 111/011/001 packs to EC 80, chronological 011/001/000 to 64 00
-            lambda doc: with_space(doc, causal="7I*="),
-            lambda doc: with_space(doc, chronological="ZA\u00e9="),
-            lambda doc: with_space(doc, causal="7IA"),
-            lambda doc: with_space(doc, causal="7IB="),
-            lambda doc: with_space(doc, tau=doc["space"]["tau"][:16] + "\n" + doc["space"]["tau"][16:]),
-            lambda doc: with_space(doc, tau=[1.0, 2.0, 1.0]),
-            lambda doc: with_space(doc, chronological=["011", "001", "000"]),
-            lambda doc: with_space(doc, causal=None),
-            lambda doc: with_space(doc, causal=b64([0xEC])),
-            lambda doc: with_space(doc, causal=b64([0xEC, 0x80, 0x00])),
-            lambda doc: with_space(doc, chronological=b64([0x64, 0x01])),
-            lambda doc: with_space(doc, causal=b64([0xEC, 0xC0])),
-            lambda doc: with_space(doc, tau=b64(np.array([1.0, 2.0, 1.0], "<f8").tobytes()[:-1])),
+            lambda doc: {**doc, "schema_version": 4.0},
+            # causal 111/011/001 packs to EC 80, chronological 011/001/000 to 64 00
+            lambda doc: with_space(doc, causal=bytes([0xEC])),
+            lambda doc: with_space(doc, causal=bytes([0xEC, 0x80, 0x00])),
+            lambda doc: with_space(doc, chronological=bytes([0x64, 0x01])),
+            lambda doc: with_space(doc, causal=bytes([0xEC, 0xC0])),
+            lambda doc: with_space(doc, tau=np.array([1.0, 2.0, 1.0], "<f8").tobytes()[:-1]),
             lambda doc: with_space(doc, tau=floats(1.0, 2.0)),
             lambda doc: with_space(doc, tau=floats(1.0, 2.0, 1.0, 1.0)),
             lambda doc: with_space(doc, tau=floats(1.0, float("nan"), 1.0)),
@@ -505,7 +552,7 @@ class TestCli:
             lambda doc: with_space(doc, tau=floats(1.0, -2.0, 1.0)),
             lambda doc: with_space(doc, tau=floats(1.0, 0.0, 1.0)),
             lambda doc: with_space(doc, tau=floats(1.0, -0.0, 1.0)),
-            lambda doc: with_space(doc, chronological=b64([0x6C, 0x00]), tau=floats(1.0, 2.0, 0.5, 1.0)),
+            lambda doc: with_space(doc, chronological=bytes([0x6C, 0x00]), tau=floats(1.0, 2.0, 0.5, 1.0)),
         ],
         ids=[
             "root-list",
@@ -518,14 +565,7 @@ class TestCli:
             "schema-true",
             "schema-2.0",
             "schema-3.0",
-            "b64-bad-char",
-            "b64-non-ascii",
-            "b64-no-padding",
-            "b64-unused-bits",
-            "b64-newline",
-            "b64-tau-list",
-            "b64-mask-list",
-            "b64-missing",
+            "schema-4.0",
             "packed-bytes-too-few",
             "packed-bytes-too-many",
             "packed-padding-bit",
@@ -547,7 +587,7 @@ class TestCli:
         with pytest.raises(ShapeError):
             fixture_from_dict(doc)
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(fixture_file(doc))
         for command, *extra in FUZZ_COMMANDS:
             capsys.readouterr()
             assert main([command, str(path), *extra]) == 2
@@ -569,14 +609,14 @@ class TestCli:
     def test_malformed_base_exit_2(self, tripod_fixture, tmp_path, capsys, key, entry, value, field):
         """A non-finite base distance or a midpoint triple outside the base
         exits 2 with one line naming the field, never a verdict or a wrapped index."""
-        doc = json.loads(tripod_fixture.read_text())
+        doc = read_doc(tripod_fixture)
         i, j = entry
         doc["base"][key][i][j] = value
         if key == "dist":
             doc["base"][key][j][i] = value
         with pytest.raises(ShapeError, match=field):
             fixture_from_dict(doc)
-        tripod_fixture.write_text(json.dumps(doc))
+        write_doc(tripod_fixture, doc)
         out = tmp_path / "r.json"
         for command in ("split", "roundtrip"):
             capsys.readouterr()
@@ -599,11 +639,11 @@ class TestCli:
         """A product whose base has another number of points than the space
         was built over, or labels of the wrong length, exits 2 with one line
         naming the field, never a verdict or numpy's broadcast error."""
-        doc = json.loads(tripod_fixture.read_text())
+        doc = read_doc(tripod_fixture)
         doc["base"] = edit(doc["base"])
         with pytest.raises(ShapeError, match=f"^fixture {field}"):
             fixture_from_dict(doc)
-        tripod_fixture.write_text(json.dumps(doc))
+        write_doc(tripod_fixture, doc)
         out = tmp_path / "r.json"
         for command in ("split", "roundtrip"):
             capsys.readouterr()
@@ -617,11 +657,11 @@ class TestCli:
         with the space, so split and roundtrip compare it with the line
         classes: a 2-point base under the tripod's four classes exits 2 with
         one line naming the base, never a verdict or numpy's broadcast error."""
-        doc = json.loads(tripod_fixture.read_text())
+        doc = read_doc(tripod_fixture)
         del doc["space"]["meta"]["base_points"]
         doc["base"] = fixture_to_dict(minkowski_grid(2, 2, 1.0), base=base_pair(1.0))["base"]
         assert fixture_from_dict(doc)[2].m == 2
-        tripod_fixture.write_text(json.dumps(doc))
+        write_doc(tripod_fixture, doc)
         out = tmp_path / "r.json"
         for command in ("split", "roundtrip"):
             capsys.readouterr()
@@ -683,9 +723,9 @@ class TestCli:
         path = tmp_path / "tiny.json"
         assert main(["gen", "minkowski-grid", "--nt", "2", "--nx", "2", "-o", str(path)]) == 0
         if command == "lines":
-            doc = json.loads(path.read_text())
+            doc = read_doc(path)
             doc["lines"] = []
-            path.write_text(json.dumps(doc))
+            write_doc(path, doc)
         out = tmp_path / "r.json"
         assert main([command, str(path), "-o", str(out)]) == 0
         assert load_report(out)["checks"] == [{"name": command, "status": "SKIP", "reason": "nothing to check in this fixture"}]
@@ -700,25 +740,57 @@ class TestCli:
             main(["axioms", str(grid_fixture)])
 
     @pytest.mark.parametrize(
-        "field, payload, message",
+        "edit, message",
         [
-            ("causal", "7I*=", "fixture space.causal is not valid base64: Only base64 data is allowed"),
+            (lambda header, body: header + b"\n" + body[:-1], "fixture space.tau must be whole little-endian float64 values"),
+            (lambda header, body: header + b"\n" + body + b"\0", "fixture space.tau must be whole little-endian float64 values"),
+            (lambda header, body: header, "fixture has no payload: a newline and the payload bytes must follow its header"),
             (
-                "chronological",
-                "ZA\u00e9=",
-                "fixture space.chronological is not valid base64: string argument should contain only ASCII characters",
+                lambda header, body: b'{"note": "\xe9", ' + header[1:] + b"\n" + body,
+                "fixture header is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte",
             ),
-            ("tau", "AAAAAAAA8D8", "fixture space.tau is not valid base64: Incorrect padding"),  # 1.0, unpadded
-            ("causal", "7IB=", "fixture space.causal has nonzero unused bits in its last base64 group"),
+            (
+                lambda header, body: header.decode().encode("utf-16") + b"\n" + body,
+                "fixture header is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+            # the body of valid_fixture(): causal EC 80, chronological 64 00, then three float64 values
+            (lambda header, body: header + b"\n" + body[:1] + b"\x81" + body[2:], "fixture space.causal must be 3x3 packed bits with zero padding"),
+            (lambda header, body: header + b"\n" + body[:3] + b"\x01" + body[4:], "fixture space.chronological must be 3x3 packed bits with zero padding"),
+            (lambda header, body: header + b"\n" + body[:-8], "space.tau must hold one value per chronological bit"),
+            (lambda header, body: header + b"\n" + body + floats(1.0), "space.tau must hold one value per chronological bit"),
+            *(
+                (lambda header, body, value=value: header + b"\n" + body[:-8] + floats(value), "space.tau values must be positive and finite")
+                for value in (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -2.0)
+            ),
         ],
-        ids=["bad-char", "non-ascii", "bad-padding", "unused-bits"],
+        ids=[
+            "body-one-byte-short",
+            "body-one-byte-long",
+            "no-newline-no-body",
+            "header-latin-1",
+            "header-utf-16",
+            "causal-padding-bit",
+            "chronological-padding-bit",
+            "one-value-too-few",
+            "one-value-too-many",
+            "tau-nan",
+            "tau-inf",
+            "tau-minus-inf",
+            "tau-zero",
+            "tau-minus-zero",
+            "tau-negative",
+        ],
     )
-    def test_malformed_payload_message(self, tmp_path, capsys, field, payload, message):
-        """Each malformed base64 payload exits 2 with one line naming the field and the fault."""
+    def test_malformed_file_exit_2(self, tmp_path, capsys, edit, message):
+        """A fixture file whose body or header line is malformed exits 2
+        with one line naming the fault, in every command."""
+        header, body = doc_to_bytes(valid_fixture()).split(b"\n", 1)
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(with_space(valid_fixture(), **{field: payload})))
-        assert main(["axioms", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        path.write_bytes(edit(header, body))
+        for command, *extra in FUZZ_COMMANDS:
+            capsys.readouterr()
+            assert main([command, str(path), *extra]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_axioms_report_diagnostics(self, grid_fixture, tmp_path):
         assert main(["axioms", str(grid_fixture), "-o", str(tmp_path / "r.json")]) == 0
@@ -747,7 +819,8 @@ class TestCli:
         ids=lambda argv: argv[0],
     )
     def test_runtime_load_s(self, request, argv):
-        """Every fixture command times its load and its work, and names its report after itself."""
+        """Every fixture command times its load and its work, and its stages
+        where it has several, and names its report after itself."""
         command, name, *extra = argv
         path = request.getfixturevalue(f"{name}_fixture")
         assert main([command, str(path), *extra]) in (0, 1)
@@ -755,6 +828,9 @@ class TestCli:
         runtime = load_report(path.with_name(f"{name}_{report_name}.json"))["runtime"]
         assert runtime["load_s"] > 0 and runtime["seconds"] > 0
         assert isinstance(runtime["timestamp"], float)
+        stages = {key for key in runtime if key not in ("load_s", "seconds", "timestamp")}
+        assert stages == STAGES.get(command, set())
+        assert all(0 < runtime[key] <= runtime["seconds"] for key in stages)
 
     @pytest.mark.parametrize(
         "flag, argv",
@@ -865,6 +941,37 @@ class TestCli:
         # three horizons give two drifts, and a verdict
         assert main(["ray", str(path), "--point", "0", "--horizons", "2,3,4", "-o", str(out)]) in (0, 1)
         assert load_report(out)["checks"][0]["status"] in ("PASS", "FAIL")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minkowski-grid", "--nt", "5", "--nx", "4"],
+            ["desitter-sample", "--n-angles", "4", "--n-times", "5", "--fan-phi", "0.5"],
+            ["product", "--base", "tripod", "--window", "3"],
+            ["product", "--base", "hyperbolic-sample", "--m", "4", "--window", "2", "--seed", "3"],
+        ],
+        ids=["minkowski-grid", "desitter-sample", "tripod", "hyperbolic-sample"],
+    )
+    def test_gen_writes_identical_files(self, tmp_path, argv):
+        """gen run twice with the same arguments writes the same bytes: a
+        header line of sorted JSON without the payloads, then the payloads."""
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", *argv, "-o", str(first)]) == 0
+        assert main(["gen", *argv, "-o", str(second)]) == 0
+        data = first.read_bytes()
+        assert data == second.read_bytes()
+        header = json.loads(data.split(b"\n", 1)[0])
+        assert header["schema_version"] == 4 and not header["space"].keys() & set(PAYLOADS)
+        assert doc_to_bytes(read_doc(first)) == data
+
+    def test_python_m_lorentzgeo(self, tmp_path):
+        """python -m lorentzgeo runs the command-line front end."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(lorentzgeo.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        path = tmp_path / "g.json"
+        for argv in (["gen", "minkowski-grid", "--nt", "3", "--nx", "3", "-o", str(path)], ["axioms", str(path)]):
+            proc = subprocess.run([sys.executable, "-m", "lorentzgeo", *argv], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert load_report(tmp_path / "g_axioms.json")["checks"][0]["status"] == "PASS"
 
     def test_gen_flags_the_base_takes(self, tmp_path):
         out = tmp_path / "f.json"
@@ -1059,16 +1166,29 @@ def valid_fixture():
     return fixture_to_dict(space, lines, base_point())
 
 
-def b64(data):
-    return base64.b64encode(bytes(data)).decode("ascii")
+def read_doc(path):
+    """The fixture document of the file at path, as fixture_to_dict gives it."""
+    return fixture_to_dict(*load_fixture(path)[:4])
+
+
+def write_doc(path, doc):
+    path.write_bytes(doc_to_bytes(doc))
+
+
+def fixture_file(doc):
+    """doc as fixture file bytes, unchecked: doc_to_bytes(doc) when doc["space"]
+    is an object, else doc as the header line of a file with no payloads."""
+    if isinstance(doc, dict) and isinstance(doc.get("space"), dict):
+        return doc_to_bytes(doc)
+    return json.dumps(doc).encode() + b"\n"
 
 
 def unpack(doc):
     """The chronological mask and the listed tau values of a fixture document, unchecked."""
     sp = doc["space"]
     n = sp["n"]
-    chron = np.unpackbits(np.frombuffer(base64.b64decode(sp["chronological"]), np.uint8), count=n * n)
-    return chron.astype(bool).reshape(n, n), np.frombuffer(base64.b64decode(sp["tau"]), "<f8").tolist()
+    chron = np.unpackbits(np.frombuffer(sp["chronological"], np.uint8), count=n * n)
+    return chron.astype(bool).reshape(n, n), np.frombuffer(sp["tau"], "<f8").tolist()
 
 
 def set_tau(doc, i, j, value):
@@ -1081,8 +1201,8 @@ def set_tau(doc, i, j, value):
     else:
         values.insert(k, value)
         chron[i, j] = True
-    sp["chronological"] = b64(np.packbits(chron))
-    sp["tau"] = b64(np.array(values, "<f8"))
+    sp["chronological"] = np.packbits(chron).tobytes()
+    sp["tau"] = floats(*values)
     return doc
 
 
@@ -1091,15 +1211,17 @@ def with_space(doc, **fields):
 
 
 def floats(*values):
-    """Values as a schema-3 tau payload."""
-    return b64(np.array(values, "<f8").tobytes())
+    """Values as a tau payload."""
+    return np.array(values, "<f8").tobytes()
 
 
 @st.composite
 def mutated_fixtures(draw):
-    """valid_fixture() with a few nested values replaced by JSON or deleted."""
-    doc = valid_fixture()
-    for _ in range(draw(st.integers(1, 3))):
+    """valid_fixture()'s file with a few header values replaced by JSON or
+    deleted, and its body kept, truncated, extended or bit-flipped."""
+    header, body = doc_to_bytes(valid_fixture()).split(b"\n", 1)
+    doc, body = json.loads(header), bytearray(body)
+    for _ in range(draw(st.integers(0, 3))):
         node = doc
         while True:
             keys = list(node) if isinstance(node, dict) else list(range(len(node)))
@@ -1115,7 +1237,15 @@ def mutated_fixtures(draw):
             else:
                 node[key] = draw(JSON)
             break
-    return doc
+    edit = draw(st.sampled_from(["keep", "truncate", "extend", "flip"]))
+    if edit == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)) :]
+    elif edit == "extend":
+        body += draw(st.binary(min_size=1, max_size=16))
+    elif edit == "flip":
+        bit = draw(st.integers(0, 8 * len(body) - 1))
+        body[bit // 8] ^= 1 << bit % 8
+    return json.dumps(doc).encode() + b"\n" + body
 
 
 # Every fixture command, with fixed flags that suit valid_fixture()'s three-point chain
@@ -1141,10 +1271,10 @@ class TestFixtureFuzz:
     """Any JSON fixture gives exit 0, 1 or 2, never an uncaught exception."""
 
     @staticmethod
-    def run_commands(doc):
+    def run_commands(data):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.json"
-            path.write_text(json.dumps(doc))
+            path.write_bytes(data)
             for command, *extra in FUZZ_COMMANDS:
                 assert main([command, str(path), *extra, "-o", str(Path(tmp) / "r.json")]) in (0, 1, 2)
 
@@ -1152,15 +1282,16 @@ class TestFixtureFuzz:
     def test_valid_fixture_runs(self, tmp_path, argv):
         command, *extra = argv
         path = tmp_path / "f.json"
-        path.write_text(json.dumps(valid_fixture()))
+        write_doc(path, valid_fixture())
         assert main([command, str(path), *extra]) == VALID_FIXTURE_EXIT.get(command, 0)
 
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.sampled_from([1, 2, 3]), "space": JSON}))
+    @given(doc=JSON | st.fixed_dictionaries({"schema_version": st.sampled_from([1, 2, 3, 4]), "space": JSON}))
     def test_arbitrary_json(self, doc):
-        self.run_commands(doc)
+        """A header line with no newline and no body."""
+        self.run_commands(json.dumps(doc).encode())
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(doc=mutated_fixtures())
-    def test_mutated_fixture(self, doc):
-        self.run_commands(doc)
+    @given(data=mutated_fixtures())
+    def test_mutated_fixture(self, data):
+        self.run_commands(data)
