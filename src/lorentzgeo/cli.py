@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fx
-from .errors import LorentzGeoError, NotParallel, RigidityViolated, ShapeError, StripInconsistent
+from .errors import LorentzGeoError, NotParallel, RigidityViolated, ShapeError, StripInconsistent, WindowExhausted
 from .io import (
     emit_plotdata,
     load_fixture,
@@ -491,13 +491,20 @@ def _recovered_base(args, fixture, reference, stage):
         return classes, compute_dS(fixture.space, classes, args.tol_tau)
 
 
+def _unrecovered(name, error):
+    """The one check of a split or roundtrip whose base could not be recovered: a
+    FAIL for NotParallel, a finding; a SKIP for WindowExhausted, which the sample cannot decide."""
+    status = "FAIL" if isinstance(error, NotParallel) else "SKIP"
+    return [{"name": name, "status": status, "reason": str(error)}], None
+
+
 def cmd_split(args, fixture, stage):
     space, lines, base = fixture.space, fixture.lines, fixture.base
     reference = lines[_index("--reference", args.reference, len(lines), "lines")]
     try:
         classes, recovered = _recovered_base(args, fixture, reference, stage)
-    except NotParallel as e:  # a geometric finding about the lines, not malformed input
-        return [{"name": "classes", "status": "FAIL", "reason": str(e)}], None
+    except (NotParallel, WindowExhausted) as e:
+        return _unrecovered("classes", e)
     with stage("embedding"):
         emb = verify_embedding(space, classes, recovered)
     step = recovered.step
@@ -546,8 +553,8 @@ def cmd_roundtrip(args, fixture, stage):
     reference = lines[_index("reference line", 0, len(lines), "lines")]
     try:
         _, recovered = _recovered_base(args, fixture, reference, stage)
-    except NotParallel as e:
-        return [{"name": "roundtrip", "status": "FAIL", "reason": str(e)}], None
+    except (NotParallel, WindowExhausted) as e:
+        return _unrecovered("roundtrip", e)
     dev = float(np.abs(recovered.dS - base.dist).max())
     step = recovered.step
     checks = [

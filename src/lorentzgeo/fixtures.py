@@ -11,13 +11,13 @@ import math
 import numpy as np
 
 from .errors import ShapeError
-from .modelspace import ds_check_point, ds_separations, ds_tangent_toward, plane_separations
+from .modelspace import ds_check_point, ds_form, ds_geodesic_point, ds_separations, ds_tangent_toward, plane_separations
 from .parallels import LineSample
 from .sampled import SampledSpace
 from .splitting import MetricSampleIn, build_product
 
 
-def space_from_plane_points(points, labels=None, meta=None) -> SampledSpace:
+def space_from_plane_points(points, meta=None) -> SampledSpace:
     """Sampled space induced by explicit Minkowski-plane coordinates."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -26,7 +26,7 @@ def space_from_plane_points(points, labels=None, meta=None) -> SampledSpace:
     m = dict(meta or {})
     m.setdefault("generator", "plane-points")
     m["coords"] = pts.tolist()
-    return SampledSpace(tau=tau, causal=causal, labels=labels, meta=m)
+    return SampledSpace(tau=tau, causal=causal, meta=m)
 
 
 def minkowski_grid(nt: int = 21, nx: int = 21, step: float = 1.0) -> SampledSpace:
@@ -51,10 +51,10 @@ def grid_vertical_line(nt: int, nx: int, step: float, ix: int) -> LineSample:
     )
 
 
-def plane_ray_fan(p, line_x, horizons, t_max, alpha_step=1.0, fan_spacing=0.25):
+def plane_ray_fan(p, line_x, horizons, t_max, fan_spacing=0.25):
     """Planar fixture for asymptotic-ray runs.
 
-    A vertical line at x=line_x sampled with alpha_step up to t_max, a base
+    A vertical line at x=line_x sampled at unit steps up to t_max, a base
     point p off the line, and each segment [p, line(T)] for T in horizons
     sampled at roughly fan_spacing arclength steps (equal spacing across
     fans keeps parameter-matched drift comparisons unquantized).
@@ -62,11 +62,11 @@ def plane_ray_fan(p, line_x, horizons, t_max, alpha_step=1.0, fan_spacing=0.25):
     """
     p = (float(p[0]), float(p[1]))
     coords = [p]
-    n_line = int(round(t_max / alpha_step)) + 1
+    n_line = int(round(t_max)) + 1
     line_idx = []
     for k in range(n_line):
         line_idx.append(len(coords))
-        coords.append((k * alpha_step, line_x))
+        coords.append((float(k), line_x))
     for T in horizons:
         end = (T, line_x)
         seg_len = math.sqrt((end[0] - p[0]) ** 2 - (end[1] - p[1]) ** 2)
@@ -78,7 +78,7 @@ def plane_ray_fan(p, line_x, horizons, t_max, alpha_step=1.0, fan_spacing=0.25):
         coords, meta={"generator": "plane-ray-fan", "horizons": list(horizons)}
     )
     line = LineSample(
-        points=np.array(line_idx), t0=0.0, step=alpha_step, kind="future-ray", label="alpha"
+        points=np.array(line_idx), t0=0.0, step=1.0, kind="future-ray", label="alpha"
     )
     return space, line, {"p": 0}
 
@@ -93,7 +93,7 @@ def ds_meridian_point(t: float, phi: float):
     return np.array([math.sinh(t), math.cosh(t) * math.cos(phi), math.cosh(t) * math.sin(phi)])
 
 
-def space_from_desitter_points(points, labels=None, meta=None) -> SampledSpace:
+def space_from_desitter_points(points, meta=None) -> SampledSpace:
     """Sampled space induced by points on the de Sitter quadric."""
     pts = np.asarray(points, dtype=float)
     for p in pts:
@@ -103,7 +103,7 @@ def space_from_desitter_points(points, labels=None, meta=None) -> SampledSpace:
     m.setdefault("generator", "desitter-sample")
     m["coords"] = pts.tolist()
     m.setdefault("claimed_bound", 1.0)
-    return SampledSpace(tau=tau, causal=causal, labels=labels, meta=m)
+    return SampledSpace(tau=tau, causal=causal, meta=m)
 
 
 def desitter_sample(
@@ -144,12 +144,9 @@ def desitter_sample(
         for T in fan["horizons"]:
             q = ds_meridian_point(T, 0.0)
             w = ds_tangent_toward(p, q)
-            total = math.acosh(
-                float(-p[0] * q[0] + p[1] * q[1] + p[2] * q[2])
-            )
+            total = math.acosh(ds_form(p, q))
             for j in range(1, npts):
-                s = total * j / npts
-                coords.append(math.cosh(s) * p + math.sinh(s) * w)
+                coords.append(ds_geodesic_point(p, w, total * j / npts))
             fan_info["targets"][T] = total
     space = space_from_desitter_points(
         coords,

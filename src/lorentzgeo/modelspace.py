@@ -147,41 +147,23 @@ def _trig_gap(r, a, b, su):
 
 
 def side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
-    """Vectorized hinge -> opposite side. Returns (z, valid mask)."""
+    """Vectorized hinge -> opposite side. Returns (z, valid mask).
+
+    z is the separation of the legs' far ends, hinge_tau_arr at radii
+    (y, t): 0 in its null band, as tau_plane and ds_tau read it.  valid
+    adds y, t > 0, |sigma| = 1, y + t < D_K, and for sigma = -1 the time
+    order a << c << b, which forces y >= t + z.
+    """
     kappa = Kappa.of(kappa)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(cosh_theta, dtype=float)
-    sg = np.asarray(sigma, dtype=float)
-    y, t, u, sg = np.broadcast_arrays(y, t, u, sg)
-    valid = (y > 0) & (t > 0) & (u >= 1.0 - BOUNDARY_TOL) & (np.abs(sg) == 1.0)
-    u = np.maximum(u, 1.0)
-    k = kappa.k
-    with np.errstate(invalid="ignore", over="ignore"):
-        if k == 0.0:
-            zsq = y * y + t * t + 2.0 * sg * y * t * u
-            scale = y * y + t * t + 2.0 * y * t * u
-            zsq = np.where(np.abs(zsq) <= BOUNDARY_TOL * scale, 0.0, zsq)
-            valid &= zsq >= 0.0
-            z = np.sqrt(np.maximum(zsq, 0.0))
-        elif k > 0.0:
-            r = math.sqrt(k)
-            # cosh(rz) = 1 + gap; recover z through arcsinh to keep accuracy
-            gap, scale = _hyp_gap(r, y, t, sg * u)
-            valid &= gap >= -BOUNDARY_TOL * scale
-            gap = np.maximum(gap, 0.0)
-            z = np.arcsinh(np.sqrt(gap * (2.0 + gap))) / r
-        else:
-            r = math.sqrt(-k)
-            valid &= (y + t) < math.pi / r
-            # cos(rz) = 1 - gap; z = 2*arcsin(sqrt(gap/2)) is stable on [0, 2]
-            gap, scale = _trig_gap(r, y, t, sg * u)
-            valid &= (gap >= -BOUNDARY_TOL * scale) & (gap <= 2.0 + BOUNDARY_TOL)
-            z = 2.0 * np.arcsin(np.sqrt(np.clip(gap, 0.0, 2.0) / 2.0)) / r
-        # sigma = -1 describes the time order a << c << b, which forces
-        # y >= t + z; a formal root outside that region is not a hinge.
-        order_ok = np.where(sg < 0, y + BOUNDARY_TOL * (1.0 + y) >= t + z, True)
-        valid &= order_ok
+    y, t, u, sg = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (y, t, cosh_theta, sigma)))
+    z = np.zeros(y.shape)
+    valid = np.asarray((y > 0) & (t > 0) & (np.abs(sg) == 1.0) & (y + t < kappa.dk))
+    for opposite in (True, False):
+        side = (sg > 0) == opposite
+        tau, timelike, null, ok = hinge_tau_arr(kappa, y[side], t[side], u[side], opposite)
+        z[side] = tau
+        valid[side] &= ok & (timelike | null)
+    valid &= (sg > 0) | (y + BOUNDARY_TOL * (1.0 + y) >= t + z)
     return z, valid
 
 

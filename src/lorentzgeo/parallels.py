@@ -19,7 +19,6 @@ from .errors import (
     StripInconsistent,
     WindowExhausted,
 )
-from .modelspace import Kappa
 from .sampled import (
     Chain,
     SampledSpace,
@@ -192,7 +191,7 @@ class StripProfile:
     angle_probe: dict = field(default_factory=dict)
 
 
-def strip_profile(space, alpha: LineSample, beta: LineSample, kappa=Kappa(0.0), angle_probes: int = 0):
+def strip_profile(space, alpha: LineSample, beta: LineSample, angle_probes: int = 0):
     """Per-offset constancy statistics of the separation profile.
 
     The derivative F'(c+) is taken from a one-sided three-point stencil
@@ -216,7 +215,7 @@ def strip_profile(space, alpha: LineSample, beta: LineSample, kappa=Kappa(0.0), 
 
     probe = {}
     if angle_probes > 0:
-        probe = _angle_constancy_probe(space, alpha, beta, offs, F, kappa, angle_probes)
+        probe = _angle_constancy_probe(space, alpha, beta, offs, F, angle_probes)
     return StripProfile(offsets=offs, F=F, Fp=Fp, max_dev=max_dev, angle_probe=probe)
 
 
@@ -226,7 +225,7 @@ def _f2_slope(offsets, F):
     return (-3.0 * G[:-2] + 4.0 * G[1:-1] - G[2:]) / (2.0 * np.diff(offsets)[:-1])
 
 
-def _angle_constancy_probe(space, alpha, beta, offs, F, kappa, n_probes):
+def _angle_constancy_probe(space, alpha, beta, offs, F, n_probes):
     """Angle of the hinge at beta(t) toward alpha(t - c) and along beta."""
     active = np.flatnonzero(F > 1e-9)
     if not active.size:
@@ -251,7 +250,7 @@ def _angle_constancy_probe(space, alpha, beta, offs, F, kappa, n_probes):
         past = geodesic_between(space, pa, pb)
         ahead = Chain(beta.points[ib : ib + 2], np.array([0.0, h]))
         try:
-            est = estimate_angle(space, past, ahead, pb, kappa)
+            est = estimate_angle(space, past, ahead, pb)
             values.append(est.value)
         except DomainError:
             continue
@@ -409,20 +408,14 @@ def asymptotic_ray(
     )
 
 
-def concat_angle(
-    space,
-    beta_minus: Chain,
-    beta_plus: Chain,
-    p: int,
-    kappa=Kappa(0.0),
-):
-    """Angle between a past and a future chain at p, and the line test.
+def concat_angle(space, beta_minus: Chain, beta_plus: Chain, p: int):
+    """Angle between a past and a future chain at p, against the flat model, and the line test.
 
     Returns (angle, is_line, estimate): is_line checks the geodesic
     witness across the concatenation, which the zero-angle criterion
     predicts to hold exactly when the angle vanishes.
     """
-    est = estimate_angle(space, beta_minus, beta_plus, p, kappa)
+    est = estimate_angle(space, beta_minus, beta_plus, p)
     if est.sign < 0:  # both chains leave p toward the same time orientation
         raise DomainError("concatenation needs one past- and one future-directed chain")
     return est.value, geodesic_through(space, beta_minus, beta_plus, p), est

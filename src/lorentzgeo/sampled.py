@@ -370,7 +370,7 @@ def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> Axio
     if reached:
         record("causal-not-transitive", [np.concatenate(a) for a in zip(*firsts)], reached)
 
-    rti_count, rti_witness, exact_tests = _reverse_triangle(tau, causal, tol)
+    rti_count, rti_witness, exact_tests, triples = _reverse_triangle(tau, causal, tol)
     if rti_count:
         counts["reverse-triangle"] = rti_count
         violations.append({"kind": "reverse-triangle", "witness": rti_witness})
@@ -391,12 +391,12 @@ def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> Axio
         counts["push-up"] = push_count
         violations.append({"kind": "push-up", "witness": _push_up_witness(chron, causal, bad_rows, bad_cols)})
 
-    triples = int(np.dot(causal.sum(axis=0, dtype=np.int64), causal.sum(axis=1, dtype=np.int64)))
     return AxiomReport(violations=violations, counts=counts, triples_checked=triples, exact_tests=exact_tests)
 
 
 def _reverse_triangle(tau, causal, tol):
-    """Count, first witness and exact tests of the reverse-triangle scan (see validate_axioms).
+    """Count, first witness and exact tests of the reverse-triangle scan (see
+    validate_axioms), and the number of causal triples i <= j <= k it covers.
 
     The work buffers are sized once for the largest block; they die on
     return, before validate_axioms builds the push-up products.
@@ -439,7 +439,7 @@ def _reverse_triangle(tau, causal, tol):
             a, b = divmod(int(sel[viol.argmax()]), f)
             rti_witness = (int(past[a]), j, int(future[b]))
         rti_count += c
-    return rti_count, rti_witness, exact_tests
+    return rti_count, rti_witness, exact_tests, int(sizes.sum())
 
 
 def _push_up_witness(chron, causal, bad_rows, bad_cols):
@@ -568,11 +568,11 @@ def geodesic_between(space: SampledSpace, x: int, y: int, geo_tol: float = DEFAU
     return _geodesics(space, [x], [y], geo_tol)[0]
 
 
-def triangle_between(space, x, y, z, geo_tol=DEFAULT_GEO_TOL) -> SampledTriangle:
+def triangle_between(space, x, y, z) -> SampledTriangle:
     """Build the time-ordered sampled triangle with geodesic side chains."""
     if not (space.tau[x, y] > 0 and space.tau[y, z] > 0 and space.tau[x, z] > 0):
         raise NotChronological(f"({x},{y},{z}) is not a chronological chain")
-    return SampledTriangle(x, y, z, *_geodesics(space, [x, y, x], [y, z, z], geo_tol))
+    return SampledTriangle(x, y, z, *_geodesics(space, [x, y, x], [y, z, z]))
 
 
 _WINDOW = 4096  # PCG64 outputs read at a time by _window; each gives two words

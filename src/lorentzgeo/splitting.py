@@ -252,7 +252,8 @@ def compute_dS(space, classes, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
 @dataclass
 class Cat0Report:
     triangle_violation: tuple | None
-    margins: list
+    margins: np.ndarray  # float, one per row of triples
+    triples: np.ndarray  # int (checked, 3): x, y, z with y < z, pair-major, then x
     min_margin: float
     checked: int
     skipped_no_midpoint: int
@@ -267,43 +268,30 @@ def verify_base_metric_cat0(dist, midpoints) -> Cat0Report:
 
     For each triple (x; y, z) whose midpoint m of (y, z) is available:
     d(x,m)^2 <= d(x,y)^2/2 + d(x,z)^2/2 - d(y,z)^2/4.  Margins are the
-    slack of that inequality; triples without midpoints are counted and
-    skipped.
+    slack of that inequality, pairs y < z row-major, then x; pairs
+    without a midpoint are counted and skipped, and a pair keyed both ways
+    takes its later key's midpoint.  Distances are squared by Python's
+    float power, as scalar code squares them: numpy's array square can
+    differ in the last bit.
     """
-    if isinstance(dist, BaseMetric):
-        dist = dist.dS
     d = np.asarray(dist, dtype=float)
     m = d.shape[0]
     tri = MetricSampleIn(dist=0.5 * (d + d.T)).check_triangle_inequality(1e-9)
-    margins = []
-    skipped = 0
-    mid = {}
-    for (i, j), k in midpoints.items():
-        mid[(i, j)] = k
-        mid[(j, i)] = k
-    for y in range(m):
-        for z in range(y + 1, m):
-            if (y, z) not in mid:
-                skipped += 1
-                continue
-            mm = mid[(y, z)]
-            for x in range(m):
-                if x in (y, z):
-                    continue
-                margin = (
-                    0.5 * d[x, y] ** 2
-                    + 0.5 * d[x, z] ** 2
-                    - 0.25 * d[y, z] ** 2
-                    - d[x, mm] ** 2
-                )
-                margins.append({"triple": (x, y, z), "midpoint": mm, "margin": float(margin)})
-    min_margin = min((r["margin"] for r in margins), default=0.0)
+    mid = {(min(i, j), max(i, j)): k for (i, j), k in midpoints.items()}
+    pairs = sorted((y, z, k) for (y, z), k in mid.items() if 0 <= y < z < m)
+    y, z, mp = np.array(pairs, dtype=np.intp).reshape(-1, 3).T
+    cols = np.arange(m)
+    at, x = np.nonzero((cols != y[:, None]) & (cols != z[:, None]))
+    y, z, mp = y[at], z[at], mp[at]
+    sq = np.array([v**2 for v in d.ravel().tolist()]).reshape(d.shape)
+    margins = 0.5 * sq[x, y] + 0.5 * sq[x, z] - 0.25 * sq[y, z] - sq[x, mp]
     return Cat0Report(
         triangle_violation=tri,
         margins=margins,
-        min_margin=float(min_margin),
-        checked=len(margins),
-        skipped_no_midpoint=skipped,
+        triples=np.stack([x, y, z], axis=1),
+        min_margin=float(margins.min()) if margins.size else 0.0,
+        checked=margins.size,
+        skipped_no_midpoint=m * (m - 1) // 2 - len(pairs),
     )
 
 

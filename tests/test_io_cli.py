@@ -23,7 +23,7 @@ import lorentzgeo
 from lorentzgeo import cli
 from lorentzgeo.cli import main
 from lorentzgeo.errors import NoSeries, ShapeError
-from lorentzgeo.fixtures import base_pair, base_point, minkowski_grid
+from lorentzgeo.fixtures import _BASES, base_pair, base_point, minkowski_grid
 from lorentzgeo.io import (
     PAYLOADS,
     deterministic_view,
@@ -348,10 +348,27 @@ class TestCli:
     def test_unsynchronisable_window_is_not_a_fail(self, grid_fixture, capsys):
         """On the 7x7 grid the vertical line x=5 meets the reference x=0 in
         one chronological pair, too few to fit a synchronisation: the sample
-        cannot decide, so split exits 2 as before, never with a FAIL."""
-        assert main(["split", str(grid_fixture)]) == 2
-        assert capsys.readouterr().err == "error: x=5 has fewer than two chronological pairs with the reference to synchronise it\n"
-        assert not grid_fixture.with_name("grid_split.json").exists()
+        cannot decide, so split reports one SKIP check and exits 0, never a
+        FAIL and never exit 2."""
+        assert main(["split", str(grid_fixture)]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_report(grid_fixture.with_name("grid_split.json"))["checks"] == [
+            {"name": "classes", "status": "SKIP", "reason": "x=5 has fewer than two chronological pairs with the reference to synchronise it"}
+        ]
+
+    def test_unsynchronisable_product_is_skip(self, tmp_path, capsys):
+        """The pair product at d = 7.9 on [-4, 4] has one chronological pair
+        across its two lines: split and roundtrip report one SKIP check."""
+        path = tmp_path / "pair.json"
+        assert main(["gen", "product", "--base", "pair", "--d", "7.9", "--step", "0.5", "--window", "4", "-o", str(path)]) == 0
+        out = tmp_path / "r.json"
+        for command, name in (("split", "classes"), ("roundtrip", "roundtrip")):
+            capsys.readouterr()
+            assert main([command, str(path), "-o", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            assert load_report(out)["checks"] == [
+                {"name": name, "status": "SKIP", "reason": "base[1] has fewer than two chronological pairs with the reference to synchronise it"}
+            ]
 
     def test_lines_and_strip(self, tripod_fixture):
         assert main(["lines", str(tripod_fixture)]) == 0
@@ -1151,6 +1168,52 @@ class TestCli:
                 read = {n.id for b in body for n in ast.walk(b) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read]
         assert unread == []
+
+    def test_every_default_is_passed_somewhere(self):
+        """Every defaulted parameter of a function in the package is passed, by
+        keyword or by position, in some call in src, tests, demos or bench.
+        Calls are matched by the called name, and a class call by the class's
+        __init__; a call with *args passes every position, one with **kwargs
+        every keyword.  The fixtures._BASES builders are exempt: gen passes
+        them the flags a base takes as **kwargs."""
+        package = Path(cli.__file__).parent
+        root = package.parents[1]
+        exempt = {builder.__name__ for builder in _BASES.values()}
+        defaulted = []  # (where, called name, parameter, position in a call or None)
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if path.name == "fixtures.py" and node.name in exempt:
+                    continue
+                a = node.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                bound = int(id(node) in owner and not static)  # self or cls is not passed in the call
+                name = owner[id(node)] if node.name == "__init__" else node.name
+                where = f"{path.name}:{node.lineno} {node.name}"
+                positional = [*a.posonlyargs, *a.args]
+                first = len(positional) - len(a.defaults)
+                defaulted += [(where, name, p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+                defaulted += [(where, name, p.arg, None) for p, default in zip(a.kwonlyargs, a.kw_defaults) if default]
+        calls = {}  # called name -> [(positional count, *args given, keywords given)]
+        for path in [package, root / "tests", root / "demos", root / "bench"]:
+            for file in sorted(path.rglob("*.py")):
+                for node in ast.walk(ast.parse(file.read_text())):
+                    if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                        name = getattr(node.func, "id", None) or node.func.attr
+                        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                        calls.setdefault(name, []).append((len(node.args), starred, {k.arg for k in node.keywords}))
+        unpassed = [
+            f"{where}({param})"
+            for where, name, param, at in defaulted
+            if not any(
+                param in kws or None in kws or (at is not None and (starred or at < n))
+                for n, starred, kws in calls.get(name, [])
+            )
+        ]
+        assert unpassed == []
 
 
 JSON = st.recursive(

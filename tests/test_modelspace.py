@@ -11,6 +11,8 @@ from lorentzgeo.modelspace import (
     K_FLAT,
     Kappa,
     ModelTriangle,
+    _hyp_gap,
+    _trig_gap,
     SidePosition,
     angle_from_sides,
     angle_from_sides_arr,
@@ -161,6 +163,105 @@ class TestLawOfCosines:
             assert gap_pos < 2.0 * k and gap_neg < 2.0 * k
             gaps.append(max(gap_pos, gap_neg))
         assert gaps[0] > gaps[1]
+
+
+def reference_side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
+    """The law of cosines solved for z in its own branch per curvature sign,
+    with no null band at K != 0."""
+    kappa = Kappa.of(kappa)
+    y = np.asarray(y, dtype=float)
+    t = np.asarray(t, dtype=float)
+    u = np.asarray(cosh_theta, dtype=float)
+    sg = np.asarray(sigma, dtype=float)
+    y, t, u, sg = np.broadcast_arrays(y, t, u, sg)
+    valid = (y > 0) & (t > 0) & (u >= 1.0 - BOUNDARY_TOL) & (np.abs(sg) == 1.0)
+    u = np.maximum(u, 1.0)
+    k = kappa.k
+    with np.errstate(invalid="ignore", over="ignore"):
+        if k == 0.0:
+            zsq = y * y + t * t + 2.0 * sg * y * t * u
+            scale = y * y + t * t + 2.0 * y * t * u
+            zsq = np.where(np.abs(zsq) <= BOUNDARY_TOL * scale, 0.0, zsq)
+            valid &= zsq >= 0.0
+            z = np.sqrt(np.maximum(zsq, 0.0))
+        elif k > 0.0:
+            r = math.sqrt(k)
+            # cosh(rz) = 1 + gap; recover z through arcsinh to keep accuracy
+            gap, scale = _hyp_gap(r, y, t, sg * u)
+            valid &= gap >= -BOUNDARY_TOL * scale
+            gap = np.maximum(gap, 0.0)
+            z = np.arcsinh(np.sqrt(gap * (2.0 + gap))) / r
+        else:
+            r = math.sqrt(-k)
+            valid &= (y + t) < math.pi / r
+            # cos(rz) = 1 - gap; z = 2*arcsin(sqrt(gap/2)) is stable on [0, 2]
+            gap, scale = _trig_gap(r, y, t, sg * u)
+            valid &= (gap >= -BOUNDARY_TOL * scale) & (gap <= 2.0 + BOUNDARY_TOL)
+            z = 2.0 * np.arcsin(np.sqrt(np.clip(gap, 0.0, 2.0) / 2.0)) / r
+        # sigma = -1 describes the time order a << c << b, which forces
+        # y >= t + z; a formal root outside that region is not a hinge.
+        order_ok = np.where(sg < 0, y + BOUNDARY_TOL * (1.0 + y) >= t + z, True)
+        valid &= order_ok
+    return z, valid
+
+
+def null_band(k, y, t, u, sg):
+    """Where hinge_tau_arr reads the legs' far ends as a null pair."""
+    null = np.zeros(y.shape, dtype=bool)
+    for opposite in (True, False):
+        side = (sg > 0) == opposite
+        null[side] = hinge_tau_arr(k, y[side], t[side], u[side], opposite)[2]
+    return null
+
+
+class TestSideFromHingeOracle:
+    """side_from_hinge_arr, a validity wrapper over hinge_tau_arr, against
+    the per-regime solver it replaced."""
+
+    curvature = st.sampled_from([-1.0, -0.3, 0.0, 0.3, 1.0])
+    side = st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-0.5, 6.0)
+    cosh = st.sampled_from([1.0, 1.0 - 1e-13, 1.0 - 1e-9]) | st.floats(0.5, 8.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=curvature, rows=st.lists(st.tuples(side, side, cosh, st.sampled_from([1.0, -1.0])), min_size=1, max_size=40))
+    def test_bit_equal_outside_the_null_band(self, k, rows):
+        y, t, u, sg = (np.array(v) for v in zip(*rows))
+        z, valid = side_from_hinge_arr(k, y, t, u, sg)
+        want_z, want_valid = reference_side_from_hinge_arr(k, y, t, u, sg)
+        out = ~null_band(k, y, t, u, sg)
+        assert np.array_equal(valid[out], want_valid[out])
+        keep = out & valid
+        assert np.array_equal(z[keep].view(np.uint64), want_z[keep].view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=curvature,
+        rows=st.lists(st.tuples(st.floats(0.01, 3.0), st.floats(0.0, 1e-8), st.floats(0.0, 1e-13)), min_size=1, max_size=40),
+    )
+    def test_zero_in_the_null_band(self, k, rows):
+        """Equal legs at angle 0 with sigma = -1 meet at a null pair; nearby
+        hinges whose far ends are null read z = 0 too, at every K."""
+        t, stretch, excess = (np.array(v) for v in zip(*rows))
+        y = np.concatenate([t, t * (1.0 + stretch)])
+        t = np.concatenate([t, t])
+        u = np.concatenate([np.ones(len(rows)), 1.0 + excess])
+        sg = -np.ones(len(y))
+        null = null_band(k, y, t, u, sg)
+        assert null[: len(rows)].all()
+        assert (side_from_hinge_arr(k, y, t, u, sg)[0][null] == 0.0).all()
+
+    def test_the_band_is_where_the_solvers_differ(self):
+        """Inside the band at K != 0 the old solver read sides up to about
+        sqrt(BOUNDARY_TOL * scale) long; the new one reads 0 there, as at K = 0."""
+        t = np.full(50, 1.5)
+        y = t * (1.0 + np.linspace(0.0, 1e-5, 50))
+        u, sg = np.ones(50), -np.ones(50)
+        for k in (-1.0, 1.0):
+            null = null_band(k, y, t, u, sg)
+            assert null.any() and not null.all()
+            old, _ = reference_side_from_hinge_arr(k, y, t, u, sg)
+            assert 0.0 < old[null].max() < 1e-5
+            assert (side_from_hinge_arr(k, y, t, u, sg)[0][null] == 0.0).all()
 
 
 def reference_flat_hinge_tau(r1, r2, u, opposite):

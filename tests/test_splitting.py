@@ -138,6 +138,37 @@ def oracle_verify_embedding(space, classes, base, trim_steps=3):
     )
 
 
+def oracle_verify_base_metric_cat0(dist, midpoints):
+    """(triangle violation, margins, skipped pairs): a triple loop over y < z,
+    then x, with one dict per triple."""
+    d = np.asarray(dist, dtype=float)
+    m = d.shape[0]
+    tri = MetricSampleIn(dist=0.5 * (d + d.T)).check_triangle_inequality(1e-9)
+    margins = []
+    skipped = 0
+    mid = {}
+    for (i, j), k in midpoints.items():
+        mid[(i, j)] = k
+        mid[(j, i)] = k
+    for y in range(m):
+        for z in range(y + 1, m):
+            if (y, z) not in mid:
+                skipped += 1
+                continue
+            mm = mid[(y, z)]
+            for x in range(m):
+                if x in (y, z):
+                    continue
+                margin = (
+                    0.5 * d[x, y] ** 2
+                    + 0.5 * d[x, z] ** 2
+                    - 0.25 * d[y, z] ** 2
+                    - d[x, mm] ** 2
+                )
+                margins.append({"triple": (x, y, z), "midpoint": mm, "margin": float(margin)})
+    return tri, margins, skipped
+
+
 def _unequal_lengths():
     """Tripod product whose lines are cut to four different lengths."""
     space, lines = build_product(base_tripod(), GRID)
@@ -338,7 +369,7 @@ class TestCat0:
             ]
         )
         rep = verify_base_metric_cat0(d, {(0, 1): 3})
-        margins = [m["margin"] for m in rep.margins if m["triple"][0] == 2]
+        margins = rep.margins[rep.triples[:, 0] == 2]
         assert margins[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_tripod_margin(self):
@@ -346,8 +377,8 @@ class TestCat0:
         rep = verify_base_metric_cat0(base.dist, base.midpoints)
         labels = base.labels
         l1, l2, l3 = labels.index("l1"), labels.index("l2"), labels.index("l3")
-        margins = [m["margin"] for m in rep.margins if set(m["triple"]) == {l1, l2, l3}]
-        assert margins and margins[0] == pytest.approx(2.0, abs=1e-12)
+        margins = rep.margins[np.isin(rep.triples, [l1, l2, l3]).all(axis=1)]
+        assert margins.size and margins[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_triple(self):
         d = np.zeros((2, 2))
@@ -359,6 +390,54 @@ class TestCat0:
         rep = verify_base_metric_cat0(base.dist, base.midpoints)
         assert not rep.ok
         assert rep.min_margin < -1.0
+
+    @staticmethod
+    def assert_matches_oracle(dist, midpoints):
+        rep = verify_base_metric_cat0(dist, midpoints)
+        tri, margins, skipped = oracle_verify_base_metric_cat0(dist, midpoints)
+        want = np.array([r["margin"] for r in margins])
+        assert rep.margins.tobytes() == want.tobytes()
+        assert rep.triples.tolist() == [list(r["triple"]) for r in margins]
+        assert rep.min_margin == min(want, default=0.0)
+        assert (rep.checked, rep.skipped_no_midpoint, rep.triangle_violation) == (len(margins), skipped, tri)
+        assert rep.ok == (tri is None and min(want, default=0.0) >= -1e-9)
+
+    @pytest.mark.parametrize(
+        "base",
+        [base_euclid_grid(), base_euclid_grid(5, 0.25), base_tripod(), base_tripod(subdiv=3), base_sphere_sample(), base_hyperbolic_sample()],
+        ids=["euclid-grid", "euclid-grid-5", "tripod", "tripod-3", "sphere", "hyperbolic"],
+    )
+    def test_fixture_bases_match_the_triple_loop(self, base):
+        self.assert_matches_oracle(base.dist, base.midpoints)
+
+    def test_squares_as_the_scalar_formula_does(self):
+        """Python's float power, which numpy scalars use, and numpy's correctly
+        rounded array square differ in the last bit for about one value in a
+        thousand; the margins square as the scalar formula does."""
+        values = np.random.default_rng(0).uniform(1.0, 2.0, 10_000).tolist()
+        v = next(v for v in values if v**2 != v * v)
+        d = np.full((3, 3), v)
+        np.fill_diagonal(d, 0.0)
+        self.assert_matches_oracle(d, {(0, 1): 2, (1, 2): 1})
+        assert verify_base_metric_cat0(d, {(0, 1): 2}).margins.tolist() == [0.5 * v**2 + 0.5 * v**2 - 0.25 * v**2 - 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(0, 7))
+    def test_random_metrics_match_the_triple_loop(self, data, m):
+        """Random symmetric distances, not always a metric, with midpoint
+        keys in either order (a pair may be keyed both ways, the later key
+        winning), keys with i == j, and midpoints equal to an endpoint."""
+        side = st.floats(0.0, 100.0).map(math.sqrt)  # mostly not exact squares
+        upper = data.draw(st.lists(side, min_size=m * (m - 1) // 2, max_size=m * (m - 1) // 2))
+        d = np.zeros((m, m))
+        d[np.triu_indices(m, 1)] = upper
+        d += d.T
+        midpoints = {}
+        if m:
+            index = st.integers(0, m - 1)
+            for i, j, k in data.draw(st.lists(st.tuples(index, index, index), max_size=2 * m)):
+                midpoints[(i, j)] = k
+        self.assert_matches_oracle(d, midpoints)
 
 
 class TestEmbedding:
