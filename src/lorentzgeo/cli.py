@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fixtures as fx
-from .errors import LorentzGeoError, NotParallel, RigidityViolated, ShapeError, StripInconsistent, WindowExhausted
+from .errors import GeodesicDeficit, LorentzGeoError, NotParallel, RigidityViolated, ShapeError, StripInconsistent, WindowExhausted
 from .io import (
     emit_plotdata,
     load_fixture,
@@ -315,7 +315,10 @@ def cmd_fvf(args, fixture, stage):
     vertex = _index("--vertex", args.vertex, space.n, "points")
     target = _index("--target", args.target, space.n, "points")
     gamma = geodesic_between(space, vertex, target, args.geo_tol)
-    rep = fvf_empirical(space, gamma, point, Kappa(args.k), args.geo_tol)
+    try:
+        rep = fvf_empirical(space, gamma, point, Kappa(args.k), args.geo_tol)
+    except GeodesicDeficit as e:  # the space's geodesic [p, a] falls short of tau: a finding
+        return [{"name": "fvf-empirical", "status": "FAIL", "reason": str(e)}], None
     decreasing = bool(np.all(np.diff(rep.errors[::-1]) <= args.tol_angle))
     check = {"name": "fvf-empirical", "status": "PASS" if decreasing else "FAIL"}
     if len(rep.errors) < 2:
@@ -498,6 +501,16 @@ def _unrecovered(name, error):
     return [{"name": name, "status": status, "reason": str(error)}], None
 
 
+def _windowless(name, recovered):
+    """A SKIP check of the recovered base when some class pair has no causal window
+    in the sample (dS = +inf), which the sample cannot decide; else None."""
+    if not recovered.infinite_pairs:
+        return None
+    pairs = ", ".join(f"({a}, {b})" for a, b, _ in recovered.infinite_pairs)
+    reason = f"no causal window in the sample for class pairs {pairs}, so their base distance is not recovered"
+    return {"name": name, "status": "SKIP", "reason": reason}
+
+
 def cmd_split(args, fixture, stage):
     space, lines, base = fixture.space, fixture.lines, fixture.base
     reference = lines[_index("--reference", args.reference, len(lines), "lines")]
@@ -505,25 +518,28 @@ def cmd_split(args, fixture, stage):
         classes, recovered = _recovered_base(args, fixture, reference, stage)
     except (NotParallel, WindowExhausted) as e:
         return _unrecovered("classes", e)
-    with stage("embedding"):
-        emb = verify_embedding(space, classes, recovered)
-    step = recovered.step
     checks = [
         {
             "name": "classes",
             "status": "PASS",
             "count": len(classes),
             "infinite_pairs": len(recovered.infinite_pairs),
-        },
-        {
+        }
+    ]
+    embedding = _windowless("embedding", recovered)
+    if embedding is None:
+        with stage("embedding"):
+            emb = verify_embedding(space, classes, recovered)
+        step = recovered.step
+        embedding = {
             "name": "embedding",
             "status": "PASS" if emb.causal_agreement == 1.0 and emb.max_tau_error <= step + args.tol_tau else "FAIL",
             "max_tau_error": emb.max_tau_error,
             "step": step,
             "causal_agreement": emb.causal_agreement,
             "pairs_trimmed": emb.pairs_trimmed,
-        },
-    ]
+        }
+    checks.append(embedding)
     if base is not None and not base.midpoints:
         checks.append({"name": "base-cat0", "status": "SKIP", "reason": "base has no midpoints"})
     elif base is not None:
@@ -555,6 +571,9 @@ def cmd_roundtrip(args, fixture, stage):
         _, recovered = _recovered_base(args, fixture, reference, stage)
     except (NotParallel, WindowExhausted) as e:
         return _unrecovered("roundtrip", e)
+    windowless = _windowless("roundtrip", recovered)
+    if windowless is not None:
+        return [windowless], None
     dev = float(np.abs(recovered.dS - base.dist).max())
     step = recovered.step
     checks = [

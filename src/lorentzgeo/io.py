@@ -8,6 +8,8 @@ as CSV, one file per series, stable column order.
 
 import hashlib
 import json
+import os
+from io import BytesIO
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,6 +24,9 @@ FIXTURE_SCHEMA = 4
 REPORT_SCHEMA = 1
 PAYLOADS = ("causal", "chronological", "tau")  # the space's binary fields, in file order
 _BYTES = (bytes, memoryview)  # the types a payload may have
+_PANEL_ROWS = 64  # rows of tau scattered per read of its values
+_NOT_FLOATS = "fixture space.tau must be whole little-endian float64 values"
+_POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.uint8)  # set bits per byte value
 
 
 class Fixture(NamedTuple):
@@ -74,28 +79,60 @@ def fixture_from_dict(doc: dict):
 
     The space holds the PAYLOADS as bytes or memoryviews: the np.packbits
     of `causal` and of the chronological mask (tau > 0), and tau's positive
-    entries in row-major order as little-endian float64.  Unknown top-level
-    keys are ignored; any other schema or malformed document raises
-    ShapeError.  doc is not modified: the payloads are popped from shallow
-    copies, and tau is scattered before causal is unpacked, so when the
-    caller keeps no reference to doc the tau payload is freed first.
+    entries in row-major order as little-endian float64.  They are decoded
+    as load_fixture decodes a file's body, tau one row panel at a time.
+    Unknown top-level keys are ignored; any other schema or malformed
+    document raises ShapeError.  doc is not modified.
     """
     n = _checked_n(doc)
-    doc = dict(doc)
-    sp = dict(doc.pop("space"))
-    values = _packed_floats(sp.pop("tau", None), "space.tau")
-    causal = _packed_mask(sp.pop("causal", None), n, "space.causal")
-    chron = _unpacked(_packed_mask(sp.pop("chronological", None), n, "space.chronological"), n)
-    if values.shape != (np.count_nonzero(chron),):
+    sp = doc["space"]
+    raw = sp.get("tau")
+    if not isinstance(raw, _BYTES):
+        raise ShapeError(_NOT_FLOATS)
+    tau, causal = _space_arrays(n, sp.get("causal"), sp.get("chronological"), memoryview(raw).nbytes, BytesIO(raw).read)
+    return _assembled(doc, tau, causal)
+
+
+def _space_arrays(n, causal, chronological, tau_size, read):
+    """The checked dense tau and causal of an n-point space from its payloads.
+
+    causal and chronological are the packed masks' bytes; tau_size is the
+    byte count of the tau payload, whose next k bytes read(k) returns.
+    Everything that can be checked without the values is checked before
+    tau is allocated, and causal is unpacked after it is filled.
+    """
+    if tau_size % 8:
+        raise ShapeError(_NOT_FLOATS)
+    causal = _packed_mask(causal, n, "space.causal")
+    chron = np.frombuffer(_packed_mask(chronological, n, "space.chronological"), np.uint8)
+    if 8 * int(_POPCOUNT[chron].sum(dtype=np.int64)) != tau_size:
         raise ShapeError("space.tau must hold one value per chronological bit")
-    if not ((values > 0) & (values < np.inf)).all():
-        raise ShapeError("space.tau values must be positive and finite")
+    return _scattered(n, chron, read), _unpacked(causal, n)
+
+
+def _scattered(n, chron, read):
+    """The zeroed n x n tau with read's values at the packed chronological
+    bits chron, read one _PANEL_ROWS row panel at a time."""
     tau = np.zeros((n, n))
-    tau[chron] = values
-    del values, chron
+    for lo in range(0, n, _PANEL_ROWS):
+        hi = min(n, lo + _PANEL_ROWS)
+        first = lo * n // 8  # the byte that holds the panel's first bit
+        rows = np.unpackbits(chron[first : -(-hi * n // 8)])[lo * n - 8 * first : hi * n - 8 * first]
+        rows = rows.view(bool).reshape(hi - lo, n)
+        values = np.frombuffer(read(8 * int(np.count_nonzero(rows))), "<f8")
+        if not ((values > 0) & (values < np.inf)).all():
+            raise ShapeError("space.tau values must be positive and finite")
+        tau[lo:hi][rows] = values
+    return tau
+
+
+def _assembled(doc, tau, causal):
+    """(space, lines, base, meta) of a checked document around its decoded arrays."""
+    n = tau.shape[0]
+    sp = doc["space"]
     labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
-    space = SampledSpace(tau=tau, causal=_unpacked(causal, n), labels=labels, meta=meta)
+    space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
     lines = []
     for ln in _expect(doc.get("lines", []), list, "lines"):
         ln = _expect(ln, dict, "line")
@@ -177,12 +214,6 @@ def _unpacked(raw, n):
     return np.unpackbits(np.frombuffer(raw, np.uint8), count=n * n).view(bool).reshape(n, n)
 
 
-def _packed_floats(raw, what):
-    if not isinstance(raw, _BYTES) or len(raw) % 8:
-        raise ShapeError(f"fixture {what} must be whole little-endian float64 values")
-    return np.frombuffer(raw, "<f8")
-
-
 def _float(value, what):
     x = _array(value, float, what)
     if x.ndim or not np.isfinite(x):
@@ -214,29 +245,39 @@ def save_fixture(path, space, lines=(), base=None, meta=None):
 def load_fixture(path) -> Fixture:
     """Read, validate and hash a fixture file, reading it once.
 
-    Only the header line is decoded as text; the payloads are sliced from
-    the body by the header's n, tau as a memoryview of the bytes, not a
-    copy.  The bytes are freed once tau is scattered, before causal is
-    unpacked, so at its peak a load holds the bytes, the dense tau and the
-    chronological mask.
+    Only the header line is decoded as text.  The two packed masks are
+    read whole, and the tau payload's size is checked against the
+    chronological mask before anything is scattered; the values are then
+    read one row panel at a time into the zeroed tau.  The sha256 is
+    updated with every byte read, so the file is never held whole: at its
+    peak, while causal is unpacked, a load holds the arrays it returns and
+    the packed masks.
     """
-    data = Path(path).read_bytes()
-    sha256 = hashlib.sha256(data).hexdigest()
-    cut = data.find(b"\n")
-    try:
-        doc = json.loads((data if cut < 0 else data[:cut]).decode())
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
-        raise ShapeError(f"fixture header is not UTF-8 JSON: {e}") from None
-    size = (_checked_n(doc) ** 2 + 7) // 8
-    if cut < 0:
-        raise ShapeError("fixture has no payload: a newline and the payload bytes must follow its header")
-    body = memoryview(data)[cut + 1 :]
-    doc["space"].update(causal=bytes(body[:size]), chronological=bytes(body[size : 2 * size]), tau=body[2 * size :])
-    del data, body
-    parsed = [doc]
-    del doc
-    # pop hands fixture_from_dict the only reference to the document, and so to the bytes
-    return Fixture(*fixture_from_dict(parsed.pop()), sha256)
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        left = os.fstat(f.fileno()).st_size
+
+        def read(count):
+            nonlocal left
+            chunk = f.read(min(count, left))  # never asks for more than the file holds
+            left -= len(chunk)
+            digest.update(chunk)
+            return chunk
+
+        line = f.readline()
+        left -= len(line)
+        digest.update(line)
+        try:
+            doc = json.loads(line.removesuffix(b"\n").decode())
+        except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+            raise ShapeError(f"fixture header is not UTF-8 JSON: {e}") from None
+        n = _checked_n(doc)
+        size = (n * n + 7) // 8
+        if not line.endswith(b"\n"):
+            raise ShapeError("fixture has no payload: a newline and the payload bytes must follow its header")
+        causal, chronological = read(size), read(size)
+        tau, causal = _space_arrays(n, causal, chronological, left, read)
+    return Fixture(*_assembled(doc, tau, causal), digest.hexdigest())
 
 
 def _plain(obj):

@@ -225,17 +225,19 @@ def compute_dS(space, classes, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
         t_star = np.minimum.reduceat(np.where(space.causal[a0, points], params, np.inf), starts)
         window = np.isfinite(s_star) & np.isfinite(t_star)
         dS[a] = np.where(window, 0.5 * (t_star - s_star), np.inf)
-        du = params[None, :] - alpha.params[:, None]
-        du_causal = np.where(space.causal[alpha.points][:, points], du, np.inf)
-        dS_alt[a] = np.minimum.reduceat(du_causal.min(axis=0), starts)
+        # fl(t - s) never grows with s and params increase, so each column's
+        # least t - s over its causal rows is t minus its last causal row's param
+        causal = space.causal[alpha.points][:, points]
+        last = len(alpha) - 1 - np.argmax(causal[::-1], axis=0)
+        du = np.where(causal.any(axis=0), params - alpha.params[last], np.inf)
+        dS_alt[a] = np.minimum.reduceat(du, starts)
         dS[a, a] = dS_alt[a, a] = 0.0
         for b in np.flatnonzero(window).tolist():
             if b != a:
                 witnesses[(a, b)] = {"s": float(s_star[b]), "t": float(t_star[b]), "base": s0}
         infinite += [(a, b, "window") for b in np.flatnonzero(~window).tolist() if b != a]
-    cross = np.abs(dS - dS_alt)
-    cross_ok = np.all((cross <= step + scaled(tol, step)) | ~np.isfinite(dS))
-    if not cross_ok:
+    cross = np.abs(np.subtract(dS, dS_alt, out=np.zeros((m, m)), where=np.isfinite(dS)))  # no inf - inf
+    if np.any(cross > step + scaled(tol, step)):
         i, j = np.argwhere(cross > step + scaled(tol, step))[0]
         raise WindowExhausted(
             f"dS cross-check failed for classes ({i},{j}): {dS[i,j]} vs {dS_alt[i,j]}"
@@ -305,6 +307,7 @@ class EmbeddingReport:
 
 
 _TRIM_STEPS = 3  # half-width, in grid steps, of the model-cone band verify_embedding trims
+_COLUMNS = 128  # columns of a class row verify_embedding compares at a time
 
 
 def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
@@ -314,11 +317,14 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     tau = sqrt(max(0, (t-s)^2 - dS^2)) and causality at t - s >= dS.
     Pairs within _TRIM_STEPS grid steps of the model cone are excluded
     from the stats (the inf-formula quantizes dS up by at most one step,
-    which distorts exactly that band) but counted.
+    which distorts exactly that band) but counted.  Each class row is
+    compared _COLUMNS columns at a time; only the block of the class that
+    holds a new largest error is compared again, to find that pair.
     """
     reps = [c.representative for c in classes]
     h = base.step
     points, params, starts, lengths = _stacked(reps)
+    owner = np.repeat(np.arange(len(reps)), lengths)  # the class of each column
     max_err = 0.0
     worst = None
     agree = 0
@@ -326,40 +332,36 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     trimmed = 0
     for a, alpha in enumerate(reps):
         # columns: all classes end to end; no model cone where dS is not finite
-        own = slice(starts[a], starts[a] + len(alpha))
-        ds = np.repeat(base.dS[a], lengths)
+        own = owner == a
+        ds = base.dS[a][owner]
         ds[own] = 0.0
         finite = np.isfinite(ds)
         ds[~finite] = 0.0
-        cone = np.where(finite, ds - 1e-12 * (1 + ds), np.inf)
-        du = params[None, :] - alpha.params[:, None]
-        actual_tau = space.tau[alpha.points][:, points]
-        actual_causal = space.causal[alpha.points][:, points]
-        q2 = du * du - ds * ds
-        model_causal = du >= cone
-        model_tau = np.zeros_like(q2)
-        np.sqrt(q2, out=model_tau, where=model_causal & (q2 > 0))
-        band = (np.abs(du - ds) < _TRIM_STEPS * h) & finite
-        band[:, own] |= du[:, own] <= 0  # only future-directed self pairs are informative
-        err = np.abs(actual_tau - model_tau)
-        n_band = int(np.count_nonzero(band))
-        trimmed += n_band
-        kept += band.size - n_band
-        agree += int(np.count_nonzero((actual_causal == model_causal) & ~band))
-        np.copyto(err, -1.0, where=band)  # kept pairs only from here on
-        class_max = np.maximum.reduceat(err.max(axis=0), starts)
+
+        tau_rows, causal_rows = space.tau[alpha.points], space.causal[alpha.points]
+
+        def compared(cols):
+            tau, causal = tau_rows[:, points[cols]], causal_rows[:, points[cols]]
+            return _compared(alpha.params, tau, causal, params[cols], ds[cols], finite[cols], own[cols], h)
+
+        column_max = np.empty(len(points))
+        for lo in range(0, len(points), _COLUMNS):
+            cols = slice(lo, lo + _COLUMNS)
+            err, _, n_band, n_agree = compared(cols)
+            trimmed += n_band
+            kept += err.size - n_band
+            agree += n_agree
+            column_max[cols] = err.max(axis=0)
+        class_max = np.maximum.reduceat(column_max, starts)
         b = int(np.argmax(class_max))  # first class of the row to reach its maximum
         if class_max[b] > max_err:
             max_err = float(class_max[b])
             beta = reps[b]
-            cols = slice(starts[b], starts[b] + len(beta))
-            i, j = np.unravel_index(int(np.argmax(err[:, cols])), (len(alpha), len(beta)))
-            worst = {
-                "classes": (a, b),
-                "pair": (int(alpha.points[i]), int(beta.points[j])),
-                "tau": float(actual_tau[i, cols][j]),
-                "model": float(model_tau[i, cols][j]),
-            }
+            err, model_tau, _, _ = compared(slice(starts[b], starts[b] + len(beta)))
+            i, j = np.unravel_index(int(np.argmax(err)), err.shape)
+            pair = (int(alpha.points[i]), int(beta.points[j]))
+            worst = {"classes": (a, b), "pair": pair, "tau": float(space.tau[pair]), "model": float(model_tau[i, j])}
+        del tau_rows, causal_rows  # before the next row's are gathered
     agreement = agree / kept if kept else 1.0
     return EmbeddingReport(
         max_tau_error=max_err,
@@ -368,6 +370,23 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
         pairs_checked=kept,
         pairs_trimmed=trimmed,
     )
+
+
+def _compared(row_params, actual_tau, actual_causal, params, ds, finite, own, h):
+    """(err, model_tau, trimmed, agreeing) of a block of sampled tau and
+    causal against the model: err is |tau - model|, -1 on the trimmed band."""
+    cone = np.where(finite, ds - 1e-12 * (1 + ds), np.inf)
+    du = params[None, :] - row_params[:, None]
+    q2 = du * du - ds * ds
+    model_causal = du >= cone
+    model_tau = np.zeros_like(q2)
+    np.sqrt(q2, out=model_tau, where=model_causal & (q2 > 0))
+    band = (np.abs(du - ds) < _TRIM_STEPS * h) & finite
+    band |= (du <= 0) & own  # only future-directed self pairs are informative
+    err = np.abs(actual_tau - model_tau)
+    agreeing = int(np.count_nonzero((actual_causal == model_causal) & ~band))
+    np.copyto(err, -1.0, where=band)  # kept pairs only from here on
+    return err, model_tau, int(np.count_nonzero(band)), agreeing
 
 
 @dataclass

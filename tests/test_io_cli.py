@@ -3,6 +3,7 @@ import ast
 import base64
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +23,9 @@ from hypothesis import strategies as st
 
 import lorentzgeo
 from lorentzgeo import cli
+from lorentzgeo import io as lgio
 from lorentzgeo.cli import main
-from lorentzgeo.errors import NoSeries, ShapeError
+from lorentzgeo.errors import GeodesicDeficit, NoSeries, ShapeError
 from lorentzgeo.fixtures import _BASES, base_pair, base_point, minkowski_grid
 from lorentzgeo.io import (
     PAYLOADS,
@@ -42,6 +45,15 @@ from lorentzgeo.modelspace import Kappa
 from lorentzgeo.sampled import SampledSpace, certify_curvature_bound, sample_triangles
 from lorentzgeo.splitting import build_product, verify_embedding
 from lorentzgeo.tolerances import DEFAULT_CERT_TOL
+
+
+@pytest.fixture(scope="module")
+def egrid_file(tmp_path_factory):
+    """The bench's 1625-point euclid-grid product fixture, a 7.9 MiB file."""
+    path = tmp_path_factory.mktemp("egrid") / "egrid.json"
+    argv = ["gen", "product", "--base", "euclid-grid", "--m", "5", "--step", "0.25", "--window", "8"]
+    assert main([*argv, "-o", str(path)]) == 0
+    return path
 
 
 class TestFixtureIO:
@@ -98,32 +110,60 @@ class TestFixtureIO:
         extra = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
         space = SampledSpace(tau=tau, causal=(tau > 0) | np.eye(n, dtype=bool) | extra)
         assert fixture_to_dict(space)["schema_version"] == 4
-        with tempfile.TemporaryDirectory() as tmp:
+        panel = data.draw(st.integers(1, 7))  # panels whose bits start inside a byte
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(lgio, "_PANEL_ROWS", panel):
             data = save_fixture(Path(tmp) / "f.json", space).read_bytes()
             loaded = load_fixture(Path(tmp) / "f.json").space
+            assert np.array_equal(fixture_from_dict(fixture_to_dict(space))[0].tau.view(np.uint64), loaded.tau.view(np.uint64))
             # zeros come back as +0.0: schema 4 stores only the positive entries
             assert np.array_equal(loaded.tau.view(np.uint64), (space.tau + 0.0).view(np.uint64))
             assert np.array_equal(loaded.causal, space.causal)
             assert save_fixture(Path(tmp) / "g.json", loaded).read_bytes() == data
 
-    def test_load_peak_memory(self, tmp_path):
-        """A load holds the file's bytes only until tau is scattered, and
-        unpacks causal after: its peak stays within 1.25 file sizes of what
-        it returns (31.0 MiB for 22.8 MiB returned on this 7.9 MiB file;
-        unpacking causal while the bytes were alive took 33.2 MiB)."""
-        path = tmp_path / "egrid.json"
-        argv = ["gen", "product", "--base", "euclid-grid", "--m", "5", "--step", "0.25", "--window", "8"]
-        assert main([*argv, "-o", str(path)]) == 0
-        load_fixture(path)  # imports and first-call caches fall outside the traced load
+    def test_load_peak_memory(self, egrid_file):
+        """A load reads tau's values one row panel at a time into the zeroed
+        tau and never holds the file whole: its peak stays within 0.25 file
+        sizes of what it returns (23.5 MiB for 22.8 MiB returned on this
+        7.9 MiB file; holding the bytes while scattering took 31.0 MiB)."""
+        load_fixture(egrid_file)  # imports and first-call caches fall outside the traced load
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            fixture = load_fixture(path)
+            fixture = load_fixture(egrid_file)
             retained, peak = (size - start for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
         assert fixture.space.n == 1625
-        assert peak <= retained + 1.25 * path.stat().st_size
+        assert peak <= retained + 0.25 * egrid_file.stat().st_size
+
+    @pytest.mark.parametrize("product", ["euclid-grid", "tripod"])
+    def test_load_matches_fixture_from_dict(self, request, tmp_path, product):
+        """load_fixture streams the file and fixture_from_dict decodes a
+        document held in memory; on the whole file they agree on every
+        array, line, base and meta, and the streamed sha256 is the file's."""
+        if product == "euclid-grid":
+            path = request.getfixturevalue("egrid_file")
+        else:
+            path = tmp_path / "tripod.json"
+            assert main(["gen", "product", "--base", product, "--step", "0.5", "--window", "5", "-o", str(path)]) == 0
+        data = path.read_bytes()
+        header, body = data.split(b"\n", 1)
+        doc = json.loads(header)
+        size = (doc["space"]["n"] ** 2 + 7) // 8
+        doc["space"].update(causal=body[:size], chronological=body[size : 2 * size], tau=body[2 * size :])
+        space, lines, base, meta, sha256 = load_fixture(path)
+        expect_space, expect_lines, expect_base, expect_meta = fixture_from_dict(doc)
+        assert sha256 == hashlib.sha256(data).hexdigest()
+        assert np.array_equal(space.tau.view(np.uint64), expect_space.tau.view(np.uint64))
+        assert np.array_equal(space.causal, expect_space.causal)
+        assert (space.labels, space.meta) == (expect_space.labels, expect_space.meta)
+        assert len(lines) == len(expect_lines) > 0
+        for got, expect in zip(lines, expect_lines):
+            assert np.array_equal(got.points, expect.points)
+            assert (got.t0, got.step, got.kind, got.label) == (expect.t0, expect.step, expect.kind, expect.label)
+        assert np.array_equal(base.dist, expect_base.dist)
+        assert (base.labels, base.midpoints, base.meta) == (expect_base.labels, expect_base.midpoints, expect_base.meta)
+        assert base.midpoints and meta == expect_meta
 
     def test_file_is_a_header_line_then_the_payloads(self, tmp_path):
         """The first line is the JSON document without its payloads; the
@@ -369,6 +409,24 @@ class TestCli:
             assert load_report(out)["checks"] == [
                 {"name": name, "status": "SKIP", "reason": "base[1] has fewer than two chronological pairs with the reference to synchronise it"}
             ]
+
+    def test_pair_without_a_causal_window_is_skip(self, tmp_path, capsys):
+        """The pair product at d = 7.1 on [-4, 4] synchronises its two lines,
+        but alpha(0) has no causal past on the other line, so dS is +inf for
+        both class pairs: the embedding and the round trip cannot be decided,
+        so they are SKIP with a reason naming those pairs, and exit 0."""
+        path = tmp_path / "pair.json"
+        assert main(["gen", "product", "--base", "pair", "--d", "7.1", "--step", "0.5", "--window", "4", "-o", str(path)]) == 0
+        reason = "no causal window in the sample for class pairs (0, 1), (1, 0), so their base distance is not recovered"
+        out = tmp_path / "r.json"
+        assert main(["split", str(path), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        checks = load_report(out)["checks"]
+        assert checks[0] == {"name": "classes", "status": "PASS", "count": 2, "infinite_pairs": 2}
+        assert checks[1] == {"name": "embedding", "status": "SKIP", "reason": reason}
+        assert main(["roundtrip", str(path), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_report(out)["checks"] == [{"name": "roundtrip", "status": "SKIP", "reason": reason}]
 
     def test_lines_and_strip(self, tripod_fixture):
         assert main(["lines", str(tripod_fixture)]) == 0
@@ -710,6 +768,20 @@ class TestCli:
         (check,) = load_report(out)["checks"]
         assert check["status"] == "SKIP" and check["reason"] == "fewer than two difference quotients"
         assert len(load_report(out)["series"]["fvf"]["rows"]) == 1
+
+    def test_fvf_on_a_flagged_geodesic_is_a_fail(self, grid_fixture, tmp_path, monkeypatch, capsys):
+        """A geodesic [p, a] whose chain falls short of tau is a finding
+        about the space, not malformed input: fvf-empirical FAIL with the
+        message as its reason, exit 1, never exit 2."""
+
+        def flagged(*args):
+            raise GeodesicDeficit("geodesic for [p, a] has deficit 0.5")
+
+        monkeypatch.setattr(cli, "fvf_empirical", flagged)
+        out = tmp_path / "r.json"
+        assert main(["fvf", str(grid_fixture), "--point", "0", "--vertex", "7", "--target", "35", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        assert load_report(out)["checks"] == [{"name": "fvf-empirical", "status": "FAIL", "reason": "geodesic for [p, a] has deficit 0.5"}]
 
     def test_non_transitive_chronology_exit_2(self, tmp_path, capsys):
         """curvature and rigidity sample triangles, which needs a transitive

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lorentzgeo import splitting
-from lorentzgeo.errors import NotParallel, ShapeError
+from lorentzgeo.errors import NotParallel, ShapeError, WindowExhausted
 from lorentzgeo.fixtures import (
     base_euclid_grid,
     base_hyperbolic_sample,
@@ -138,6 +140,74 @@ def oracle_verify_embedding(space, classes, base, trim_steps=3):
     )
 
 
+def fullwidth_dS_alt(space, classes):
+    """compute_dS's dS_alt as one rows x n minimum per class row, over every
+    causal row, not only each column's last."""
+    reps = [c.representative for c in classes]
+    points, params, starts, _ = splitting._stacked(reps)
+    dS_alt = np.zeros((len(reps), len(reps)))
+    for a, alpha in enumerate(reps):
+        du = params[None, :] - alpha.params[:, None]
+        du_causal = np.where(space.causal[alpha.points][:, points], du, np.inf)
+        dS_alt[a] = np.minimum.reduceat(du_causal.min(axis=0), starts)
+        dS_alt[a, a] = 0.0
+    return dS_alt
+
+
+def fullwidth_verify_embedding(space, classes, base):
+    """verify_embedding with each class row compared at its full width at once."""
+    reps = [c.representative for c in classes]
+    h = base.step
+    points, params, starts, lengths = splitting._stacked(reps)
+    max_err = 0.0
+    worst = None
+    agree = 0
+    kept = 0
+    trimmed = 0
+    for a, alpha in enumerate(reps):
+        own = slice(starts[a], starts[a] + len(alpha))
+        ds = np.repeat(base.dS[a], lengths)
+        ds[own] = 0.0
+        finite = np.isfinite(ds)
+        ds[~finite] = 0.0
+        cone = np.where(finite, ds - 1e-12 * (1 + ds), np.inf)
+        du = params[None, :] - alpha.params[:, None]
+        actual_tau = space.tau[alpha.points][:, points]
+        actual_causal = space.causal[alpha.points][:, points]
+        q2 = du * du - ds * ds
+        model_causal = du >= cone
+        model_tau = np.zeros_like(q2)
+        np.sqrt(q2, out=model_tau, where=model_causal & (q2 > 0))
+        band = (np.abs(du - ds) < splitting._TRIM_STEPS * h) & finite
+        band[:, own] |= du[:, own] <= 0
+        err = np.abs(actual_tau - model_tau)
+        n_band = int(np.count_nonzero(band))
+        trimmed += n_band
+        kept += band.size - n_band
+        agree += int(np.count_nonzero((actual_causal == model_causal) & ~band))
+        np.copyto(err, -1.0, where=band)
+        class_max = np.maximum.reduceat(err.max(axis=0), starts)
+        b = int(np.argmax(class_max))
+        if class_max[b] > max_err:
+            max_err = float(class_max[b])
+            beta = reps[b]
+            cols = slice(starts[b], starts[b] + len(beta))
+            i, j = np.unravel_index(int(np.argmax(err[:, cols])), (len(alpha), len(beta)))
+            worst = {
+                "classes": (a, b),
+                "pair": (int(alpha.points[i]), int(beta.points[j])),
+                "tau": float(actual_tau[i, cols][j]),
+                "model": float(model_tau[i, cols][j]),
+            }
+    return EmbeddingReport(
+        max_tau_error=max_err,
+        causal_agreement=float(agree / kept if kept else 1.0),
+        worst=worst,
+        pairs_checked=kept,
+        pairs_trimmed=trimmed,
+    )
+
+
 def oracle_verify_base_metric_cat0(dist, midpoints):
     """(triangle violation, margins, skipped pairs): a triple loop over y < z,
     then x, with one dict per triple."""
@@ -194,6 +264,28 @@ PRODUCTS = {
     # alpha(0) has a causal future on the other line but no causal past
     "one-sided-window": lambda: build_product(base_pair(1.5), np.arange(-1, 3.001, 0.25)),
 }
+
+
+# bases for the full-width oracles: "infinite-window" has a class pair with no causal window
+WIDTH_BASES = {
+    "pair": base_pair(1.0),
+    "sqrt2-pair": base_pair(math.sqrt(2)),
+    "tripod": base_tripod(),
+    "euclid": base_euclid_grid(3),
+    "infinite-window": MetricSampleIn(dist=[[0, 1.5, 1.5], [1.5, 0, 3], [1.5, 3, 0]]),
+}
+
+
+def traced_peak(f, *args):
+    """The tracemalloc peak of f(*args) above what was allocated before it, in bytes."""
+    f(*args)  # first-call caches fall outside the traced call
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 class TestBuildProduct:
@@ -323,6 +415,35 @@ class TestOracles:
         assert emb.worst["classes"] == (1, 2) and emb.worst["pair"] == (17, 50)
         assert emb.causal_agreement == pytest.approx(0.98334, abs=1e-5)
         assert (emb.pairs_checked, emb.pairs_trimmed) == (1801, 800)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=st.sampled_from(sorted(WIDTH_BASES)),
+        cuts=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=9, max_size=9),
+        columns=st.integers(1, 70),
+    )
+    @example(base="infinite-window", cuts=[(0, 0)] * 9, columns=7)
+    def test_last_row_and_column_blocks_match_the_full_width_loops(self, base, cuts, columns):
+        """dS_alt from each column's last causal row, and the embedding one
+        block of columns at a time (blocks that cut classes apart), equal
+        the full-width loops bit for bit, on lines that start at different
+        t0 and with a class pair that has no causal window."""
+        space, lines = build_product(WIDTH_BASES[base], np.arange(-2.0, 2.001, 0.25))
+        lines = [
+            LineSample(ln.points[lo : len(ln) - hi], ln.t0 + lo * ln.step, ln.step, label=ln.label)
+            for ln, (lo, hi) in zip(lines, cuts)
+        ]
+        try:
+            classes = extract_line_classes(space, lines, lines[0])
+            rec = compute_dS(space, classes)
+        except (NotParallel, WindowExhausted):
+            assume(False)
+        assert np.array_equal(rec.dS_alt.view(np.uint64), fullwidth_dS_alt(space, classes).view(np.uint64))
+        with mock.patch.object(splitting, "_COLUMNS", columns):
+            got = verify_embedding(space, classes, rec)
+        expect = fullwidth_verify_embedding(space, classes, rec)
+        assert got == expect
+        assert repr(got) == repr(expect)  # the signs of zeros too
 
     def test_empty_representative_rejected(self):
         space, lines = build_product(base_pair(1.0), GRID)
@@ -457,6 +578,18 @@ class TestEmbedding:
         assert emb.max_tau_error <= 0.25
         assert emb.causal_agreement == 1.0
         assert emb.pairs_trimmed > 0
+
+
+class TestScratch:
+    def test_base_and_embedding_scratch_is_bounded(self):
+        """On the 1625-point euclid-grid product compute_dS and
+        verify_embedding each peak at most 2 MiB above their inputs (0.5
+        and 1.6 MiB; they held rows x n float temporaries, 2.7 and 6.1 MiB)."""
+        space, lines = build_product(base_euclid_grid(5), GRID)
+        classes = extract_line_classes(space, lines, lines[0])
+        rec = compute_dS(space, classes)
+        assert traced_peak(compute_dS, space, classes) <= 2 * 2**20
+        assert traced_peak(verify_embedding, space, classes, rec) <= 2 * 2**20
 
 
 class TestRoundTrip:
