@@ -270,32 +270,29 @@ def _occupied(a):
     return np.logical_or.reduceat(np.logical_or.reduceat(a, starts, axis=0), starts, axis=1)
 
 
-def _products(n, terms):
-    """Row panels of the 0/1 product sum(sign * a @ b), one at a time.
+def _products(n, a, b):
+    """Row panels of the 0/1 product a @ b, one at a time.
 
-    terms holds (sign, a, b) with bool n x n operands and sign +1 or -1.
-    Yields (lo, panel), panel being rows lo:lo + len(panel) of the sum in
-    float32.  Only the current blocks are turned into float32, and a
-    block of a that is all false, or a block row of b that is, is skipped;
-    each block of a meets b only from the first to the last occupied
-    column block of b's block row.  On a time-sorted space every block
-    below the diagonal is skipped.
+    a and b are bool n x n.  Yields (lo, panel), panel being rows
+    lo:lo + len(panel) of the product in float32.  Only the current blocks
+    are turned into float32, and a block of a that is all false, or a
+    block row of b that is, is skipped; each block of a meets b only from
+    the first to the last occupied column block of b's block row.  On a
+    time-sorted space every block below the diagonal is skipped.  Every
+    partial sum, in whatever order BLAS and the blocks add them, is an
+    integer <= n, so float32 holds it exactly while n < 2**24 and the
+    product is the same in any summation order.
     """
-    occupied = [(_occupied(a), _occupied(b)) for _, a, b in terms]
+    a_occ, b_occ = _occupied(a), _occupied(b)
     for p, lo in enumerate(range(0, n, _PANEL)):
         panel = np.zeros((min(_PANEL, n - lo), n), dtype=np.float32)
-        for (sign, a, b), (a_occ, b_occ) in zip(terms, occupied):
-            for q in np.flatnonzero(a_occ[p]).tolist():
-                cols = np.flatnonzero(b_occ[q])
-                if not cols.size:
-                    continue
-                inner = slice(q * _PANEL, (q + 1) * _PANEL)
-                c0, c1 = int(cols[0]) * _PANEL, (int(cols[-1]) + 1) * _PANEL
-                part = a[lo : lo + _PANEL, inner].astype(np.float32) @ b[inner, c0:c1].astype(np.float32)
-                if sign > 0:
-                    panel[:, c0:c1] += part
-                else:
-                    panel[:, c0:c1] -= part
+        for q in np.flatnonzero(a_occ[p]).tolist():
+            cols = np.flatnonzero(b_occ[q])
+            if not cols.size:
+                continue
+            inner = slice(q * _PANEL, (q + 1) * _PANEL)
+            c0, c1 = int(cols[0]) * _PANEL, (int(cols[-1]) + 1) * _PANEL
+            panel[:, c0:c1] += a[lo : lo + _PANEL, inner].astype(np.float32) @ b[inner, c0:c1].astype(np.float32)
         yield lo, panel
 
 
@@ -308,30 +305,34 @@ def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> Axio
     enforced by SampledSpace itself.)  The report lists up to a few
     witnesses per kind plus full counts.
 
-    Transitivity and push-up are counted with 0/1 matrix products: with
-    C = causal and H = chronological, (C@C)[i, k] > 0 where i <= j <= k for
-    some j, and the number of middle points j with i <= j << k or
-    i << j <= k is (C@H - (C&H)@(C&H) + H@C)[i, k], summed where i << k
-    fails.  The products run in float32, one row panel of _PANEL rows at
-    a time (_products), and each panel is reduced to its counts, its
-    row-major transitivity witnesses and its push-up rows and columns
-    before the next one is computed; blocks whose operand is all false
-    (on a time-sorted space, everything below the diagonal) are skipped.
-    Every partial sum, in whatever order BLAS and the blocks add them, is
-    an integer of magnitude at most 2n, so float32 holds it exactly while
-    n < 2**23 and every count is the same in any summation order.
+    Transitivity is counted with the 0/1 product C@C, C = causal: it is
+    positive at (i, k) exactly where i <= j <= k for some j.  It runs in
+    float32, one row panel of _PANEL rows at a time (_products), and each
+    panel is reduced to its count and its row-major witnesses before the
+    next one is computed.
 
-    The reverse triangle inequality is checked per middle point j over
-    its causal past x causal future only: tau(i, k) violates it when
-    tau(i, k) < lhs - tol * (1 + lhs), with lhs = tau(i, j) + tau(j, k).
-    Each block tau[past, future] is read with one flat gather at the
-    indices past * n + future, and only the entries that pass the screen
-    tau(i, k) < lhs take the exact test.  The screen misses no violation:
-    lhs >= 0 and tol >= 0 make tol * (1 + lhs) >= 0, and subtracting a
-    non-negative number, rounded, never gives more than lhs.  (Should lhs
-    overflow to inf, the threshold is NaN and the exact test fails, as
-    it would on the whole block.)  Witnesses are the first violation in
-    j-major, then row-major (i, k) order.
+    The reverse triangle inequality and push-up are checked in one scan
+    over triples (i, j, k) (_triple_scan).  For each middle point j the
+    rows are the i with i <= j or i << j and the columns the k with
+    j <= k or j << k; when every chronological pair is causal, that is
+    j's causal past x causal future.  Each block tau[rows, columns] is
+    read with one flat gather, and only the entries that pass the screen
+    tau(i, k) < lhs, with lhs = tau(i, j) + tau(j, k), are classified:
+
+    - reverse triangle, where i <= j <= k: tau(i, k) violates it when
+      tau(i, k) < lhs - tol * (1 + lhs).  The screen misses no violation:
+      lhs >= 0 and tol >= 0 make tol * (1 + lhs) >= 0, and subtracting a
+      non-negative number, rounded, never gives more than lhs.  (Should
+      lhs overflow to inf, the threshold is NaN and the exact test
+      fails, as it would on the whole block.)  exact_tests counts these
+      screened causal triples;
+    - push-up, where tau(i, k) = 0 and i <= j << k or i << j <= k.  The
+      screen misses none: one of tau(i, j), tau(j, k) is positive, so
+      lhs > 0 = tau(i, k).
+
+    Witnesses are the first violation in j-major, then row-major (i, k)
+    order, and triples_checked is the sum over j of |causal past| *
+    |causal future|.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
@@ -347,7 +348,9 @@ def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> Axio
 
     chron = tau > 0
     m = chron & ~causal
-    if m.any():
+    # the scan's domain: causal | chron, which is causal when m is empty
+    reach = causal | m if m.any() else causal
+    if reach is not causal:
         record("chronological-not-causal", np.nonzero(m), m.sum())
 
     refl = ~np.diag(causal)
@@ -360,7 +363,7 @@ def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> Axio
     del chron, m, refl, anti
 
     reached, firsts = 0, []
-    for lo, panel in _products(n, [(1, causal, causal)]):
+    for lo, panel in _products(n, causal, causal):
         bad = (panel > 0) & ~causal[lo : lo + len(panel)]
         c = int(np.count_nonzero(bad))
         if c:
@@ -370,55 +373,44 @@ def validate_axioms(space: SampledSpace, tol: float = DEFAULT_AXIOM_TOL) -> Axio
     if reached:
         record("causal-not-transitive", [np.concatenate(a) for a in zip(*firsts)], reached)
 
-    rti_count, rti_witness, exact_tests, triples = _reverse_triangle(tau, causal, tol)
-    if rti_count:
-        counts["reverse-triangle"] = rti_count
-        violations.append({"kind": "reverse-triangle", "witness": rti_witness})
-
-    chron = tau > 0
-    both = causal & chron
-    push_count = 0
-    bad_rows, bad_cols = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    for lo, up in _products(n, [(1, causal, chron), (-1, both, both), (1, chron, causal)]):
-        rows = slice(lo, lo + len(up))
-        up[chron[rows]] = 0.0
-        push_count += int(up.sum(dtype=np.float64))
-        hit = up > 0
-        bad_rows[rows] = hit.any(axis=1)
-        bad_cols |= hit.any(axis=0)
-    del both
-    if push_count:
-        counts["push-up"] = push_count
-        violations.append({"kind": "push-up", "witness": _push_up_witness(chron, causal, bad_rows, bad_cols)})
+    found, exact_tests, triples = _triple_scan(tau, causal, reach, tol)
+    for kind, (count, witness) in found.items():
+        if count:
+            counts[kind] = count
+            violations.append({"kind": kind, "witness": witness})
 
     return AxiomReport(violations=violations, counts=counts, triples_checked=triples, exact_tests=exact_tests)
 
 
-def _reverse_triangle(tau, causal, tol):
-    """Count, first witness and exact tests of the reverse-triangle scan (see
-    validate_axioms), and the number of causal triples i <= j <= k it covers.
+def _triple_scan(tau, causal, reach, tol):
+    """The triple scan of validate_axioms over rows reach[:, j] and columns
+    reach[j, :] of each middle point j, reach being causal | chron.
 
-    The work buffers are sized once for the largest block; they die on
-    return, before validate_axioms builds the push-up products.
+    Returns {kind: (count, first witness)} for "reverse-triangle" and
+    "push-up", the number of exact tests and the number of causal triples
+    i <= j <= k.  When reach is causal every row and column is causal, and
+    no flag is gathered.  The work buffers are sized once for the largest
+    block.
     """
     n = tau.shape[0]
-    n_past = causal.sum(axis=0, dtype=np.int64)
-    n_future = causal.sum(axis=1, dtype=np.int64)
+    mixed = reach is not causal
+    n_past = reach.sum(axis=0, dtype=np.int64)
+    n_future = reach.sum(axis=1, dtype=np.int64)
     sizes = n_past * n_future
     past_at = np.concatenate(([0], np.cumsum(n_past))).tolist()
     future_at = np.concatenate(([0], np.cumsum(n_future))).tolist()
-    # causal pasts, j-major, and futures, i-major: flat indices taken mod n
-    # in place, without the (row, col) pair np.nonzero would return
-    past_i = np.flatnonzero(causal.T)
+    # pasts, j-major, and futures, i-major: flat indices taken mod n in
+    # place, without the (row, col) pair np.nonzero would return
+    past_i = np.flatnonzero(reach.T)
     past_i %= n
-    future_k = np.flatnonzero(causal)
+    future_k = np.flatnonzero(reach)
     future_k %= n
     flat = tau.ravel()
     largest = int(sizes.max(initial=0))
     idx_buf, got_buf, lhs_buf, low_buf = (np.empty(largest, dtype=t) for t in (np.int64, float, float, bool))
 
-    rti_count = exact_tests = 0
-    rti_witness = None
+    rti_count = push_count = exact_tests = 0
+    rti_witness = push_witness = None
     for j in np.flatnonzero(sizes).tolist():
         past = past_i[past_at[j] : past_at[j + 1]]
         future = future_k[future_at[j] : future_at[j + 1]]
@@ -427,38 +419,41 @@ def _reverse_triangle(tau, causal, tol):
         idx = np.add(rows[:, None], future, out=idx_buf[: p * f].reshape(p, f))
         # every index is in range; "clip" lets take write into out unbuffered
         got = np.take(flat, idx, out=got_buf[: p * f].reshape(p, f), mode="clip")
-        lhs = np.add(flat.take(rows + j)[:, None], tau[j].take(future), out=lhs_buf[: p * f].reshape(p, f))
+        t_in, t_out = flat.take(rows + j), tau[j].take(future)
+        lhs = np.add(t_in[:, None], t_out, out=lhs_buf[: p * f].reshape(p, f))
         sel = np.flatnonzero(np.less(got, lhs, out=low_buf[: p * f].reshape(p, f)))
         if not sel.size:
             continue
+        low = got_buf[sel]
+        up = low == 0
+        if mixed:
+            a, b = np.divmod(sel, f)
+            c_in, c_out = causal[past[a], j], causal[j, future[b]]
+            up &= (c_in & (t_out[b] > 0)) | ((t_in[a] > 0) & c_out)
+        c = int(np.count_nonzero(up))
+        if c and push_witness is None:
+            push_witness = _triple_at(past, j, future, sel[up.argmax()])
+        push_count += c
+        if mixed:
+            keep = c_in & c_out
+            sel, low = sel[keep], low[keep]
         exact_tests += sel.size
         near = lhs_buf[sel]
-        viol = got_buf[sel] < near - tol * (1.0 + near)
+        viol = low < near - tol * (1.0 + near)
         c = int(np.count_nonzero(viol))
         if c and rti_witness is None:
-            a, b = divmod(int(sel[viol.argmax()]), f)
-            rti_witness = (int(past[a]), j, int(future[b]))
+            rti_witness = _triple_at(past, j, future, sel[viol.argmax()])
         rti_count += c
-    return rti_count, rti_witness, exact_tests, int(sizes.sum())
+    if mixed:  # triples_checked counts the causal triples only
+        sizes = causal.sum(axis=0, dtype=np.int64) * causal.sum(axis=1, dtype=np.int64)
+    found = {"reverse-triangle": (rti_count, rti_witness), "push-up": (push_count, push_witness)}
+    return found, exact_tests, int(sizes.sum())
 
 
-def _push_up_witness(chron, causal, bad_rows, bad_cols):
-    """First push-up violation (i, j, k), j-major then row-major.
-
-    Every violating pair (i, k) lies in bad_rows x bad_cols, so each
-    middle point j is scanned on that submatrix only.
-    """
-    rows, cols = np.flatnonzero(bad_rows), np.flatnonzero(bad_cols)
-    open_ik = ~chron[np.ix_(rows, cols)]
-    for j in range(chron.shape[0]):
-        viol = (
-            (causal[rows, j][:, None] & chron[j, cols][None, :])
-            | (chron[rows, j][:, None] & causal[j, cols][None, :])
-        ) & open_ik
-        if viol.any():
-            a, b = np.argwhere(viol)[0]
-            return (int(rows[a]), j, int(cols[b]))
-    raise AssertionError("push-up count without a witness")
+def _triple_at(past, j, future, e):
+    """(i, j, k) at flat entry e of the block past x future."""
+    a, b = divmod(int(e), future.size)
+    return (int(past[a]), j, int(future[b]))
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +784,7 @@ def _triangle_triples(tau, cap, seed, kappa):
     # is set when some x << y << z has z outside F(x).
     counts = np.zeros(n, dtype=np.int64)
     escaped = np.zeros(n, dtype=bool)
-    for lo, hh in _products(n, [(1, chron, chron)]):
+    for lo, hh in _products(n, chron, chron):
         rows = slice(lo, lo + len(hh))
         escaped[rows] = ((hh > 0) & ~chron[rows]).any(axis=1)
         hh *= chron[rows] & (tau[rows] < kappa.dk)

@@ -1241,6 +1241,28 @@ class TestCli:
                 unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params if p not in read]
         assert unread == []
 
+    def test_every_private_function_is_used_in_the_package(self):
+        """Every private module-level function in the package is read
+        somewhere in the package, so a helper that only tests call lives
+        in the tests."""
+        trees = [ast.parse(path.read_text()) for path in sorted(Path(cli.__file__).parent.glob("*.py"))]
+        private = {
+            node.name
+            for tree in trees
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not node.name.startswith("__")
+        }
+        read = set()
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        assert private and sorted(private - read) == []
+
     def test_every_default_is_passed_somewhere(self):
         """Every defaulted parameter of a function in the package is passed, by
         keyword or by position, in some call in src, tests, demos or bench.

@@ -52,7 +52,10 @@ def grid11():
 
 
 def reference_axioms(space, tol=1e-9):
-    """validate_axioms with its O(n^3) scans as one loop over the middle index."""
+    """validate_axioms with its O(n^3) scans as one loop over the middle index.
+
+    exact_tests counts the causal triples with tau(i, k) < tau(i, j) + tau(j, k).
+    """
     tau, causal = space.tau, space.causal
     n = space.n
     violations = []
@@ -78,7 +81,7 @@ def reference_axioms(space, tol=1e-9):
     if m.any():
         record("causal-not-transitive", np.nonzero(m), m.sum())
 
-    rti_count = push_count = 0
+    rti_count = push_count = screened = 0
     rti_witness = push_witness = None
     for j in range(n):
         cj_in = causal[:, j][:, None]
@@ -92,6 +95,7 @@ def reference_axioms(space, tol=1e-9):
                 i, k = np.argwhere(viol)[0]
                 rti_witness = (int(i), j, int(k))
             rti_count += c
+            screened += int(np.count_nonzero(both & (tau < lhs)))
         up1 = cj_in & (tau[j, :][None, :] > 0) & (tau <= 0)
         up2 = (tau[:, j][:, None] > 0) & cj_out & (tau <= 0)
         viol = up1 | up2
@@ -106,7 +110,8 @@ def reference_axioms(space, tol=1e-9):
     if push_count:
         counts["push-up"] = push_count
         violations.append({"kind": "push-up", "witness": push_witness})
-    return AxiomReport(violations=violations, counts=counts)
+    triples = int(np.dot(causal.sum(axis=0, dtype=np.int64), causal.sum(axis=1, dtype=np.int64)))
+    return AxiomReport(violations=violations, counts=counts, triples_checked=triples, exact_tests=screened)
 
 
 def reference_reverse_triangle(space, tol=1e-9):
@@ -145,12 +150,34 @@ def assert_reverse_triangle_matches(space, tol=1e-9):
     return rep
 
 
-def reference_axiom_products(space, tol=1e-9):
-    """validate_axioms with its 0/1 products as whole n x n float32 matrices.
+def push_up_witness(chron, causal, bad_rows, bad_cols):
+    """First push-up violation (i, j, k), j-major then row-major.
 
-    validate_axioms takes them one row panel at a time and skips empty
-    blocks; this is the whole-matrix form it is held to, with the
-    reverse-triangle scan of reference_reverse_triangle.
+    Every violating pair (i, k) lies in bad_rows x bad_cols, so each
+    middle point j is scanned on that submatrix only.
+    """
+    rows, cols = np.flatnonzero(bad_rows), np.flatnonzero(bad_cols)
+    open_ik = ~chron[np.ix_(rows, cols)]
+    for j in range(chron.shape[0]):
+        viol = (
+            (causal[rows, j][:, None] & chron[j, cols][None, :])
+            | (chron[rows, j][:, None] & causal[j, cols][None, :])
+        ) & open_ik
+        if viol.any():
+            a, b = np.argwhere(viol)[0]
+            return (int(rows[a]), j, int(cols[b]))
+    raise AssertionError("push-up count without a witness")
+
+
+def reference_axiom_products(space, tol=1e-9):
+    """validate_axioms with transitivity and push-up as whole n x n float32
+    0/1 products, and the reverse-triangle scan of reference_reverse_triangle.
+
+    validate_axioms takes C@C one row panel at a time and skips empty
+    blocks, and counts push-up in its triple scan; this is the
+    whole-matrix form it is held to.  The number of middle points j with
+    i <= j << k or i << j <= k is (C@H - (C&H)@(C&H) + H@C)[i, k], with
+    C = causal and H = chronological, summed where i << k fails.
     """
     tau, causal = space.tau, space.causal
     violations = []
@@ -189,7 +216,7 @@ def reference_axiom_products(space, tol=1e-9):
     if push_count:
         counts["push-up"] = push_count
         hit = up > 0
-        witness = sampled._push_up_witness(chron, causal, hit.any(axis=1), hit.any(axis=0))
+        witness = push_up_witness(chron, causal, hit.any(axis=1), hit.any(axis=0))
         violations.append({"kind": "push-up", "witness": witness})
 
     triples = int(np.dot(causal.sum(axis=0, dtype=np.int64), causal.sum(axis=1, dtype=np.int64)))
@@ -285,6 +312,26 @@ def broken_spaces(draw):
     return SampledSpace(tau=tau, causal=causal)
 
 
+@st.composite
+def planted_spaces(draw):
+    """A broken_spaces draw with at least one chronological pair made
+    non-causal and at least one point dropped from the causal diagonal."""
+    space = draw(broken_spaces())
+    tau, causal = space.tau.copy(), space.causal.copy()
+    n = space.n
+    ii, kk = np.nonzero(tau > 0)
+    if ii.size:
+        e = draw(st.integers(0, ii.size - 1))
+        i, k = int(ii[e]), int(kk[e])
+    else:
+        i, k = 0, n - 1
+        tau[i, k] = 1.0
+    causal[i, k] = False
+    d = draw(st.integers(0, n - 1))
+    causal[d, d] = False
+    return SampledSpace(tau=tau, causal=causal)
+
+
 class TestSampledSpace:
     @pytest.mark.parametrize(
         "entries, message",
@@ -316,14 +363,33 @@ class TestAxioms:
     def test_chain_fixture_clean(self, chain3):
         assert validate_axioms(chain3).ok
 
-    @settings(max_examples=60, deadline=None)
-    @given(space=broken_spaces(), tol=st.sampled_from([0.0, 1e-9, 0.05]))
-    def test_matches_per_j_reference(self, space, tol):
-        rep = assert_reverse_triangle_matches(space, tol)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        space=st.one_of(broken_spaces(), planted_spaces()),
+        tol=st.sampled_from([0.0, 1e-9, 0.05]),
+        panel=st.sampled_from([1, 5, 128]),
+    )
+    def test_matches_per_j_reference(self, space, tol, panel):
+        # planted_spaces puts non-causal pairs among the triple scan's rows and columns
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampled, "_PANEL", panel)
+            rep = validate_axioms(space, tol)
         ref = reference_axioms(space, tol)
+        assert rep == ref
         assert list(rep.counts.items()) == list(ref.counts.items())
-        assert rep.violations == ref.violations
-        assert rep.ok == ref.ok
+
+    def test_one_product_pass(self, monkeypatch):
+        # transitivity is the only 0/1 product; push-up rides the triple scan
+        calls = []
+        products = sampled._products
+
+        def counted(*args):
+            calls.append(args)
+            return products(*args)
+
+        monkeypatch.setattr(sampled, "_products", counted)
+        assert validate_axioms(permuted_grid()).counts["push-up"]
+        assert len(calls) == 1
 
     def test_diagnostics(self, chain3):
         rep = validate_axioms(chain3)
@@ -455,7 +521,8 @@ class TestReverseTriangleScan:
 
 
 class TestAxiomProducts:
-    """validate_axioms' row-panel products against reference_axiom_products."""
+    """validate_axioms against reference_axiom_products: its row-panel C@C
+    and its triple scan's push-up against whole-matrix products."""
 
     def test_permuted_grid_skips_no_block(self):
         space = permuted_grid()
