@@ -128,10 +128,9 @@ def _hyp_gap(r, a, b, su):
     that |gap| <= tol*scale detects the null boundary at any curvature.
     """
     h = 0.5 * r
-    p = np.sinh(h * (a + b)) ** 2
-    m = np.sinh(h * (a - b)) ** 2
-    c = np.sinh(r * a) * np.sinh(r * b)
-    return p + m + su * c, p + m + np.abs(su * c) + 1e-300
+    pm = np.sinh(h * (a + b)) ** 2 + np.sinh(h * (a - b)) ** 2
+    c = su * (np.sinh(r * a) * np.sinh(r * b))
+    return pm + c, pm + np.abs(c) + 1e-300
 
 
 def _trig_gap(r, a, b, su):
@@ -140,10 +139,64 @@ def _trig_gap(r, a, b, su):
     Returns (gap, scale) as in _hyp_gap.
     """
     h = 0.5 * r
-    p = np.sin(h * (a + b)) ** 2
-    m = np.sin(h * (a - b)) ** 2
-    c = np.sin(r * a) * np.sin(r * b)
-    return p + m + su * c, p + m + np.abs(su * c) + 1e-300
+    pm = np.sin(h * (a + b)) ** 2 + np.sin(h * (a - b)) ** 2
+    c = su * (np.sin(r * a) * np.sin(r * b))
+    return pm + c, pm + np.abs(c) + 1e-300
+
+
+def _hinge_gap(k, r1, r2, u, opposite):
+    """The law of cosines at a hinge, the one place it is evaluated.
+
+    Returns (gap, scale) for the points at radii r1, r2 on the legs of a
+    hinge with cosh(theta) = u, as float arrays of their broadcast shape
+    (0-d for scalars, as hinge_tau_arr takes them): gap is tau^2 at
+    K = 0, cosh(r*tau) - 1 at K > 0 and 1 - cos(r*tau) at K < 0 (r =
+    sqrt|K|) when the points are timelike, negative when they are
+    spacelike, and |gap| <= BOUNDARY_TOL * scale is the null band.
+    """
+    r1, r2, u = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (r1, r2, u)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        if k == 0.0:
+            # 2*r1*r2*u is +-cross bit for bit: the sign only flips
+            scale = r1 * r1
+            scale += r2 * r2
+            cross = 2.0 * r1
+            cross *= r2
+            cross *= u
+            gap = scale + cross if opposite else scale - cross
+            scale += cross
+            scale += 1e-300
+            return gap, scale
+        su = u if opposite else -u
+        if k > 0.0:
+            return _hyp_gap(math.sqrt(k), r1, r2, su)
+        return _trig_gap(math.sqrt(-k), r1, r2, su)
+
+
+def _gap_tau(k, gap, timelike):
+    """The time separation that gap stands for where timelike, +0.0 elsewhere."""
+    tau = np.where(timelike, gap, 0.0)  # gap 0 means tau 0 at every K
+    if k == 0.0:
+        return np.sqrt(tau, out=tau)
+    if k > 0.0:
+        # cosh(r*tau) = 1 + gap, through arcsinh to keep accuracy
+        np.sqrt(tau * (2.0 + tau), out=tau)
+        np.arcsinh(tau, out=tau)
+    else:
+        # cos(r*tau) = 1 - gap; gap up to 2 + BOUNDARY_TOL is timelike, read at 2
+        np.minimum(tau, 2.0, out=tau)
+        tau /= 2.0
+        np.sqrt(tau, out=tau)
+        np.arcsin(tau, out=tau)
+        tau *= 2.0
+    tau /= math.sqrt(abs(k))
+    return tau
+
+
+def _hinge_null(kappa, r1, r2, u, opposite):
+    """Whether the points of hinge_tau_arr lie in each other's null band."""
+    gap, scale = _hinge_gap(Kappa.of(kappa).k, r1, r2, u, opposite)
+    return np.abs(gap) <= BOUNDARY_TOL * scale
 
 
 def side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
@@ -151,18 +204,21 @@ def side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
 
     z is the separation of the legs' far ends, hinge_tau_arr at radii
     (y, t): 0 in its null band, as tau_plane and ds_tau read it.  valid
-    adds y, t > 0, |sigma| = 1, y + t < D_K, and for sigma = -1 the time
-    order a << c << b, which forces y >= t + z.
+    adds y, t > 0, cosh_theta >= 1 - BOUNDARY_TOL (then clamped to 1),
+    |sigma| = 1, y + t < D_K, far ends that are not spacelike, and for
+    sigma = -1 the time order a << c << b, which forces y >= t + z.
     """
     kappa = Kappa.of(kappa)
     y, t, u, sg = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (y, t, cosh_theta, sigma)))
     z = np.zeros(y.shape)
-    valid = np.asarray((y > 0) & (t > 0) & (np.abs(sg) == 1.0) & (y + t < kappa.dk))
+    valid = np.asarray((y > 0) & (t > 0) & (u >= 1.0 - BOUNDARY_TOL) & (np.abs(sg) == 1.0) & (y + t < kappa.dk))
+    u = np.maximum(u, 1.0)  # hinge_tau_arr's precondition
     for opposite in (True, False):
         side = (sg > 0) == opposite
-        tau, timelike, null, ok = hinge_tau_arr(kappa, y[side], t[side], u[side], opposite)
+        hinge = (kappa, y[side], t[side], u[side], opposite)
+        tau, timelike, ok = hinge_tau_arr(*hinge)
         z[side] = tau
-        valid[side] &= ok & (timelike | null)
+        valid[side] &= ok & (timelike | _hinge_null(*hinge))
     valid &= (sg > 0) | (y + BOUNDARY_TOL * (1.0 + y) >= t + z)
     return z, valid
 
@@ -279,49 +335,26 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
     r1, r2 are distances from the hinge vertex along the two legs and
     cosh_theta the full hinge angle.  ``opposite`` states whether the legs
     have opposite time orientations.  Unlike side_from_hinge this keeps
-    spacelike outcomes: returns (tau, timelike, null, valid), with tau
-    +0.0 wherever timelike is False.  Zero radii are allowed and mean the
-    point sits at the vertex.
+    spacelike outcomes: returns (tau, timelike, valid), with tau +0.0
+    wherever timelike is False and timelike False in the null band.  Zero
+    radii are allowed and mean the point sits at the vertex.
+
+    Precondition: r1, r2 >= 0 and cosh_theta >= 1, or NaN (NaN gives
+    timelike False).  The callers check it where the inputs are made, so
+    that each pair costs only the arithmetic.  valid is the one check that
+    needs the pair: at K < 0, the points lie within the timelike diameter.
     """
-    kappa = Kappa.of(kappa)
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    u = np.asarray(cosh_theta, dtype=float)
-    r1, r2, u = np.broadcast_arrays(r1, r2, u)
-    k = kappa.k
-    sg = 1.0 if opposite else -1.0
-    valid = (r1 >= 0) & (r2 >= 0) & (u >= 1.0 - BOUNDARY_TOL)
-    u = np.maximum(u, 1.0)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if k == 0.0:
-            # 2*sg*r1*r2*u is +-cross bit for bit: the sign only flips
-            square, cross = r1 * r1 + r2 * r2, 2.0 * r1 * r2 * u
-            q2 = square + cross if opposite else square - cross
-            scale = square + cross + 1e-300
-            null = np.abs(q2) <= BOUNDARY_TOL * scale
-            timelike = (q2 > 0) & ~null
-            tau = np.sqrt(q2, out=np.zeros_like(q2), where=timelike)
-        elif k > 0.0:
-            r = math.sqrt(k)
-            gap, scale = _hyp_gap(r, r1, r2, sg * u)  # cosh(r*tau) - 1 when timelike
-            null = np.abs(gap) <= BOUNDARY_TOL * scale
-            timelike = (gap > 0) & ~null
-            gp = np.maximum(gap, 0.0)
-            tau = np.where(timelike, np.arcsinh(np.sqrt(gp * (2.0 + gp))) / r, 0.0)
-        else:
-            r = math.sqrt(-k)
-            gap, scale = _trig_gap(r, r1, r2, sg * u)  # 1 - cos(r*tau) when timelike
-            # gap > 2 would put the points beyond the timelike diameter
-            valid &= gap <= 2.0 + BOUNDARY_TOL
-            null = np.abs(gap) <= BOUNDARY_TOL * scale
-            timelike = (gap > 0) & (gap <= 2.0 + BOUNDARY_TOL) & ~null
-            gp = np.clip(gap, 0.0, 2.0)
-            tau = np.where(timelike, 2.0 * np.arcsin(np.sqrt(gp / 2.0)) / r, 0.0)
-        zero = (r1 == 0) & (r2 == 0)
-        tau[zero] = 0.0
-        timelike &= ~zero
-        null &= ~zero
-    return tau, timelike, null, valid
+    k = Kappa.of(kappa).k
+    gap, scale = _hinge_gap(k, r1, r2, cosh_theta, opposite)
+    scale *= BOUNDARY_TOL
+    timelike = gap > scale
+    if k < 0.0:
+        # gap > 2 would put the points beyond the timelike diameter
+        valid = gap <= 2.0 + BOUNDARY_TOL
+        timelike &= valid
+    else:
+        valid = np.broadcast_to(True, gap.shape)
+    return _gap_tau(k, gap, timelike), timelike, valid
 
 
 def vertex_hinges(l_ab, l_bc, l_ac):
@@ -470,18 +503,18 @@ def comparison_point_tau(tri: ModelTriangle, p: SidePosition, q: SidePosition):
         return r2, Relation.CHRONO_FUTURE if o2 > 0 else Relation.CHRONO_PAST
     if r2 == 0.0:
         return r1, Relation.CHRONO_PAST if o1 > 0 else Relation.CHRONO_FUTURE
-    opposite = o1 != o2
-    u = tri.vertex_angle(v)
-    tau, timelike, null, ok = hinge_tau_arr(tri.kappa, r1, r2, u, opposite)
-    if not bool(ok):
+    hinge = (tri.kappa, r1, r2, tri.vertex_angle(v), o1 != o2)
+    tau, timelike, ok = hinge_tau_arr(*hinge)
+    # a radius below 0 is a position rounding past its side's end
+    if not (r1 >= 0.0 and r2 >= 0.0 and bool(ok)):
         raise DomainError(f"comparison points exceed the model-space domain at {v}")
-    if opposite:
+    if o1 != o2:
         future = o2 > 0  # the future-leg point is later
     else:
         future = (r2 > r1) if o1 > 0 else (r2 < r1)
     if bool(timelike):
         return float(tau), Relation.CHRONO_FUTURE if future else Relation.CHRONO_PAST
-    if bool(null):
+    if bool(_hinge_null(*hinge)):
         return 0.0, Relation.NULL_FUTURE if future else Relation.NULL_PAST
     return 0.0, Relation.SPACELIKE
 

@@ -115,8 +115,9 @@ class Chain:
         object.__setattr__(self, "params", np.asarray(self.params, dtype=float))
         if self.points.shape != self.params.shape:
             raise ShapeError("points and params must have equal length")
-        if np.any(np.diff(self.params) <= 0):
-            raise ShapeError("chain parameters must be strictly increasing")
+        # not `diff <= 0`, which NaN passes
+        if not (np.isfinite(self.params).all() and (np.diff(self.params) > 0).all()):
+            raise ShapeError("chain parameters must be finite and strictly increasing")
 
     @property
     def total(self) -> float:
@@ -500,12 +501,15 @@ def _geodesics(space: SampledSpace, xs, ys, geo_tol: float = DEFAULT_GEO_TOL) ->
         # the diamond x << v << y, then the points on a maximizing chain in it:
         # tau(x,v) + tau(v,y) == tau(x,y), up to the slack
         diamond = chron[xs[chunk]] & chron_t[ys[chunk]]
-        pair, c = np.divmod(np.flatnonzero(diamond), n)  # np.nonzero(diamond), faster
+        f = np.flatnonzero(diamond)  # np.nonzero(diamond), faster; so is // over np.divmod
+        pair = f // n
+        c = f - pair * n
         d = flat.take(xs[chunk][pair] * n + c)  # faster than tau[x, c]
         keep = d + flat.take(c * n + ys[chunk][pair]) >= (target[chunk] - slack[chunk])[pair]
         pair, c, d = pair[keep], c[keep], d[keep]
-        # earliest-first: each pair's candidates in order of distance from its start
-        order = np.lexsort((c, d, pair))
+        # earliest-first: each pair's candidates in order of distance from its start,
+        # ties by index as c ascends within a pair and lexsort is stable
+        order = np.lexsort((d, pair))
         parts.append((np.bincount(pair, minlength=len(diamond)), c[order], d[order]))
     size, cand, dist = map(np.concatenate, zip(*parts))
     del parts, flat, chron, chron_t, diamond, keep
@@ -1019,8 +1023,12 @@ def _batches(pairs):
 
 def _runs(rows, cols, count):
     """Pairs (i, j): row rows[r] against the count[r] columns from cols[r] on, in order."""
-    i = np.repeat(rows, count)
-    return i, np.arange(len(i)) + np.repeat(cols - np.cumsum(count) + count, count)
+    return np.repeat(rows, count), _run_cols(cols, count)
+
+
+def _run_cols(cols, count):
+    """The columns j of _runs: cols[r], cols[r] + 1, ..., count[r] of them, run after run."""
+    return np.arange(count.sum()) + np.repeat(cols - np.cumsum(count) + count, count)
 
 
 def _chain_pairs(offsets, cs):
@@ -1072,54 +1080,80 @@ def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction
     found its first tie, (t, key, p, q, tau, tau_model), where key is the
     row-major index in the matrix over t's side points (ab, bc, ac).
     Returning only these frees the batch's arrays early.
+
+    Per pair this does only the law of cosines and the margins.  A block's
+    pairs are runs of one row point against its triangle's column side, so
+    what belongs to the row point is repeated, not gathered, per pair.
+    hinge_tau_arr's precondition is checked where its inputs are made: a
+    radius r once per side point, as ~(r >= 0) so that NaN fails too (a
+    chain may start below 0; radius is clamped), and u once per triangle.
+    Every row point of a block meets every column point, so block k of
+    triangle t is off the domain when one of its row points, one of its
+    column points or its u fails, or (at K < 0) when one of its pairs does.
     """
     per_side = size.ravel()
     n = size.sum(axis=1)
     first = np.cumsum(n) - n
-    # the batch's side points, triangle after triangle
-    src = np.arange(n.sum()) + np.repeat(chains.offsets[sides].ravel() - np.cumsum(per_side) + per_side, per_side)
+    start = np.cumsum(per_side) - per_side  # each side's first point in the batch
+    # the batch's side points, triangle after triangle; point g is on side
+    # seg[g] % 3 of triangle seg[g] // 3
+    seg = np.repeat(np.arange(per_side.size), per_side)
+    owner = seg // 3
+    src = np.arange(seg.size) + np.repeat(chains.offsets[sides].ravel() - start, per_side)
     pt, par = chains.points[src], chains.params[src]
-    owner = np.repeat(np.arange(len(sides)), n)
-    side = np.repeat(np.tile(np.arange(3), len(sides)), per_side)
     radius = np.maximum(np.repeat(lengths.ravel(), per_side) - par, 0.0)  # to the side's future end
 
-    # an ab point takes all of bc, then all of ac, and a bc point all of ac
+    # hinge_tau_arr's precondition: u per triangle, at the blocks' hinges b, a and c
+    bad = ~(u[:, [1, 0, 2]] >= 1.0)
+    # and each radius per side point, as (side, block) of the blocks it enters
+    for r, uses in ((radius, [(0, 0), (1, 2), (2, 2)]), (par, [(0, 1), (1, 0), (2, 1)])):
+        fails = ~(r >= 0)
+        if fails.any():
+            hit = np.zeros(per_side.size, dtype=bool)
+            hit[seg[fails]] = True
+            for on, k in uses:
+                bad[:, k] |= hit[on::3]
+
+    # the blocks' rows: an ab point takes all of bc, then all of ac (hinges
+    # at b and a), and a bc point all of ac (hinge at c)
+    side = seg - 3 * owner
     on_ab, on_bc = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
     t_ab, t_bc = owner[on_ab], owner[on_bc]
-    bc_start = first + size[:, 0]
-    ac_start = bc_start + size[:, 1]
-    runs = [
-        (on_ab, bc_start[t_ab], size[t_ab, 1]),
-        (on_ab, ac_start[t_ab], size[t_ab, 2]),
-        (on_bc, ac_start[t_bc], size[t_bc, 2]),
-    ]
-    i, j = _runs(*(np.concatenate(r) for r in zip(*runs)))
-    ends = np.cumsum([0] + [int(r[2].sum()) for r in runs])
+    start = start.reshape(-1, 3)
+    rows = np.concatenate([on_ab, on_ab, on_bc])
+    counts = [size[t_ab, 1], size[t_ab, 2], size[t_bc, 2]]
+    count = np.concatenate(counts)
+    j = _run_cols(np.concatenate([start[t_ab, 1], start[t_ab, 2], start[t_bc, 2]]), count)
+    # the blocks of the hinges at b, a and c start at 0, at_a and at_c
+    at_a = int(counts[0].sum())
+    at_c = at_a + int(counts[1].sum())
+    # ab x bc share b: past leg (radius) against future leg (par), always ordered;
+    # ab x ac share a: both future legs (par); bc x ac share c: both past legs (radius)
+    r1 = np.repeat(np.concatenate([radius[on_ab], par[on_ab], radius[on_bc]]), count)
+    r2 = np.empty(len(j))
+    par.take(j[:at_c], out=r2[:at_c])
+    radius.take(j[at_c:], out=r2[at_c:])
+    cosh = np.repeat(np.concatenate([u[t_ab, 1], u[t_ab, 0], u[t_bc, 2]]), count)
 
-    model = np.empty(len(i))
-    bad = np.zeros((len(sides), 3), dtype=bool)
+    model = np.empty(len(j))
+    model[:at_a], _, ok_b = hinge_tau_arr(kappa, r1[:at_a], r2[:at_a], cosh[:at_a], True)
+    same = slice(at_a, None)
+    tau_m, timelike, ok_ac = hinge_tau_arr(kappa, r1[same], r2[same], cosh[same], False)
+    # the later point is the farther one from a and the nearer one to c;
+    # tau_m is +0.0 off timelike pairs, so only those take a sign
+    later = np.empty(len(tau_m), dtype=bool)
+    np.greater(r2[at_a:at_c], r1[at_a:at_c], out=later[: at_c - at_a])
+    np.greater(r1[at_c:], r2[at_c:], out=later[at_c - at_a :])
+    np.multiply(tau_m, np.where(later < timelike, -1.0, 1.0), out=model[same])
+    del r1, r2, cosh, tau_m, timelike, later
+    ok = np.concatenate([ok_b, ok_ac])
+    if not ok.all():  # a pair beyond the timelike diameter
+        e = np.flatnonzero(~ok)
+        bad[owner[np.repeat(rows, count)[e]], np.searchsorted([at_a, at_c], e, side="right")] = True
 
-    def hinge_block(k, r1, r2, u, opposite, future=None):
-        """Signed model separations of hinge block k; flag triangles off the domain."""
-        block = slice(ends[k], ends[k + 1])
-        t = owner[i[block]]
-        r1, r2 = r1[i[block]], r2[j[block]]
-        tau_m, timelike, _, ok = hinge_tau_arr(kappa, r1, r2, u[t], opposite)
-        if future:  # tau_m is +0.0 off timelike pairs, so only those take a sign
-            np.negative(tau_m, out=tau_m, where=timelike & ~future(r1, r2))
-        model[block] = tau_m
-        bad[t[~ok], k] = True
-
-    # ab x bc share b: past leg against future leg, always ordered
-    hinge_block(0, radius, par, u[:, 1], True)
-    # ab x ac share a: both future legs, the farther point is later
-    hinge_block(1, par, par, u[:, 0], False, lambda r1, r2: r2 > r1)
-    # bc x ac share c: both past legs, the farther point is earlier
-    hinge_block(2, radius, radius, u[:, 2], False, lambda r1, r2: r1 > r2)
-
-    p, q = pt[i], pt[j]
+    p, q = np.repeat(pt[rows], count), pt.take(j)
     failing = failing | bad.any(axis=1)
-    drop = np.flatnonzero((p == q) | failing[owner[i]] if failing.any() else p == q)
+    drop = np.flatnonzero((p == q) | np.repeat(failing[owner[rows]], count) if failing.any() else p == q)
     actual, model_plus, margin, chron_bad = _margins(tau, p, q, model, direction, tol)
     chron_miss = 0 if chron_bad is None else int(np.count_nonzero(chron_bad) - np.count_nonzero(chron_bad[:, drop]))
     margin[:, drop] = -np.inf
@@ -1129,13 +1163,13 @@ def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction
     found = None
     if worst < running:
         # the first of the tied minima in row-major order
-        tied, row, col = _ties(margin, worst, i, j)
+        tied, row, col = _ties(margin, worst, np.repeat(rows, count), j)
         t = owner[row]
         key = (row - first[t]) * n[t] + col - first[t]
         w = int(np.argmin((np.cumsum(n * n) - n * n)[t] + key))
         found = (int(t[w]), int(key[w]), int(pt[row[w]]), int(pt[col[w]]))
         found += (float(actual.flat[tied[w]]), float(model_plus.flat[tied[w]]))
-    return bad, 2 * (len(i) - len(drop)), chron_miss, top, worst, found
+    return bad, 2 * (len(j) - len(drop)), chron_miss, top, worst, found
 
 
 def _chain_batch(tau, chains, cs, direction, tol):

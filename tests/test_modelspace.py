@@ -11,6 +11,7 @@ from lorentzgeo.modelspace import (
     K_FLAT,
     Kappa,
     ModelTriangle,
+    _hinge_null,
     _hyp_gap,
     _trig_gap,
     SidePosition,
@@ -206,12 +207,14 @@ def reference_side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
 
 
 def null_band(k, y, t, u, sg):
-    """Where hinge_tau_arr reads the legs' far ends as a null pair."""
+    """Where side_from_hinge_arr reads the legs' far ends as a null pair
+    (at y = t = 0 there are no legs, and it rejects the hinge)."""
     null = np.zeros(y.shape, dtype=bool)
+    u = np.maximum(u, 1.0)
     for opposite in (True, False):
         side = (sg > 0) == opposite
-        null[side] = hinge_tau_arr(k, y[side], t[side], u[side], opposite)[2]
-    return null
+        null[side] = _hinge_null(k, y[side], t[side], u[side], opposite)
+    return null & ((y != 0) | (t != 0))
 
 
 class TestSideFromHingeOracle:
@@ -279,19 +282,71 @@ def reference_flat_hinge_tau(r1, r2, u, opposite):
     return np.where(zero, 0.0, tau), np.where(zero, False, timelike), np.where(zero, False, null), valid
 
 
+def reference_hinge_tau(kappa, r1, r2, u, opposite):
+    """hinge_tau_arr as it was before its domain checks moved to its callers:
+    every pair checked for r1, r2 >= 0 and cosh_theta >= 1 - BOUNDARY_TOL,
+    cosh_theta clamped to 1 and the null band of zero radii cleared.
+    Returns (tau, timelike, null, valid)."""
+    k = Kappa.of(kappa).k
+    if k == 0.0:
+        return reference_flat_hinge_tau(r1, r2, u, opposite)
+    sg = 1.0 if opposite else -1.0
+    valid = (r1 >= 0) & (r2 >= 0) & (u >= 1.0 - BOUNDARY_TOL)
+    u = np.maximum(u, 1.0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if k > 0.0:
+            r = math.sqrt(k)
+            gap, scale = _hyp_gap(r, r1, r2, sg * u)
+            null = np.abs(gap) <= BOUNDARY_TOL * scale
+            timelike = (gap > 0) & ~null
+            gp = np.maximum(gap, 0.0)
+            tau = np.where(timelike, np.arcsinh(np.sqrt(gp * (2.0 + gp))) / r, 0.0)
+        else:
+            r = math.sqrt(-k)
+            gap, scale = _trig_gap(r, r1, r2, sg * u)
+            valid &= gap <= 2.0 + BOUNDARY_TOL
+            null = np.abs(gap) <= BOUNDARY_TOL * scale
+            timelike = (gap > 0) & (gap <= 2.0 + BOUNDARY_TOL) & ~null
+            gp = np.clip(gap, 0.0, 2.0)
+            tau = np.where(timelike, 2.0 * np.arcsin(np.sqrt(gp / 2.0)) / r, 0.0)
+    zero = (r1 == 0) & (r2 == 0)
+    return np.where(zero, 0.0, tau), timelike & ~zero, null & ~zero, valid
+
+
+def assert_hinge_tau_bit_equal(k, r1, r2, u, opposite):
+    """hinge_tau_arr and its null band against reference_hinge_tau, bit for bit."""
+    tau, timelike, valid = hinge_tau_arr(k, r1, r2, u, opposite)
+    want_tau, want_timelike, want_null, want_valid = reference_hinge_tau(k, r1, r2, u, opposite)
+    assert np.array_equal(tau.view(np.uint64), want_tau.view(np.uint64))
+    assert np.array_equal(timelike, want_timelike)
+    assert np.array_equal(valid, want_valid)
+    # the reference cleared the band at zero radii, where no caller reads it
+    legs = (r1 != 0) | (r2 != 0)
+    assert np.array_equal(_hinge_null(k, r1, r2, u, opposite)[legs], want_null[legs])
+
+
 class TestFlatHingeTau:
-    radius = st.sampled_from([0.0, 1.0, 0.5, 3.0]) | st.floats(-1.0, 1e6, allow_subnormal=True)
-    cosh = st.sampled_from([1.0, 1.0 - 1e-13, 1.0 - 1e-9, 2.0]) | st.floats(1.0 - 1e-9, 1e6)
+    """hinge_tau_arr on its precondition domain: radii >= 0 (0, subnormal,
+    up to 1e6) and cosh_theta >= 1."""
+
+    radius = st.sampled_from([0.0, 5e-324, 1e-160, 1.0, 0.5, 3.0, 1e6]) | st.floats(0.0, 1e6, allow_subnormal=True)
+    cosh = st.sampled_from([1.0, 1.0 + 1e-13, 2.0]) | st.floats(1.0, 1e6)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(radius, radius, cosh), min_size=1, max_size=50), opposite=st.booleans())
     def test_matches_the_sign_carrying_formula_bit_for_bit(self, rows, opposite):
         r1, r2, u = (np.array(v) for v in zip(*rows))
-        got = hinge_tau_arr(K_FLAT, r1, r2, u, opposite)
-        want = reference_flat_hinge_tau(r1, r2, u, opposite)
-        assert np.array_equal(got[0].view(np.uint64), want[0].view(np.uint64))
-        for g, w in zip(got[1:], want[1:]):
-            assert np.array_equal(g, w)
+        assert_hinge_tau_bit_equal(0.0, r1, r2, u, opposite)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([-1.0, 1.0]),
+        rows=st.lists(st.tuples(radius, radius, cosh), min_size=1, max_size=50),
+        opposite=st.booleans(),
+    )
+    def test_curved_matches_the_per_pair_checked_formulas_bit_for_bit(self, k, rows, opposite):
+        r1, r2, u = (np.array(v) for v in zip(*rows))
+        assert_hinge_tau_bit_equal(k, r1, r2, u, opposite)
 
     @pytest.mark.parametrize("opposite", [True, False])
     def test_zero_radii_and_unit_cosh(self, opposite):
@@ -299,9 +354,35 @@ class TestFlatHingeTau:
         s = np.array([0.0, 1.0, 0.0, 2.0, 1.0, 3.0])
         got = hinge_tau_arr(K_FLAT, r, s, np.ones(6), opposite)
         want = reference_flat_hinge_tau(r, s, np.ones(6), opposite)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[:2] + want[3:]))
         # legs of one line: through the vertex they add, on one side they subtract
         assert got[0].tolist() == ([0.0, 1.0, 1.0, 4.0, 2.0, 3.0] if opposite else [0.0, 1.0, 1.0, 0.0, 0.0, 3.0])
+
+    def test_nan_cosh_is_never_timelike(self):
+        for k in (-1.0, 0.0, 1.0):
+            tau, timelike, _ = hinge_tau_arr(k, np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.nan, True)
+            assert not timelike.any() and tau.tolist() == [0.0, 0.0]
+
+
+class TestSideFromHingeDomain:
+    """The out-of-contract inputs hinge_tau_arr no longer checks per pair,
+    which side_from_hinge_arr rejects itself."""
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    @pytest.mark.parametrize("sigma", [1.0, -1.0])
+    def test_rejects_negative_or_zero_radii_and_cosh_below_one(self, k, sigma):
+        y = np.array([-1.0, 1.0, 0.0, 0.0, 1.0, 1.0, np.nan])
+        t = np.array([0.5, -0.5, 0.0, 0.5, 0.5, 0.5, 0.5])
+        u = np.array([1.5, 1.5, 1.5, 1.5, 1.0 - 1e-9, 0.5, 1.5])
+        _, valid = side_from_hinge_arr(k, y, t, u, sigma)
+        assert not valid.any()
+
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_cosh_within_the_boundary_slack_reads_as_one(self, k):
+        y, t = np.array([1.0, 1.0]), np.array([0.5, 0.5])
+        for sigma in (1.0, -1.0):
+            z, valid = side_from_hinge_arr(k, y, t, np.array([1.0 - 1e-13, 1.0]), sigma)
+            assert valid.all() and z[0] == z[1]
 
 
 class TestComparisonPoints:
@@ -323,6 +404,15 @@ class TestComparisonPoints:
         tau, rel = comparison_point_tau(tri, SidePosition("ac", 0.5), SidePosition("ab", SQRT3))
         assert tau == pytest.approx(math.sqrt(1.25), abs=1e-12)
         assert rel is Relation.CHRONO_FUTURE
+
+    @pytest.mark.parametrize("k", [-1.0, 1.0])
+    def test_curved_positions_past_a_side_end_or_nan_exceed_the_domain(self, k):
+        # a position within the rounding slack past its side's end passes the
+        # length check but puts the point behind the hinge vertex: radius < 0
+        tri = ModelTriangle(Kappa(k), 1.0, 1.0, 2.5)
+        for p, q in [(SidePosition("ab", 1.0 + 1e-13), SidePosition("bc", 0.5)), (SidePosition("ab", 0.5), SidePosition("ac", math.nan))]:
+            with pytest.raises(DomainError, match="exceed the model-space domain"):
+                comparison_point_tau(tri, p, q)
 
     def test_realize_plane_matches_sides(self):
         tri = ModelTriangle(K_FLAT, SQRT3, SQRT3, 4.0)

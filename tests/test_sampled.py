@@ -607,6 +607,17 @@ class TestGeodesics:
         with pytest.raises(Exception):
             Chain([0, 1], [0.0, 0.0])  # params not increasing
 
+    @pytest.mark.parametrize(
+        "points, params",
+        [([0, 1, 2], [0.0, math.nan, 2.0]), ([0, 1], [0.0, math.inf]), ([0], [math.nan]), ([0, 1], [-math.inf, 0.0]), ([0, 1], [1.0, 0.5])],
+    )
+    def test_chain_params_must_be_finite_and_strictly_increasing(self, points, params):
+        with pytest.raises(ShapeError, match="finite and strictly increasing"):
+            Chain(points, params)
+
+    def test_chain_may_start_below_zero(self):
+        assert Chain([0, 1], [-0.5, 0.5]).total == 1.0
+
 
 class TestEstimateAngle:
     def test_planar_rays(self):
@@ -753,8 +764,9 @@ def reference_comparison_matrix(kappa, lengths, params):
         return np.maximum(r, 0.0)
 
     def hinge_block(r1, r2, u, opposite, future_mask):
-        tau, timelike, _, ok = hinge_tau_arr(kappa, r1[:, None], r2[None, :], u, opposite)
-        if not ok.all():
+        tau, timelike, ok = hinge_tau_arr(kappa, r1[:, None], r2[None, :], u, opposite)
+        # with hinge_tau_arr's precondition r >= 0, pair by pair: a chain may start below 0
+        if not (ok & (r1[:, None] >= 0) & (r2[None, :] >= 0)).all():
             raise DomainError(sampled._PAST_MODEL_DOMAIN)
         sgn = np.where(future_mask, 1.0, -1.0)
         return np.where(timelike, sgn * tau, 0.0)
@@ -990,6 +1002,31 @@ class TestBatchedCertification:
             domain = [t for t, reason in ref.skipped if reason != "size bounds"]
             assert domain and ref.n_triangles > 0
             assert_matches_reference(cert, ref, exact=k == 0.0)
+
+    @pytest.mark.parametrize("batch_pairs", [40, 1 << 14])
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_chains_starting_below_zero_keep_their_skip_reason(self, monkeypatch, batch_pairs, k):
+        # a user-built chain may start below 0; the kernel checks each side
+        # point's parameter once, and the triangles using such a chain on ab,
+        # bc or ac skip with the model-domain reason, as pair by pair
+        monkeypatch.setattr(sampled, "_BATCH_PAIRS", batch_pairs)
+        space, kappa = small_space("grid"), Kappa(k)
+        tris = list(sample_triangles(space, cap=80, seed=5))
+        shifted = tris.copy()
+        for t in range(0, len(tris), 2):
+            tri = tris[t]
+            s = t // 2 % 3
+            chains = [tri.side_xy, tri.side_yz, tri.side_xz]
+            chains[s] = Chain(chains[s].points, chains[s].params - 0.25)
+            shifted[t] = SampledTriangle(tri.x, tri.y, tri.z, *chains)
+        for direction in ("above", "below"):
+            before = dict(certify_curvature_bound(space, tris, kappa, direction).skipped)
+            cert = certify_curvature_bound(space, shifted, kappa, direction)
+            assert_matches_reference(cert, reference_certificate(space, shifted, kappa, direction), exact=k == 0.0)
+            reasons = dict(cert.skipped)
+            moved = [t for t in range(0, len(tris), 2) if t not in before]
+            assert moved and all(reasons[t] == sampled._PAST_MODEL_DOMAIN for t in moved)
+            assert {t: r for t, r in reasons.items() if t % 2} == {t: r for t, r in before.items() if t % 2}
 
     @settings(max_examples=30, deadline=None)
     @given(
