@@ -10,6 +10,11 @@ de Sitter hyperboloid oracle for curvature +1.
 Angles between timelike directions are hyperbolic angles and are carried
 around as cosh(theta) >= 1; theta itself is recovered with arccosh only
 on demand, which avoids precision loss near theta = 0.
+
+The law of cosines is evaluated in one place, _hinge_gap.  Its array
+form hinge_tau_arr is the comparison kernel: it takes radii >= 0 and
+cosh(theta) >= 1 as a precondition that its callers check where they
+make those inputs, so that each pair costs only the arithmetic.
 """
 
 import math
@@ -173,26 +178,6 @@ def _hinge_gap(k, r1, r2, u, opposite):
         return _trig_gap(math.sqrt(-k), r1, r2, su)
 
 
-def _gap_tau(k, gap, timelike):
-    """The time separation that gap stands for where timelike, +0.0 elsewhere."""
-    tau = np.where(timelike, gap, 0.0)  # gap 0 means tau 0 at every K
-    if k == 0.0:
-        return np.sqrt(tau, out=tau)
-    if k > 0.0:
-        # cosh(r*tau) = 1 + gap, through arcsinh to keep accuracy
-        np.sqrt(tau * (2.0 + tau), out=tau)
-        np.arcsinh(tau, out=tau)
-    else:
-        # cos(r*tau) = 1 - gap; gap up to 2 + BOUNDARY_TOL is timelike, read at 2
-        np.minimum(tau, 2.0, out=tau)
-        tau /= 2.0
-        np.sqrt(tau, out=tau)
-        np.arcsin(tau, out=tau)
-        tau *= 2.0
-    tau /= math.sqrt(abs(k))
-    return tau
-
-
 def _hinge_null(kappa, r1, r2, u, opposite):
     """Whether the points of hinge_tau_arr lie in each other's null band."""
     gap, scale = _hinge_gap(Kappa.of(kappa).k, r1, r2, u, opposite)
@@ -354,7 +339,23 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
         timelike &= valid
     else:
         valid = np.broadcast_to(True, gap.shape)
-    return _gap_tau(k, gap, timelike), timelike, valid
+    tau = np.where(timelike, gap, 0.0)  # gap 0 stands for tau 0 at every K
+    if k == 0.0:
+        return np.sqrt(tau, out=tau), timelike, valid
+    if k > 0.0:
+        # cosh(r*tau) = 1 + gap, through arcsinh to keep accuracy
+        with np.errstate(over="ignore"):
+            np.sqrt(tau * (2.0 + tau), out=tau)
+        np.arcsinh(tau, out=tau)
+    else:
+        # cos(r*tau) = 1 - gap; gap up to 2 + BOUNDARY_TOL is read at 2
+        np.minimum(tau, 2.0, out=tau)
+        tau /= 2.0
+        np.sqrt(tau, out=tau)
+        np.arcsin(tau, out=tau)
+        tau *= 2.0
+    tau /= math.sqrt(abs(k))
+    return tau, timelike, valid
 
 
 def vertex_hinges(l_ab, l_bc, l_ac):
