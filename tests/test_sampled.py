@@ -618,6 +618,11 @@ class TestGeodesics:
     def test_chain_may_start_below_zero(self):
         assert Chain([0, 1], [-0.5, 0.5]).total == 1.0
 
+    def test_empty_chain_rejected(self):
+        # an empty side would be certified without a single comparison
+        with pytest.raises(ShapeError, match="at least one point"):
+            Chain([], [])
+
 
 class TestEstimateAngle:
     def test_planar_rays(self):
