@@ -117,7 +117,6 @@ class Chain:
             raise ShapeError("points and params must have equal length")
         if self.points.size == 0:
             raise ShapeError("a chain has at least one point")
-        # not `diff <= 0`, which NaN passes
         if not (np.isfinite(self.params).all() and (np.diff(self.params) > 0).all()):
             raise ShapeError("chain parameters must be finite and strictly increasing")
 
