@@ -12,8 +12,6 @@ from lorentzgeo.modelspace import (
     Kappa,
     ModelTriangle,
     _hinge_null,
-    _hyp_gap,
-    _trig_gap,
     SidePosition,
     angle_from_sides,
     angle_from_sides_arr,
@@ -166,6 +164,17 @@ class TestLawOfCosines:
         assert gaps[0] > gaps[1]
 
 
+def reference_gap(k, a, b, su):
+    """_hyp_gap at K > 0 and _trig_gap at K < 0, every term written out."""
+    r = math.sqrt(abs(k))
+    h = 0.5 * r
+    f = np.sinh if k > 0 else np.sin
+    p = f(h * (a + b)) ** 2
+    m = f(h * (a - b)) ** 2
+    c = f(r * a) * f(r * b)
+    return p + m + su * c, p + m + np.abs(su * c) + 1e-300
+
+
 def reference_side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
     """The law of cosines solved for z in its own branch per curvature sign,
     with no null band at K != 0."""
@@ -188,7 +197,7 @@ def reference_side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
         elif k > 0.0:
             r = math.sqrt(k)
             # cosh(rz) = 1 + gap; recover z through arcsinh to keep accuracy
-            gap, scale = _hyp_gap(r, y, t, sg * u)
+            gap, scale = reference_gap(k, y, t, sg * u)
             valid &= gap >= -BOUNDARY_TOL * scale
             gap = np.maximum(gap, 0.0)
             z = np.arcsinh(np.sqrt(gap * (2.0 + gap))) / r
@@ -196,7 +205,7 @@ def reference_side_from_hinge_arr(kappa, y, t, cosh_theta, sigma):
             r = math.sqrt(-k)
             valid &= (y + t) < math.pi / r
             # cos(rz) = 1 - gap; z = 2*arcsin(sqrt(gap/2)) is stable on [0, 2]
-            gap, scale = _trig_gap(r, y, t, sg * u)
+            gap, scale = reference_gap(k, y, t, sg * u)
             valid &= (gap >= -BOUNDARY_TOL * scale) & (gap <= 2.0 + BOUNDARY_TOL)
             z = 2.0 * np.arcsin(np.sqrt(np.clip(gap, 0.0, 2.0) / 2.0)) / r
         # sigma = -1 describes the time order a << c << b, which forces
@@ -296,14 +305,14 @@ def reference_hinge_tau(kappa, r1, r2, u, opposite):
     with np.errstate(invalid="ignore", over="ignore"):
         if k > 0.0:
             r = math.sqrt(k)
-            gap, scale = _hyp_gap(r, r1, r2, sg * u)
+            gap, scale = reference_gap(k, r1, r2, sg * u)
             null = np.abs(gap) <= BOUNDARY_TOL * scale
             timelike = (gap > 0) & ~null
             gp = np.maximum(gap, 0.0)
             tau = np.where(timelike, np.arcsinh(np.sqrt(gp * (2.0 + gp))) / r, 0.0)
         else:
             r = math.sqrt(-k)
-            gap, scale = _trig_gap(r, r1, r2, sg * u)
+            gap, scale = reference_gap(k, r1, r2, sg * u)
             valid &= gap <= 2.0 + BOUNDARY_TOL
             null = np.abs(gap) <= BOUNDARY_TOL * scale
             timelike = (gap > 0) & (gap <= 2.0 + BOUNDARY_TOL) & ~null
@@ -338,16 +347,6 @@ class TestFlatHingeTau:
         r1, r2, u = (np.array(v) for v in zip(*rows))
         assert_hinge_tau_bit_equal(0.0, r1, r2, u, opposite)
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        k=st.sampled_from([-1.0, 1.0]),
-        rows=st.lists(st.tuples(radius, radius, cosh), min_size=1, max_size=50),
-        opposite=st.booleans(),
-    )
-    def test_curved_matches_the_per_pair_checked_formulas_bit_for_bit(self, k, rows, opposite):
-        r1, r2, u = (np.array(v) for v in zip(*rows))
-        assert_hinge_tau_bit_equal(k, r1, r2, u, opposite)
-
     @pytest.mark.parametrize("opposite", [True, False])
     def test_zero_radii_and_unit_cosh(self, opposite):
         r = np.array([0.0, 0.0, 1.0, 2.0, 1.0, 0.0])
@@ -362,6 +361,20 @@ class TestFlatHingeTau:
         for k in (-1.0, 0.0, 1.0):
             tau, timelike, _ = hinge_tau_arr(k, np.array([0.0, 1.0]), np.array([0.0, 2.0]), np.nan, True)
             assert not timelike.any() and tau.tolist() == [0.0, 0.0]
+
+
+class TestCurvedHingeTau:
+    """hinge_tau_arr at K = +-1 on the precondition domain of TestFlatHingeTau."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.sampled_from([-1.0, 1.0]),
+        rows=st.lists(st.tuples(TestFlatHingeTau.radius, TestFlatHingeTau.radius, TestFlatHingeTau.cosh), min_size=1, max_size=50),
+        opposite=st.booleans(),
+    )
+    def test_matches_the_per_pair_checked_formulas_bit_for_bit(self, k, rows, opposite):
+        r1, r2, u = (np.array(v) for v in zip(*rows))
+        assert_hinge_tau_bit_equal(k, r1, r2, u, opposite)
 
 
 class TestSideFromHingeDomain:
