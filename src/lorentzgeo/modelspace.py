@@ -327,7 +327,8 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
     Precondition: r1, r2 >= 0 and cosh_theta >= 1, or NaN (NaN gives
     timelike False).  The callers check it where the inputs are made, so
     that each pair costs only the arithmetic.  valid is the one check that
-    needs the pair: at K < 0, the points lie within the timelike diameter.
+    needs the pair: at K < 0, the points lie within the timelike diameter
+    (at K >= 0 it is a read-only all-True view).
     """
     k = Kappa.of(kappa).k
     gap, scale = _hinge_gap(k, r1, r2, cosh_theta, opposite)

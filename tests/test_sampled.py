@@ -1170,11 +1170,7 @@ def pinned_runs():
     return runs
 
 
-# Whole certificates, bit for bit (see certificate_pin).  The de Sitter fan
-# at K = +1 FAILs both directions on margins of -2.5e-3 and -1.3e-3: the
-# per-pair rounding of the curved comparison is not yet bounded, and once it
-# is, these two pins change on purpose.  The broken grid at K = -1 skips
-# triangles for every domain reason.  The tripod is the bench's, at seed 1.
+# Whole certificates, bit for bit (see certificate_pin and the test below).
 _NO_SKIPS = {"model domain": [], "side end": [], "size bounds": [], "unrealizable": [], "sha256": "4f53cda18c2baa0c"}
 _BROKEN_SKIPS = {
     "model domain": [4, 21, 63, 79],
@@ -1241,6 +1237,14 @@ PINNED_EXACT = {
 
 
 def test_certificates_pinned_bit_for_bit():
+    """Whole certificates at K = +1, -1 and 0 keep every bit.
+
+    The de Sitter fan at K = +1 FAILs both directions on margins of -2.5e-3
+    and -1.3e-3, a false FAIL: the per-pair rounding of the curved
+    comparison is not yet bounded, and bounding it changes these two pins
+    on purpose.  The broken grid at K = -1 skips triangles for every domain
+    reason.  The tripod is the bench's, at seed 1.
+    """
     runs = pinned_runs()
     assert set(runs) == set(PINNED_EXACT)
     for name, cert in runs.items():
