@@ -1147,7 +1147,8 @@ def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction
     np.greater(r1[at_c:], r2[at_c:], out=later[at_c - at_a :])
     np.multiply(tau_m, np.where(later < timelike, -1.0, 1.0), out=model[same])
     del r1, r2, cosh, tau_m, timelike, later
-    if not (ok_b.all() and ok_ac.all()):  # a pair beyond the timelike diameter
+    # valid constrains a pair only at K < 0: beyond the timelike diameter
+    if kappa.k < 0.0 and not (ok_b.all() and ok_ac.all()):
         e = np.flatnonzero(~np.concatenate([ok_b, ok_ac]))
         bad[owner[np.repeat(rows, count)[e]], np.searchsorted([at_a, at_c], e, side="right")] = True
 
