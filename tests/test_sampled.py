@@ -25,6 +25,7 @@ from lorentzgeo.sampled import (
     AxiomReport,
     Certificate,
     Chain,
+    ChainStore,
     SampledSpace,
     SampledTriangle,
     TriangleSet,
@@ -1032,6 +1033,32 @@ class TestBatchedCertification:
             moved = [t for t in range(0, len(tris), 2) if t not in before]
             assert moved and all(reasons[t] == sampled._PAST_MODEL_DOMAIN for t in moved)
             assert {t: r for t, r in reasons.items() if t % 2} == {t: r for t, r in before.items() if t % 2}
+
+    @pytest.mark.parametrize("side", [0, 1, 2], ids=["ab", "bc", "ac"])
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_nan_chain_parameter_skips_every_triangle_using_it(self, side, k):
+        # a ChainStore is not validated, so a chain may carry a NaN parameter;
+        # the kernel's parameter check skips every triangle using that chain
+        # on any side with the model-domain reason, and the NaN reaches no
+        # number of the certificate
+        space, kappa = small_space("grid"), Kappa(k)
+        tris = sample_triangles(space, cap=50)
+        store = tris.chains
+        c = int(tris.sides[0, side])
+        params = store.params.copy()
+        params[store.offsets[c] + (store.offsets[c + 1] - store.offsets[c]) // 2] = np.nan
+        broken = TriangleSet(tris.x, tris.y, tris.z, tris.sides, ChainStore(store.points, params, store.offsets, store.deficits))
+        users = np.flatnonzero((tris.sides == c).any(axis=1)).tolist()
+        for direction in ("above", "below"):
+            before = dict(certify_curvature_bound(space, tris, kappa, direction).skipped)
+            cert = certify_curvature_bound(space, broken, kappa, direction)
+            reasons = dict(cert.skipped)
+            assert users and all(reasons[t] == sampled._PAST_MODEL_DOMAIN for t in users if t not in before)
+            assert {t: r for t, r in reasons.items() if t not in users} == {t: r for t, r in before.items() if t not in users}
+            numbers = [cert.max_violation, cert.max_slack, cert.side_step]
+            numbers += [cert.witness[key] for key in ("tau", "tau_model", "margin")] if cert.witness else []
+            assert np.isfinite(numbers).all()
+            assert_matches_reference(cert, reference_certificate(space, broken, kappa, direction), exact=k == 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
