@@ -1,6 +1,7 @@
 """Fixture and report files.
 
 Fixtures are a JSON header line, then the space's payloads as raw bytes.
+save_fixture writes one; load_fixture is the only decoder, from a file.
 Reports are JSON with deterministic ordering; the runtime block is
 excluded from the determinism contract.  Plot-ready series are emitted
 as CSV, one file per series, stable column order.
@@ -9,7 +10,6 @@ as CSV, one file per series, stable column order.
 import hashlib
 import json
 import os
-from io import BytesIO
 from pathlib import Path
 from typing import NamedTuple
 
@@ -23,9 +23,7 @@ from .splitting import MetricSampleIn
 FIXTURE_SCHEMA = 4
 REPORT_SCHEMA = 1
 PAYLOADS = ("causal", "chronological", "tau")  # the space's binary fields, in file order
-_BYTES = (bytes, memoryview)  # the types a payload may have
 _PANEL_ROWS = 64  # rows of tau scattered per read of its values
-_NOT_FLOATS = "fixture space.tau must be whole little-endian float64 values"
 _POPCOUNT = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.uint8)  # set bits per byte value
 
 
@@ -72,42 +70,6 @@ def fixture_to_dict(space: SampledSpace, lines=(), base: MetricSampleIn | None =
             "meta": _plain(base.meta),
         }
     return doc
-
-
-def fixture_from_dict(doc: dict):
-    """Validate and rebuild (space, lines, base, meta) from a fixture document.
-
-    The space holds the PAYLOADS as bytes or memoryviews: the np.packbits
-    of `causal` and of the chronological mask (tau > 0), and tau's positive
-    entries in row-major order as little-endian float64.  They are decoded
-    as load_fixture decodes a file's body, tau one row panel at a time.
-    Unknown top-level keys are ignored; any other schema or malformed
-    document raises ShapeError.  doc is not modified.
-    """
-    n = _checked_n(doc)
-    sp = doc["space"]
-    raw = sp.get("tau")
-    if not isinstance(raw, _BYTES):
-        raise ShapeError(_NOT_FLOATS)
-    tau, causal = _space_arrays(n, sp.get("causal"), sp.get("chronological"), memoryview(raw).nbytes, BytesIO(raw).read)
-    return _assembled(doc, tau, causal)
-
-
-def _space_arrays(n, causal, chronological, tau_size, read):
-    """The checked dense tau and causal of an n-point space from its payloads.
-
-    causal and chronological are the packed masks' bytes; tau_size is the
-    byte count of the tau payload, whose next k bytes read(k) returns.
-    Everything that can be checked without the values is checked before
-    tau is allocated, and causal is unpacked after it is filled.
-    """
-    if tau_size % 8:
-        raise ShapeError(_NOT_FLOATS)
-    causal = _packed_mask(causal, n, "space.causal")
-    chron = np.frombuffer(_packed_mask(chronological, n, "space.chronological"), np.uint8)
-    if 8 * int(_POPCOUNT[chron].sum(dtype=np.int64)) != tau_size:
-        raise ShapeError("space.tau must hold one value per chronological bit")
-    return _scattered(n, chron, read), _unpacked(causal, n)
 
 
 def _scattered(n, chron, read):
@@ -205,7 +167,7 @@ def _checked_n(doc):
 def _packed_mask(raw, n, what):
     """The bytes of an n x n np.packbits mask, checked for their count and zero padding."""
     spare = -(n * n) % 8  # padding bits in the last byte
-    if not isinstance(raw, _BYTES) or len(raw) != (n * n + spare) // 8 or (spare and raw[-1] & ((1 << spare) - 1)):
+    if len(raw) != (n * n + spare) // 8 or (spare and raw[-1] & ((1 << spare) - 1)):
         raise ShapeError(f"fixture {what} must be {n}x{n} packed bits with zero padding")
     return raw
 
@@ -225,7 +187,7 @@ def _indices(value, n, what):
     pts = _array(value, np.int64, f"{what} points")
     if pts.ndim != 1:
         raise ShapeError(f"{what} points must be a flat list")
-    if n is not None and pts.size and (pts.min() < 0 or pts.max() >= n):
+    if pts.size and (pts.min() < 0 or pts.max() >= n):
         raise ShapeError(f"{what} references out-of-range point indices")
     return pts
 
@@ -244,6 +206,11 @@ def save_fixture(path, space, lines=(), base=None, meta=None):
 
 def load_fixture(path) -> Fixture:
     """Read, validate and hash a fixture file, reading it once.
+
+    The body holds the PAYLOADS: the np.packbits of causal and of the
+    chronological mask (tau > 0), then tau's positive entries in row-major
+    order as little-endian float64.  Unknown top-level header keys are
+    ignored; any other schema or malformed file raises ShapeError.
 
     Only the header line is decoded as text.  The two packed masks are
     read whole, and the tau payload's size is checked against the
@@ -276,8 +243,14 @@ def load_fixture(path) -> Fixture:
         if not line.endswith(b"\n"):
             raise ShapeError("fixture has no payload: a newline and the payload bytes must follow its header")
         causal, chronological = read(size), read(size)
-        tau, causal = _space_arrays(n, causal, chronological, left, read)
-    return Fixture(*_assembled(doc, tau, causal), digest.hexdigest())
+        if left % 8:
+            raise ShapeError("fixture space.tau must be whole little-endian float64 values")
+        causal = _packed_mask(causal, n, "space.causal")
+        chron = np.frombuffer(_packed_mask(chronological, n, "space.chronological"), np.uint8)
+        if 8 * int(_POPCOUNT[chron].sum(dtype=np.int64)) != left:
+            raise ShapeError("space.tau must hold one value per chronological bit")
+        tau = _scattered(n, chron, read)
+    return Fixture(*_assembled(doc, tau, _unpacked(causal, n)), digest.hexdigest())
 
 
 def _plain(obj):

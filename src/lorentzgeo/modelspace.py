@@ -13,7 +13,7 @@ on demand, which avoids precision loss near theta = 0.
 
 The law of cosines is evaluated in one place, _hinge_gap.  Its array
 form hinge_tau_arr is the comparison kernel: it takes radii >= 0 and
-cosh(theta) >= 1 as a precondition that its callers check where they
+cosh(theta) >= 1 as a precondition that its callers ensure where they
 make those inputs, so that each pair costs only the arithmetic.
 """
 
@@ -325,7 +325,7 @@ def hinge_tau_arr(kappa, r1, r2, cosh_theta, opposite):
     radii are allowed and mean the point sits at the vertex.
 
     Precondition: r1, r2 >= 0 and cosh_theta >= 1, or NaN (NaN gives
-    timelike False).  The callers check it where the inputs are made, so
+    timelike False).  The callers ensure it where the inputs are made, so
     that each pair costs only the arithmetic.  valid is the one check that
     needs the pair: at K < 0, the points lie within the timelike diameter
     (at K >= 0 it is a read-only all-True view).

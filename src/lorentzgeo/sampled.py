@@ -1085,12 +1085,13 @@ def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction
     Per pair this does only the law of cosines and the margins.  A block's
     pairs are runs of one row point against its triangle's column side, so
     what belongs to the row point is repeated, not gathered, per pair.
-    hinge_tau_arr's precondition is checked where its inputs are made: a
-    radius r once per side point, as ~(r >= 0) so that NaN fails too (a
-    chain may start below 0; radius is clamped), and u once per triangle.
-    Every row point of a block meets every column point, so block k of
-    triangle t is off the domain when one of its row points, one of its
-    column points or its u fails, or (at K < 0) when one of its pairs does.
+    hinge_tau_arr's precondition r >= 0 is checked once per side point, on
+    par as ~(par >= 0) so that NaN fails too (a chain may start below 0).
+    The radii max(length - par, 0) are NaN only where par is, and u =
+    1 + max(d, 0) only where angle_from_sides_arr's ok already fails the
+    triangle.  Every row point of a block meets every column point, so
+    block k of triangle t is off the domain when one of its parameters
+    fails, or (at K < 0) when one of its pairs does.
     """
     per_side = size.ravel()
     n = size.sum(axis=1)
@@ -1104,16 +1105,14 @@ def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction
     pt, par = chains.points[src], chains.params[src]
     radius = np.maximum(np.repeat(lengths.ravel(), per_side) - par, 0.0)  # to the side's future end
 
-    # hinge_tau_arr's precondition: u per triangle, at the blocks' hinges b, a and c
-    bad = ~(u[:, [1, 0, 2]] >= 1.0)
-    # and each radius per side point, as (side, block) of the blocks it enters
-    for r, uses in ((radius, [(0, 0), (1, 2), (2, 2)]), (par, [(0, 1), (1, 0), (2, 1)])):
-        fails = ~(r >= 0)
-        if fails.any():
-            hit = np.zeros(per_side.size, dtype=bool)
-            hit[seg[fails]] = True
-            for on, k in uses:
-                bad[:, k] |= hit[on::3]
+    # hinge_tau_arr's precondition per side point, on the (side, block) pairs its par enters
+    bad = np.zeros((len(size), 3), dtype=bool)
+    fails = ~(par >= 0)
+    if fails.any():
+        hit = np.zeros(per_side.size, dtype=bool)
+        hit[seg[fails]] = True
+        for on, k in ((0, 1), (1, 0), (2, 1)):
+            bad[:, k] |= hit[on::3]
 
     # the blocks' rows: an ab point takes all of bc, then all of ac (hinges
     # at b and a), and a bc point all of ac (hinge at c)

@@ -1,9 +1,7 @@
 import argparse
 import ast
 import base64
-import copy
 import dataclasses
-import hashlib
 import json
 import os
 import re
@@ -33,7 +31,6 @@ from lorentzgeo.io import (
     doc_to_bytes,
     emit_plotdata,
     file_digest,
-    fixture_from_dict,
     fixture_to_dict,
     load_fixture,
     load_report,
@@ -74,25 +71,25 @@ class TestFixtureIO:
         save_fixture(tmp_path / "g.json", space2, lines2, base2, meta2)
         assert (tmp_path / "f.json").read_bytes() == (tmp_path / "g.json").read_bytes()
 
-    def test_bad_schema_rejected(self):
+    def test_bad_schema_rejected(self, tmp_path):
         for version in (1, 2, 3, 99):
             with pytest.raises(ShapeError, match=f"^unsupported fixture schema {version}: re-generate it with lorentzgeo gen$"):
-                fixture_from_dict({"schema_version": version})
+                load_doc(tmp_path, {"schema_version": version})
 
-    def test_only_positive_tau_written(self):
+    def test_only_positive_tau_written(self, tmp_path):
         space = minkowski_grid(3, 3, 1.0)
         doc = fixture_to_dict(space)
         assert doc["schema_version"] == 4
         chron, values = unpack(doc)
         assert len(values) == chron.sum() == np.count_nonzero(space.tau)
         assert all(v > 0 for v in values)
-        loaded = fixture_from_dict(doc)[0]
+        loaded = load_doc(tmp_path, doc).space
         assert loaded.tau.dtype == space.tau.dtype
         assert np.array_equal(loaded.tau, space.tau)
         assert np.array_equal(loaded.causal, space.causal)
         # the test helper writes new entries and overwrites old ones
-        assert fixture_from_dict(set_tau(doc, 4, 2, 2.5))[0].tau[4, 2] == 2.5
-        assert fixture_from_dict(set_tau(doc, 0, 1, 7.0))[0].tau[0, 1] == 7.0
+        assert load_doc(tmp_path, set_tau(doc, 4, 2, 2.5)).space.tau[4, 2] == 2.5
+        assert load_doc(tmp_path, set_tau(doc, 0, 1, 7.0)).space.tau[0, 1] == 7.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -114,7 +111,6 @@ class TestFixtureIO:
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(lgio, "_PANEL_ROWS", panel):
             data = save_fixture(Path(tmp) / "f.json", space).read_bytes()
             loaded = load_fixture(Path(tmp) / "f.json").space
-            assert np.array_equal(fixture_from_dict(fixture_to_dict(space))[0].tau.view(np.uint64), loaded.tau.view(np.uint64))
             # zeros come back as +0.0: schema 4 stores only the positive entries
             assert np.array_equal(loaded.tau.view(np.uint64), (space.tau + 0.0).view(np.uint64))
             assert np.array_equal(loaded.causal, space.causal)
@@ -136,35 +132,6 @@ class TestFixtureIO:
         assert fixture.space.n == 1625
         assert peak <= retained + 0.25 * egrid_file.stat().st_size
 
-    @pytest.mark.parametrize("product", ["euclid-grid", "tripod"])
-    def test_load_matches_fixture_from_dict(self, request, tmp_path, product):
-        """load_fixture streams the file and fixture_from_dict decodes a
-        document held in memory; on the whole file they agree on every
-        array, line, base and meta, and the streamed sha256 is the file's."""
-        if product == "euclid-grid":
-            path = request.getfixturevalue("egrid_file")
-        else:
-            path = tmp_path / "tripod.json"
-            assert main(["gen", "product", "--base", product, "--step", "0.5", "--window", "5", "-o", str(path)]) == 0
-        data = path.read_bytes()
-        header, body = data.split(b"\n", 1)
-        doc = json.loads(header)
-        size = (doc["space"]["n"] ** 2 + 7) // 8
-        doc["space"].update(causal=body[:size], chronological=body[size : 2 * size], tau=body[2 * size :])
-        space, lines, base, meta, sha256 = load_fixture(path)
-        expect_space, expect_lines, expect_base, expect_meta = fixture_from_dict(doc)
-        assert sha256 == hashlib.sha256(data).hexdigest()
-        assert np.array_equal(space.tau.view(np.uint64), expect_space.tau.view(np.uint64))
-        assert np.array_equal(space.causal, expect_space.causal)
-        assert (space.labels, space.meta) == (expect_space.labels, expect_space.meta)
-        assert len(lines) == len(expect_lines) > 0
-        for got, expect in zip(lines, expect_lines):
-            assert np.array_equal(got.points, expect.points)
-            assert (got.t0, got.step, got.kind, got.label) == (expect.t0, expect.step, expect.kind, expect.label)
-        assert np.array_equal(base.dist, expect_base.dist)
-        assert (base.labels, base.midpoints, base.meta) == (expect_base.labels, expect_base.midpoints, expect_base.meta)
-        assert base.midpoints and meta == expect_meta
-
     def test_file_is_a_header_line_then_the_payloads(self, tmp_path):
         """The first line is the JSON document without its payloads; the
         body is causal, chronological and tau, with no length fields."""
@@ -178,27 +145,21 @@ class TestFixtureIO:
         assert len(sp["tau"]) == 8 * np.count_nonzero(space.tau)
         assert body == sp["causal"] + sp["chronological"] + sp["tau"]
 
-    def test_unknown_top_level_keys_ignored(self):
+    def test_unknown_top_level_keys_ignored(self, tmp_path):
         """A fixture written with the retired `chains` list, or any other
         unknown top-level key, loads as the fixture without it."""
         doc = valid_fixture()
         assert "chains" not in doc
         chains = [{"points": [0, 1, 2], "params": [0.0, 1.0, 2.0]}]
         for extra in ({"chains": []}, {"chains": chains}, {"note": [1]}):
-            loaded = fixture_from_dict({**doc, **extra})
-            assert fixture_to_dict(*loaded) == doc
+            loaded = load_doc(tmp_path, {**doc, **extra})
+            assert fixture_to_dict(*loaded[:4]) == doc
 
-    def test_fixture_from_dict_leaves_its_argument(self):
-        doc = valid_fixture()
-        before = copy.deepcopy(doc)
-        fixture_from_dict(doc)
-        assert doc == before
-
-    def test_out_of_range_indices_rejected(self):
+    def test_out_of_range_indices_rejected(self, tmp_path):
         space = minkowski_grid(3, 3, 1.0)
         doc = fixture_to_dict(space, [LineSample([0, 99], 0.0, 1.0)])
         with pytest.raises(ShapeError):
-            fixture_from_dict(doc)
+            load_doc(tmp_path, doc)
 
 
 class TestReports:
@@ -658,11 +619,10 @@ class TestCli:
         ],
     )
     def test_malformed_fixture_exit_2(self, tmp_path, capsys, mutate):
-        doc = mutate(valid_fixture())
-        with pytest.raises(ShapeError):
-            fixture_from_dict(doc)
         path = tmp_path / "f.json"
-        path.write_bytes(fixture_file(doc))
+        path.write_bytes(fixture_file(mutate(valid_fixture())))
+        with pytest.raises(ShapeError):
+            load_fixture(path)
         for command, *extra in FUZZ_COMMANDS:
             capsys.readouterr()
             assert main([command, str(path), *extra]) == 2
@@ -690,7 +650,7 @@ class TestCli:
         if key == "dist":
             doc["base"][key][j][i] = value
         with pytest.raises(ShapeError, match=field):
-            fixture_from_dict(doc)
+            load_doc(tmp_path, doc)
         write_doc(tripod_fixture, doc)
         out = tmp_path / "r.json"
         for command in ("split", "roundtrip"):
@@ -717,7 +677,7 @@ class TestCli:
         doc = read_doc(tripod_fixture)
         doc["base"] = edit(doc["base"])
         with pytest.raises(ShapeError, match=f"^fixture {field}"):
-            fixture_from_dict(doc)
+            load_doc(tmp_path, doc)
         write_doc(tripod_fixture, doc)
         out = tmp_path / "r.json"
         for command in ("split", "roundtrip"):
@@ -735,7 +695,7 @@ class TestCli:
         doc = read_doc(tripod_fixture)
         del doc["space"]["meta"]["base_points"]
         doc["base"] = fixture_to_dict(minkowski_grid(2, 2, 1.0), base=base_pair(1.0))["base"]
-        assert fixture_from_dict(doc)[2].m == 2
+        assert load_doc(tmp_path, doc).base.m == 2
         write_doc(tripod_fixture, doc)
         out = tmp_path / "r.json"
         for command in ("split", "roundtrip"):
@@ -1263,6 +1223,33 @@ class TestCli:
                     read.add(node.attr)
         assert private and sorted(private - read) == []
 
+    def test_every_public_name_is_used_outside_the_tests(self):
+        """Every public module-level function and class in the package is
+        read somewhere in src, demos or bench, so a public name that only
+        tests call is not kept as API.  An import does not count as a read:
+        the package's __init__ imports every name it exports.  A string
+        "module.name", as the bench names the layers it traces, does."""
+        package = Path(cli.__file__).parent
+        root = package.parents[1]
+        public = [
+            (path.stem, node.name)
+            for path in sorted(package.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        read, strings = set(), set()
+        for path in [package, root / "demos", root / "bench"]:
+            for file in sorted(path.rglob("*.py")):
+                for node in ast.walk(ast.parse(file.read_text())):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        read.add(node.id)
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        read.add(node.attr)
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        strings.add(node.value)
+        unread = [f"{m}.{name}" for m, name in public if name not in read and f"{m}.{name}" not in strings]
+        assert public and unread == []
+
     def test_every_default_is_passed_somewhere(self):
         """Every defaulted parameter of a function in the package is passed, by
         keyword or by position, in some call in src, tests, demos or bench.
@@ -1338,6 +1325,13 @@ def fixture_file(doc):
     if isinstance(doc, dict) and isinstance(doc.get("space"), dict):
         return doc_to_bytes(doc)
     return json.dumps(doc).encode() + b"\n"
+
+
+def load_doc(tmp_path, doc):
+    """load_fixture of doc, written to tmp_path as fixture_file(doc)."""
+    path = tmp_path / "doc.json"
+    path.write_bytes(fixture_file(doc))
+    return load_fixture(path)
 
 
 def unpack(doc):
