@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -16,6 +17,7 @@ from lorentzgeo.fixtures import (
     base_point,
     base_sphere_sample,
     base_tripod,
+    product_fixture,
 )
 from lorentzgeo.parallels import LineSample
 from lorentzgeo.sampled import validate_axioms
@@ -618,3 +620,45 @@ class TestRoundTrip:
     def test_hyperbolic_sample(self):
         rep = round_trip(base_hyperbolic_sample(m=4, seed=5), GRID)
         assert rep.max_deviation <= 0.25 + 1e-9
+
+
+def _cut_lines(lines):
+    """Lines cut to start at different t0, plus a later copy of line 1 that
+    shares its points at other parameters and so joins line 1's class."""
+    cut = [
+        LineSample(ln.points[(3 * k) % 7 : len(ln) - (5 * k) % 4], ln.t0 + (3 * k) % 7 * ln.step, ln.step, label=ln.label)
+        for k, ln in enumerate(lines)
+    ]
+    return cut + [LineSample(lines[1].points[5:], lines[1].t0 + 7.0, lines[1].step, label="copy")]
+
+
+# sha256 of the classes (each representative's points, t0 and shift) and the
+# bits of dS and dS_alt, and the EmbeddingReport repr, of `gen product` fixtures
+PINNED_PIPELINE = {
+    ("tripod", "whole"): ("6529171de7b62f80098661e5b660b0de3ee28a300a7c7c3fb1a66679d3f6ee5c", 'EmbeddingReport(max_tau_error=0.0, causal_agreement=1.0, worst=None, pairs_checked=13128, pairs_trimmed=4296)'),
+    ("tripod", "cut"): ("04bde577d619e0308fa19572ec808e46e0af0277dc936d497398d69c8b11fe99", 'EmbeddingReport(max_tau_error=0.0, causal_agreement=1.0, worst=None, pairs_checked=9778, pairs_trimmed=3447)'),
+    ("euclid-grid", "whole"): ("9a565681bc5f81614f7ebd71a2eca48af5f67013bd562627a6958c26fdb64c0e", "EmbeddingReport(max_tau_error=0.3783947138236625, causal_agreement=1.0, worst={'classes': (0, 11), 'pair': (0, 374), 'tau': 4.153311931459037, 'model': 3.774917217635375}, pairs_checked=233858, pairs_trimmed=44926)"),
+    ("euclid-grid", "cut"): ("e37ac50fc015af023db4238307d98d4a4e66a8d055cf12712f4d01d565e1ca4e", "EmbeddingReport(max_tau_error=0.3783947138236625, causal_agreement=1.0, worst={'classes': (0, 11), 'pair': (0, 374), 'tau': 4.153311931459037, 'model': 3.774917217635375}, pairs_checked=172424, pairs_trimmed=38257)"),
+    ("hyperbolic-sample", "whole"): ("96b0cfbf9d12bf78dc7c4e7761762e8185ca6987bed9576d2fb07133964920e2", "EmbeddingReport(max_tau_error=0.3419933441747105, causal_agreement=1.0, worst={'classes': (3, 2), 'pair': (122, 98), 'tau': 3.696095310424395, 'model': 3.3541019662496847}, pairs_checked=30751, pairs_trimmed=8453)"),
+    ("hyperbolic-sample", "cut"): ("814f22eb41f28462d80fa6f437dd1e46265db1fcc5e581b61b00793b3a5a1336", "EmbeddingReport(max_tau_error=0.3419933441747096, causal_agreement=1.0, worst={'classes': (3, 2), 'pair': (101, 77), 'tau': 3.696095310424395, 'model': 3.3541019662496856}, pairs_checked=23327, pairs_trimmed=6949)"),
+    ("sphere-sample", "whole"): ("faac778a593c96bcb210b15838d85aae68639a693a77a8b0a129de266fb2e46c", "EmbeddingReport(max_tau_error=0.31906670486921973, causal_agreement=1.0, worst={'classes': (1, 3), 'pair': (33, 109), 'tau': 3.889780919140645, 'model': 3.570714214271425}, pairs_checked=21021, pairs_trimmed=6204)"),
+    ("sphere-sample", "cut"): ("895174f50dfde5f22f6bf810d1b16d238517a34f6d5c3d99cea33f83417f9455", "EmbeddingReport(max_tau_error=0.31906670486921973, causal_agreement=1.0, worst={'classes': (1, 3), 'pair': (36, 112), 'tau': 3.889780919140645, 'model': 3.570714214271425}, pairs_checked=15468, pairs_trimmed=4981)"),
+}
+
+
+class TestPinnedPipeline:
+    @pytest.mark.parametrize("name,variant", sorted(PINNED_PIPELINE))
+    def test_split_pipeline_bit_for_bit(self, name, variant):
+        space, lines, _ = product_fixture(name)
+        if variant == "cut":
+            lines = _cut_lines(lines)
+        classes = extract_line_classes(space, lines, lines[0])
+        rec = compute_dS(space, classes)
+        digest = hashlib.sha256()
+        for c in classes:
+            rep = c.representative
+            digest.update(rep.points.astype("<i8").tobytes())
+            digest.update(np.array([rep.t0, c.shift_to_reference]).view(np.uint64).tobytes())
+        digest.update(rec.dS.view(np.uint64).tobytes())
+        digest.update(rec.dS_alt.view(np.uint64).tobytes())
+        assert (digest.hexdigest(), repr(verify_embedding(space, classes, rec))) == PINNED_PIPELINE[name, variant]
