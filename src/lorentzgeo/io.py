@@ -94,7 +94,7 @@ def _assembled(doc, tau, causal):
     sp = doc["space"]
     labels = _optional(sp.get("labels"), list, "space.labels")
     meta = _expect(sp.get("meta", {}), dict, "space.meta")
-    space = SampledSpace(tau=tau, causal=causal, labels=labels, meta=meta)
+    space = SampledSpace._scanned(tau, causal, labels, meta)  # _scattered checked every tau value
     lines = []
     for ln in _expect(doc.get("lines", []), list, "lines"):
         ln = _expect(ln, dict, "line")

@@ -43,6 +43,8 @@ class LineSample:
 
     def __post_init__(self):
         object.__setattr__(self, "points", np.asarray(self.points, dtype=int))
+        if not (math.isfinite(self.t0) and math.isfinite(self.step)):
+            raise ShapeError("line t0 and step must be finite")
         if self.step <= 0:
             raise ShapeError("line step must be positive")
         if self.kind not in ("line", "future-ray", "past-ray"):
@@ -92,24 +94,33 @@ def is_line(space: SampledSpace, line: LineSample, tol: float = DEFAULT_GEO_TOL)
     return ok, worst
 
 
-def _overlaps(first: LineSample, second: LineSample):
-    """Grid offsets s >= 0 between two lines, in increasing order.
+def _offsets(first: LineSample, second: LineSample):
+    """(d, s) of the grid offsets s >= 0 between two lines, in increasing order.
 
-    Yields (s, i, j) for each offset at which the lines overlap:
-    first.points[i] and second.points[j] sit at parameters t and t + s.
-    Raises ShapeError when the lines' grid steps differ.
+    At index shift d, first.points[i] and second.points[i + d] sit at
+    parameters t and t + s, for every i both lines hold.  The floor of s
+    scales with the parameters' magnitude, so the aligned zero offset
+    survives the rounding of parameters far from zero.  Raises ShapeError
+    when the lines' grid steps differ.
     """
     h = first.step
     if abs(second.step - h) > 1e-12 * (1 + h):
         raise ShapeError("incompatible grid steps")
     na, nb = len(first), len(second)
-    if not (na and nb):
-        return
-    for d in range(1 - na, nb):
-        s = (second.t0 + d * h) - first.t0
-        if s >= -1e-12:
-            i = np.arange(max(0, -d), min(na, nb - d))
-            yield s, i, i + d
+    d = np.arange(1 - na, nb) if na and nb else np.zeros(0, dtype=int)
+    at = second.t0 + d * h
+    s = at - first.t0
+    keep = s >= -1e-12 * (1 + np.maximum(np.abs(at), abs(first.t0)))
+    return d[keep], s[keep]
+
+
+def _overlaps(first: LineSample, second: LineSample):
+    """Yields (s, i, j) for each offset of _offsets, in its order:
+    first.points[i] and second.points[j] sit at parameters t and t + s."""
+    na, nb = len(first), len(second)
+    for d, s in zip(*_offsets(first, second)):
+        i = np.arange(max(0, -d), min(na, nb - d))
+        yield float(s), i, i + d
 
 
 def weakly_parallel_offset(space, alpha: LineSample, beta: LineSample):
@@ -117,13 +128,22 @@ def weakly_parallel_offset(space, alpha: LineSample, beta: LineSample):
 
     Returns (s_ab, s_ba) with alpha(t) <= beta(t + s_ab) and
     beta(t) <= alpha(t + s_ba) on every overlapping grid parameter, or
-    None when no offset the lines overlap at works.
+    None when no offset the lines overlap at works.  Each direction
+    gathers the lines' causal block once: offset d is the block's d-th
+    diagonal, read as a row of a strided view of a True-padded copy.
     """
     def scan(first: LineSample, second: LineSample):
-        for s, i, j in _overlaps(first, second):
-            if space.causal[first.points[i], second.points[j]].all():
-                return float(s)
-        return None
+        d, s = _offsets(first, second)
+        if not d.size:
+            return None
+        na, nb = len(first), len(second)
+        padded = np.ones((na, nb + 2 * (na - 1)), dtype=bool)  # True where a diagonal leaves the block
+        padded[:, na - 1 : na - 1 + nb] = space.causal[np.ix_(first.points, second.points)]
+        rows, cols = padded.strides
+        # diagonals[d + na - 1, i] is padded[i, i + d + na - 1], the block's entry (i, i + d)
+        diagonals = np.lib.stride_tricks.as_strided(padded, (na + nb - 1, na), (cols, rows + cols), writeable=False)
+        passing = diagonals[d + na - 1].all(axis=1)
+        return float(s[np.argmax(passing)]) if passing.any() else None
 
     s_ab, s_ba = scan(alpha, beta), scan(beta, alpha)
     if s_ab is None or s_ba is None:

@@ -50,6 +50,20 @@ class SampledSpace:
     def __post_init__(self):
         self.tau = np.asarray(self.tau, dtype=float)
         self.causal = np.asarray(self.causal, dtype=bool)
+        self._check(scan=True)
+
+    @classmethod
+    def _scanned(cls, tau: np.ndarray, causal: np.ndarray, labels: list | None, meta: dict) -> "SampledSpace":
+        """The space of a float tau and a bool causal whose tau entries the
+        caller has checked finite and nonnegative: no n x n rescan."""
+        space = object.__new__(cls)
+        space.tau, space.causal, space.labels, space.meta = tau, causal, labels, meta
+        space._check(scan=False)
+        return space
+
+    def _check(self, scan: bool):
+        """Check the shapes, the labels, tau's entries (when scan) and its
+        diagonal, then make tau and causal read-only."""
         n = self.tau.shape[0]
         if self.tau.shape != (n, n) or self.causal.shape != (n, n):
             raise ShapeError(
@@ -57,12 +71,12 @@ class SampledSpace:
             )
         if self.labels is not None and len(self.labels) != n:
             raise ShapeError(f"{len(self.labels)} labels for {n} points")
-        # no n x n temporaries: NaN reaches both ends, +inf the max, -inf the min
-        low, high = self.tau.min(initial=0.0), self.tau.max(initial=0.0)
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ShapeError("tau contains non-finite entries")
-        if low < 0:
-            raise ShapeError("tau contains negative entries")
+        if scan:  # no n x n temporaries: NaN reaches both ends, +inf the max, -inf the min
+            low, high = self.tau.min(initial=0.0), self.tau.max(initial=0.0)
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ShapeError("tau contains non-finite entries")
+            if low < 0:
+                raise ShapeError("tau contains negative entries")
         if np.diag(self.tau).any():
             raise ShapeError("tau has a nonzero diagonal")
         self.tau.flags.writeable = False

@@ -136,8 +136,38 @@ def same_class(l1: LineSample, l2: LineSample) -> bool:
     return False
 
 
+def _sharing_earlier(lines):
+    """For each line, the increasing indices of the earlier lines that share a point with it."""
+    m = len(lines)
+    points = np.concatenate([ln.points for ln in lines] + [np.zeros(0, dtype=int)])
+    owner = np.repeat(np.arange(m), [len(ln) for ln in lines])
+    order = np.argsort(points, kind="stable")  # by point; each point's lines stay in increasing order
+    points, owner = points[order], owner[order]
+    shares = np.zeros((m, m), dtype=bool)  # shares[k, j]: lines k >= j hold a common point
+    for gap in range(1, len(points)):  # lines gap apart among one point's lines
+        same = points[gap:] == points[:-gap]
+        if not same.any():  # no point is held more than gap times
+            break
+        shares[owner[gap:][same], owner[:-gap][same]] = True
+    return [np.flatnonzero(row[:k]).tolist() for k, row in enumerate(shares)]
+
+
+def _grouped(lines):
+    """The lines in same_class groups, each led by its first line, in order of their heads."""
+    groups = {}  # head's index -> the group's lines
+    for k, sharing in enumerate(_sharing_earlier(lines)):
+        head = next((j for j in sharing if j in groups and same_class(lines[j], lines[k])), k)
+        groups.setdefault(head, []).append(lines[k])
+    return list(groups.values())
+
+
 def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAULT_TOL_TAU, geo_tol: float = DEFAULT_GEO_TOL):
     """Group lines by shift equivalence and synchronise them to a reference.
+
+    Each line joins the first earlier group whose head it is same_class
+    with, or heads a group of its own.  same_class only holds for lines
+    that share a point, so it is tried only on the (head, line) pairs that
+    share one, which one sort of all the lines' points finds.
 
     Raises NotParallel when a line fails the geodesic witness, is not
     weakly parallel to the reference within the sampled windows, or fails
@@ -153,17 +183,8 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
         if weakly_parallel_offset(space, reference, ln) is None:
             raise NotParallel(f"{ln.label or 'line'} is not weakly parallel to the reference")
 
-    groups = []
-    for ln in all_lines:
-        for g in groups:
-            if same_class(g[0], ln):
-                g.append(ln)
-                break
-        else:
-            groups.append([ln])
-
     classes = []
-    for g in groups:
+    for g in _grouped(all_lines):
         fit = sync_parallel_fit(space, reference, g[0], tol)
         label = g[0].label or "line"
         if fit is None and np.count_nonzero(space.tau[np.ix_(reference.points, g[0].points)]) < 2:
@@ -318,13 +339,18 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     Pairs within _TRIM_STEPS grid steps of the model cone are excluded
     from the stats (the inf-formula quantizes dS up by at most one step,
     which distorts exactly that band) but counted.  Each class row is
-    compared _COLUMNS columns at a time; only the block of the class that
-    holds a new largest error is compared again, to find that pair.
+    compared _COLUMNS columns at a time, in buffers allocated once per
+    call, and reads runs of consecutive points as views, not copies; only
+    the block of the class that holds a new largest error is compared
+    again, to find that pair.
     """
     reps = [c.representative for c in classes]
-    h = base.step
     points, params, starts, lengths = _stacked(reps)
     owner = np.repeat(np.arange(len(reps)), lengths)  # the class of each column
+    trim = _TRIM_STEPS * base.step
+    rows = lengths.max(initial=0)
+    size = rows * max(_COLUMNS, rows)  # pairs of a block: _COLUMNS columns, or a whole class
+    scratch = [np.empty(size) for _ in range(3)] + [np.empty(size, dtype=bool) for _ in range(3)]
     max_err = 0.0
     worst = None
     agree = 0
@@ -332,17 +358,25 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     trimmed = 0
     for a, alpha in enumerate(reps):
         # columns: all classes end to end; no model cone where dS is not finite
-        own = owner == a
+        own = slice(starts[a], starts[a] + len(alpha))
         ds = base.dS[a][owner]
         ds[own] = 0.0
         finite = np.isfinite(ds)
         ds[~finite] = 0.0
+        cone = np.where(finite, ds - 1e-12 * (1 + ds), np.inf)
+        finite = None if finite.all() else finite
 
-        tau_rows, causal_rows = space.tau[alpha.points], space.causal[alpha.points]
+        row_params = alpha.params
+        at = _run(alpha.points)
+        tau_rows, causal_rows = space.tau[at], space.causal[at]
 
         def compared(cols):
-            tau, causal = tau_rows[:, points[cols]], causal_rows[:, points[cols]]
-            return _compared(alpha.params, tau, causal, params[cols], ds[cols], finite[cols], own[cols], h)
+            at = _run(points[cols])
+            own_cols = slice(max(own.start - cols.start, 0), max(own.stop - cols.start, 0))
+            return _compared(
+                row_params, tau_rows[:, at], causal_rows[:, at], params[cols], ds[cols], cone[cols],
+                None if finite is None else finite[cols], own_cols, trim, scratch,
+            )
 
         column_max = np.empty(len(points))
         for lo in range(0, len(points), _COLUMNS):
@@ -372,21 +406,38 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     )
 
 
-def _compared(row_params, actual_tau, actual_causal, params, ds, finite, own, h):
+def _run(index):
+    """A slice for an index array of consecutive integers, which reads a view; else index."""
+    if len(index) and index[-1] - index[0] == len(index) - 1 and (np.diff(index) == 1).all():
+        return slice(index[0], index[-1] + 1)
+    return index
+
+
+def _compared(row_params, tau, causal, params, ds, cone, finite, own, trim, scratch):
     """(err, model_tau, trimmed, agreeing) of a block of sampled tau and
-    causal against the model: err is |tau - model|, -1 on the trimmed band."""
-    cone = np.where(finite, ds - 1e-12 * (1 + ds), np.inf)
-    du = params[None, :] - row_params[:, None]
-    q2 = du * du - ds * ds
-    model_causal = du >= cone
-    model_tau = np.zeros_like(q2)
-    np.sqrt(q2, out=model_tau, where=model_causal & (q2 > 0))
-    band = (np.abs(du - ds) < _TRIM_STEPS * h) & finite
-    band |= (du <= 0) & own  # only future-directed self pairs are informative
-    err = np.abs(actual_tau - model_tau)
-    agreeing = int(np.count_nonzero((actual_causal == model_causal) & ~band))
-    np.copyto(err, -1.0, where=band)  # kept pairs only from here on
-    return err, model_tau, int(np.count_nonzero(band)), agreeing
+    causal against the model, in scratch's three float and three bool buffers.
+
+    err is |tau - model|, -1 on the trimmed band; finite is None when every
+    column's dS is finite, and own slices the row's own class's columns.
+    """
+    du, model_tau, err, model_causal, band, equal = (buf[: tau.size].reshape(tau.shape) for buf in scratch)
+    np.subtract(params, row_params[:, None], out=du)
+    np.multiply(du, du, out=model_tau)
+    np.subtract(model_tau, ds * ds, out=model_tau)
+    np.maximum(model_tau, 0.0, out=model_tau)
+    np.sqrt(model_tau, out=model_tau)
+    np.greater_equal(du, cone, out=model_causal)
+    np.multiply(model_tau, model_causal, out=model_tau)
+    np.less(np.abs(np.subtract(du, ds, out=err), out=err), trim, out=band)
+    if finite is not None:
+        band &= finite
+    if own.start < own.stop:  # only future-directed self pairs are informative
+        band[:, own] |= du[:, own] <= 0
+    np.abs(np.subtract(tau, model_tau, out=err), out=err)
+    agreeing = np.count_nonzero(np.equal(causal, model_causal, out=equal))
+    agreeing -= np.count_nonzero(np.logical_and(equal, band, out=equal))
+    np.putmask(err, band, -1.0)  # kept pairs only from here on
+    return err, model_tau, int(np.count_nonzero(band)), int(agreeing)
 
 
 @dataclass

@@ -630,6 +630,26 @@ class TestCli:
             assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            # chronological 011/011/000 packs to 6C 00: tau(1, 1) = 0.5
+            (lambda doc: with_space(doc, chronological=bytes([0x6C, 0x00]), tau=floats(1.0, 2.0, 0.5, 1.0)), "tau has a nonzero diagonal"),
+            (lambda doc: with_space(doc, labels=["a"]), "1 labels for 3 points"),
+        ],
+        ids=["chronological-diagonal", "labels-length"],
+    )
+    def test_loaded_space_keeps_its_checks(self, tmp_path, capsys, monkeypatch, mutate, message):
+        """The load skips SampledSpace's rescan of tau's values, which it has
+        checked already, but not its diagonal and labels checks."""
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_bytes(fixture_file(valid_fixture()))
+        bad.write_bytes(fixture_file(mutate(valid_fixture())))
+        monkeypatch.setattr(SampledSpace, "__post_init__", mock.Mock(side_effect=AssertionError("tau rescanned")))
+        assert load_fixture(good).space.n == 3
+        assert main(["lines", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "key, entry, value, field",
         [
             ("dist", (0, 1), float("inf"), "base.dist"),

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lorentzgeo.errors import StripInconsistent, WindowExhausted
+from lorentzgeo.errors import ShapeError, StripInconsistent, WindowExhausted
 from lorentzgeo.fixtures import (
     base_pair,
+    base_point,
     base_tripod,
     desitter_sample,
     plane_ray_fan,
@@ -13,6 +16,7 @@ from lorentzgeo.fixtures import (
 )
 from lorentzgeo.parallels import (
     LineSample,
+    _overlaps,
     asymptotic_ray,
     concat_angle,
     flat_strip_reconstruct,
@@ -23,6 +27,19 @@ from lorentzgeo.parallels import (
 )
 from lorentzgeo.sampled import Chain, SampledSpace, geodesic_between
 from lorentzgeo.splitting import build_product
+
+
+def oracle_weakly_parallel_offset(space, alpha, beta):
+    """weakly_parallel_offset as one causal gather per grid offset, in _overlaps' order."""
+
+    def scan(first, second):
+        for s, i, j in _overlaps(first, second):
+            if space.causal[first.points[i], second.points[j]].all():
+                return s
+        return None
+
+    s_ab, s_ba = scan(alpha, beta), scan(beta, alpha)
+    return None if s_ab is None or s_ba is None else (s_ab, s_ba)
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +79,16 @@ class TestIsLine:
         assert is_line(space, single)[0]
 
 
+class TestLineSample:
+    @pytest.mark.parametrize(
+        "t0, step",
+        [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0)],
+    )
+    def test_non_finite_grid_rejected(self, t0, step):
+        with pytest.raises(ShapeError, match="^line t0 and step must be finite$"):
+            LineSample([0, 1], t0, step)
+
+
 class TestWeaklyParallel:
     def test_product_offsets(self, pair_product):
         space, lines = pair_product
@@ -78,6 +105,40 @@ class TestWeaklyParallel:
             assert weakly_parallel_offset(space, alpha, beta) is None
             with pytest.raises(WindowExhausted):
                 strip_profile(space, alpha, beta)
+
+    @pytest.mark.parametrize("t0, t1", [(0.1, 0.3), (10000.1, 10000.3)])
+    def test_aligned_zero_offset_far_from_zero(self, t0, t1):
+        """Lines on one chain, the second from its third point, overlap at
+        offset 0, though s rounds to -1.8e-12 at t0 = 10000.1 and 10000.3."""
+        space, (chain,) = build_product(base_point(), 0.1 * np.arange(40))
+        alpha = LineSample(chain.points, t0, 0.1)
+        beta = LineSample(chain.points[2:], t1, 0.1)
+        assert weakly_parallel_offset(space, alpha, beta) == pytest.approx((0.0, 0.0), abs=1e-9)
+        assert strip_profile(space, alpha, beta).offsets[0] == pytest.approx(0.0, abs=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 7),
+        origin=st.sampled_from([0.0, 0.1, -8.0, 10000.1]),
+        steps=st.sampled_from([(0.1, 0.1), (0.25, 0.25), (1.0, 1.0), (0.25, 0.5)]),
+    )
+    def test_block_scan_matches_the_per_offset_scan(self, data, n, origin, steps):
+        """Random causal relations and lines with repeated points, empty
+        lines and unequal steps, at grid origins near and far from zero."""
+        causal = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        space = SampledSpace(tau=np.zeros((n, n)), causal=causal)
+        alpha, beta = (
+            LineSample(data.draw(st.lists(st.integers(0, n - 1), max_size=8)), origin + step * data.draw(st.integers(-4, 4)), step)
+            for step in steps
+        )
+        if steps[0] != steps[1]:
+            with pytest.raises(ShapeError, match="^incompatible grid steps$"):
+                weakly_parallel_offset(space, alpha, beta)
+            return
+        got = weakly_parallel_offset(space, alpha, beta)
+        assert got == oracle_weakly_parallel_offset(space, alpha, beta)
+        assert got is None or all(type(s) is float for s in got)
 
     def test_desitter_opposite_meridians(self):
         space, lines, _ = desitter_sample(8, 13, 1.5)

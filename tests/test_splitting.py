@@ -20,7 +20,7 @@ from lorentzgeo.fixtures import (
     product_fixture,
 )
 from lorentzgeo.parallels import LineSample
-from lorentzgeo.sampled import validate_axioms
+from lorentzgeo.sampled import SampledSpace, validate_axioms
 from lorentzgeo.splitting import (
     EmbeddingReport,
     LineClass,
@@ -52,6 +52,20 @@ def oracle_same_class(l1, l2):
         if np.array_equal(l1.points[lo:hi], l2.points[lo + dshift : hi + dshift]):
             return True
     return False
+
+
+def oracle_grouped(lines, same=same_class):
+    """extract_line_classes' groups from same_class on every (group head, line)
+    pair, the first matching group winning."""
+    groups = []
+    for ln in lines:
+        for g in groups:
+            if same(g[0], ln):
+                g.append(ln)
+                break
+        else:
+            groups.append([ln])
+    return groups
 
 
 def oracle_compute_dS(space, classes):
@@ -257,8 +271,19 @@ def _infinite_window():
     return build_product(base, np.arange(-2, 2.001, 0.25))
 
 
+def _shuffled():
+    """Tripod product with its points in a random order, so that no line is a
+    run of consecutive indices and every block of verify_embedding is gathered."""
+    space, lines = build_product(base_tripod(), GRID)
+    order = np.random.default_rng(0).permutation(space.n)  # new point k is old point order[k]
+    where = np.argsort(order)  # old point p is new point where[p]
+    shuffled = SampledSpace(tau=space.tau[np.ix_(order, order)], causal=space.causal[np.ix_(order, order)])
+    return shuffled, [LineSample(where[ln.points], ln.t0, ln.step, label=ln.label) for ln in lines]
+
+
 PRODUCTS = {
     "tripod": lambda: build_product(base_tripod(), GRID),
+    "shuffled-tripod": _shuffled,
     "pair": lambda: build_product(base_pair(1.0), GRID),
     "sqrt2-pair": lambda: build_product(base_pair(math.sqrt(2)), GRID),
     "unequal-lengths": _unequal_lengths,
@@ -385,6 +410,83 @@ class TestSameClass:
         l1, l2 = self.line(p1), self.line(p2)
         assert same_class(l1, l2) == oracle_same_class(l1, l2)
         assert same_class(l2, l1) == oracle_same_class(l2, l1)
+
+
+class TestGrouping:
+    @staticmethod
+    def counted_same_class(monkeypatch):
+        """The (head, line) pairs same_class is called on from here on."""
+        calls = []
+
+        def counted(l1, l2):
+            calls.append((l1.label, l2.label))
+            return same_class(l1, l2)
+
+        monkeypatch.setattr(splitting, "same_class", counted)
+        return calls
+
+    def test_egrid_product_tries_no_pair(self, monkeypatch):
+        """The bench's egrid product: 25 lines that share no point, which
+        the pairwise loop compared 300 times."""
+        space, lines, _ = product_fixture("euclid-grid", step=0.25, window=8.0, m=5)
+        calls = self.counted_same_class(monkeypatch)
+        classes = extract_line_classes(space, lines, lines[0])
+        assert len(classes) == 25 and calls == []
+        assert len(oracle_grouped(lines, splitting.same_class)) == 25 and len(calls) == 300
+
+    def test_tries_exactly_the_pairs_that_share_a_point(self, monkeypatch):
+        def line(label, points):
+            return LineSample(np.asarray(points), 0.0, 1.0, label=label)
+
+        lines = [
+            line("a", range(10)),
+            line("b", range(5, 15)),  # 5 points of a, below the majority of 6
+            line("c", range(20, 30)),
+            line("d", range(2, 12)),  # a shifted by 2: joins a's group
+            line("e", [25, 100, 101]),  # one point of c
+            line("f", range(40, 50)),
+            line("g", [0, 20, 40, 20]),  # one point each of a, c and f, one twice
+            line("h", range(5, 15)),  # b again: joins b's group, a is tried first
+            line("i", []),
+        ]
+        sharing = {
+            (h, ln): bool(set(lines[h].points.tolist()) & set(lines[ln].points.tolist()))
+            for ln in range(len(lines))
+            for h in range(ln)
+        }
+        expect, heads = [], []
+        for ln in range(len(lines)):  # the pairwise loop, over the pairs that share a point
+            for h in heads:
+                if sharing[h, ln]:
+                    expect.append((lines[h].label, lines[ln].label))
+                    if same_class(lines[h], lines[ln]):
+                        break
+            else:
+                heads.append(ln)
+        calls = self.counted_same_class(monkeypatch)
+        groups = splitting._grouped(lines)
+        assert calls == expect == [("a", "b"), ("a", "d"), ("c", "e"), ("a", "g"), ("c", "g"), ("f", "g"), ("a", "h"), ("b", "h")]
+        assert [[ln.label for ln in g] for g in groups] == [["a", "d"], ["b", "h"], ["c"], ["e"], ["f"], ["g"], ["i"]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_groups_match_the_pairwise_loop(self, data):
+        """Random line sets of shifted copies, partial overlaps, repeated
+        points and empty lines, over few points so that many lines share some."""
+        lines = []
+        for k in range(data.draw(st.integers(0, 9))):
+            kind = data.draw(st.sampled_from(["fresh", "copy"] if lines else ["fresh"]))
+            if kind == "fresh":
+                points = data.draw(st.lists(st.integers(0, 15), max_size=12))
+            else:  # a window of an earlier line, padded on either side
+                source = data.draw(st.sampled_from(lines)).points.tolist()
+                lo = data.draw(st.integers(0, len(source)))
+                hi = data.draw(st.integers(lo, len(source)))
+                pad = st.lists(st.integers(0, 15), max_size=4)
+                points = data.draw(pad) + source[lo:hi] + data.draw(pad)
+            lines.append(LineSample(np.asarray(points, dtype=int), 0.0, 1.0, label=str(k)))
+        got = [[ln.label for ln in g] for g in splitting._grouped(lines)]
+        assert got == [[ln.label for ln in g] for g in oracle_grouped(lines)]
 
 
 class TestOracles:
@@ -586,7 +688,7 @@ class TestScratch:
     def test_base_and_embedding_scratch_is_bounded(self):
         """On the 1625-point euclid-grid product compute_dS and
         verify_embedding each peak at most 2 MiB above their inputs (0.5
-        and 1.6 MiB; they held rows x n float temporaries, 2.7 and 6.1 MiB)."""
+        and 0.4 MiB; they held rows x n float temporaries, 2.7 and 6.1 MiB)."""
         space, lines = build_product(base_euclid_grid(5), GRID)
         classes = extract_line_classes(space, lines, lines[0])
         rec = compute_dS(space, classes)
