@@ -44,7 +44,7 @@ from .sampled import (
     validate_axioms,
 )
 from .splitting import compute_dS, extract_line_classes, verify_base_metric_cat0, verify_embedding
-from .tolerances import DEFAULT_CERT_TOL, DEFAULT_GEO_TOL, DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU
+from .tolerances import DEFAULT_CERT_TOL, DEFAULT_GEO_TOL, DEFAULT_TOL_ANGLE, DEFAULT_TOL_TAU, scaled
 
 
 # Options that several commands read, as (flag, type, default)
@@ -423,7 +423,7 @@ def cmd_strip(args, fixture, stage):
     checks = [
         {
             "name": "profile-constancy",
-            "status": "PASS" if profile.max_dev.max() <= args.tol_tau * 10 else "FAIL",
+            "status": "PASS" if profile.max_dev.max() <= scaled(args.tol_tau * 10, profile.F.max()) else "FAIL",
             "deviation": float(profile.max_dev.max()),
         }
     ]
@@ -483,8 +483,9 @@ def cmd_ray(args, fixture, stage):
 
 
 def _recovered_base(args, fixture, reference, stage):
-    """The line classes around the reference line (stage "classes") and the base metric
-    they give (stage "base").  ShapeError if a fixture base has not one point per class."""
+    """The line classes' synchronised representatives around the reference line (stage
+    "classes") and the base metric they give (stage "base").  ShapeError if a fixture
+    base has not one point per class."""
     with stage("classes"):
         classes = extract_line_classes(fixture.space, fixture.lines, reference, args.tol_tau, args.geo_tol)
     base = fixture.base
@@ -506,7 +507,7 @@ def _windowless(name, recovered):
     in the sample (dS = +inf), which the sample cannot decide; else None."""
     if not recovered.infinite_pairs:
         return None
-    pairs = ", ".join(f"({a}, {b})" for a, b, _ in recovered.infinite_pairs)
+    pairs = ", ".join(f"({a}, {b})" for a, b in recovered.infinite_pairs)
     reason = f"no causal window in the sample for class pairs {pairs}, so their base distance is not recovered"
     return {"name": name, "status": "SKIP", "reason": reason}
 

@@ -243,12 +243,14 @@ def load_fixture(path) -> Fixture:
         if not line.endswith(b"\n"):
             raise ShapeError("fixture has no payload: a newline and the payload bytes must follow its header")
         causal, chronological = read(size), read(size)
+        layout = f"fixture payload of {2 * size + left} bytes does not fit its layout, two packed {n}x{n} masks of {size} bytes each, then 8 bytes per chronological bit:"
         if left % 8:
-            raise ShapeError("fixture space.tau must be whole little-endian float64 values")
+            raise ShapeError(f"{layout} {left} bytes are left for tau, not a multiple of 8")
         causal = _packed_mask(causal, n, "space.causal")
         chron = np.frombuffer(_packed_mask(chronological, n, "space.chronological"), np.uint8)
-        if 8 * int(_POPCOUNT[chron].sum(dtype=np.int64)) != left:
-            raise ShapeError("space.tau must hold one value per chronological bit")
+        bits = int(_POPCOUNT[chron].sum(dtype=np.int64))
+        if 8 * bits != left:
+            raise ShapeError(f"{layout} its {bits} chronological bits need {2 * size + 8 * bits}")
         tau = _scattered(n, chron, read)
     return Fixture(*_assembled(doc, tau, _unpacked(causal, n)), digest.hexdigest())
 

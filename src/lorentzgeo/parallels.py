@@ -94,6 +94,16 @@ def is_line(space: SampledSpace, line: LineSample, tol: float = DEFAULT_GEO_TOL)
     return ok, worst
 
 
+_SQUARABLE = 2.0**510  # (2 * 2**510)**2 = 2**1022: twice such a value still squares finitely
+
+
+def _squarable(value: float, what: str) -> float:
+    """value, raising DomainError when it is too large to square in float64."""
+    if not value < _SQUARABLE:
+        raise DomainError(f"{what} {value:.4g} is too large to square in float64")
+    return value
+
+
 def _offsets(first: LineSample, second: LineSample):
     """(d, s) of the grid offsets s >= 0 between two lines, in increasing order.
 
@@ -174,19 +184,25 @@ def sync_parallel_fit(space, alpha: LineSample, beta: LineSample, tol: float = D
     chron = tau > 0
     if chron.sum() < 2:
         return None
-    # tau^2 - u^2 = 2 u t0 + (t0^2 - c0^2) on chronological pairs
-    x = 2.0 * u[chron]
-    yv = tau[chron] ** 2 - u[chron] ** 2
-    Amat = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(Amat, yv, rcond=None)
-    t0 = float(coef[0])
-    c0sq = t0 * t0 - float(coef[1])
-    if c0sq < -scaled(tol, 1.0):
+    top = _squarable(max(float(np.abs(u).max()), float(tau.max())), "parameter difference or separation")
+
+    def solve(unit):
+        """(t0, t0^2 - c0^2, rank) from tau^2 - u^2 = 2 u t0 + (t0^2 - c0^2) on chronological
+        pairs, solved in a power-of-two unit, which divides exactly."""
+        x, y = u[chron] / unit, tau[chron] / unit
+        coef, _, rank, _ = np.linalg.lstsq(np.column_stack([2.0 * x, np.ones_like(x)]), y * y - x * x, rcond=None)
+        return float(coef[0]) * unit, float(coef[1]) * unit * unit, rank
+
+    t0, offset_sq, rank = solve(1.0)
+    if rank < 2:  # the two columns' scales differ too far for lstsq: a large unit of time
+        t0, offset_sq, _ = solve(2.0 ** math.frexp(top)[1])
+    c0sq = t0 * t0 - offset_sq
+    if c0sq < -scaled(tol, top * top):
         return None
     c0 = math.sqrt(max(c0sq, 0.0))
 
     delta = u + t0
-    inside = delta >= c0 - scaled(tol, c0)
+    inside = delta >= c0 - scaled(tol, top)
     pred = np.where(inside, np.sqrt(np.maximum(delta * delta - c0 * c0, 0.0)), 0.0)
     mism = int(np.count_nonzero(causal != inside))
     fit = SyncFit(t0=t0, c0=c0, max_tau_error=float(np.abs(tau - pred).max()), causal_mismatches=mism)
@@ -241,6 +257,7 @@ def strip_profile(space, alpha: LineSample, beta: LineSample, angle_probes: int 
 
 def _f2_slope(offsets, F):
     """dF^2/dc at every offset but the last two, by a one-sided three-point stencil."""
+    _squarable(float(F.max(initial=0.0)), "separation")
     G = F * F
     return (-3.0 * G[:-2] + 4.0 * G[1:-1] - G[2:]) / (2.0 * np.diff(offsets)[:-1])
 
@@ -310,7 +327,7 @@ def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: floa
     for k in active:
         if k + 2 < len(profile.F) and np.all(profile.F[k : k + 3] > 0):
             wsq = (slope[k] / 2.0) ** 2 - profile.F[k] * profile.F[k]
-            if wsq < -scaled(tol, 1.0):
+            if wsq < -scaled(tol, profile.F[k] * profile.F[k]):
                 raise StripInconsistent(f"negative squared width {wsq} at offset {profile.offsets[k]}")
             width = math.sqrt(max(wsq, 0.0))
             break
@@ -327,7 +344,7 @@ def flat_strip_reconstruct(space, alpha: LineSample, beta: LineSample, tol: floa
         coords.setdefault(int(p), (t, 0.0))
     for p, t in zip(beta.points, beta.params):
         coords.setdefault(int(p), (t + fit.t0, width))
-    err, mism, _, _ = plane_map_check(space, coords)
+    err, mism, _ = plane_map_check(space, coords)
     return FlatStrip(
         shift=fit.t0,
         c0=fit.c0,

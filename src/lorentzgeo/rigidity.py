@@ -61,11 +61,9 @@ class EqualityReport:
 class FlatFillIn:
     """Planar realization of a filled-in triangle or quadrangle."""
 
-    planar_vertices: list
     grid_map: dict           # point index -> (t, x)
     max_tau_error: float
     causal_mismatches: int
-    checked_pairs: int
 
 
 def _triangle_lengths(space, tri: SampledTriangle):
@@ -140,18 +138,12 @@ def equality_conditions(
     )
 
 
-def _checked_fill_in(space, plane: dict, corners, limit: float, what: str) -> FlatFillIn:
+def _checked_fill_in(space, plane: dict, limit: float, what: str) -> FlatFillIn:
     """The fill-in of a planar map, raising RigidityViolated when its tau error exceeds limit."""
-    err, mism, witness, n_pts = plane_map_check(space, plane)
+    err, mism, witness = plane_map_check(space, plane)
     if err > limit:
         raise RigidityViolated(f"{what} tau error {err} at pair {witness} exceeds tolerance", err)
-    return FlatFillIn(
-        planar_vertices=[plane[p] for p in corners],
-        grid_map=plane,
-        max_tau_error=err,
-        causal_mismatches=mism,
-        checked_pairs=n_pts * (n_pts - 1) // 2,
-    )
+    return FlatFillIn(grid_map=plane, max_tau_error=err, causal_mismatches=mism)
 
 
 def fill_in_reconstruct(
@@ -205,7 +197,7 @@ def fill_in_reconstruct(
             pt = plane_side_point(model, coords3, SidePosition(side_name, float(s)))
             plane.setdefault(int(p), (pt.t, pt.x))
 
-    return _checked_fill_in(space, plane, (tri.x, tri.y, tri.z), scaled(DEFAULT_TOL_TAU, lengths["ac"]), "fill-in")
+    return _checked_fill_in(space, plane, scaled(DEFAULT_TOL_TAU, lengths["ac"]), "fill-in")
 
 
 @dataclass
@@ -295,7 +287,7 @@ def _quadrangle_fill_in(space, corners, sides, diagonals):
         for p, s in zip(chain.points, chain.params):
             f = s / total if total else 0.0
             plane.setdefault(int(p), tuple(a_pt + f * (np.asarray(b_pt) - a_pt)))
-    return _checked_fill_in(space, plane, corners, scaled(DEFAULT_TOL_TAU, t14 + t43), "quadrangle fill-in")
+    return _checked_fill_in(space, plane, scaled(DEFAULT_TOL_TAU, t14 + t43), "quadrangle fill-in")
 
 
 def _two_hyperbola_point(c1, r1, c2, r2, opposite_of):

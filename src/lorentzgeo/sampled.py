@@ -99,9 +99,9 @@ def plane_map_check(space: SampledSpace, coords: dict):
     """Compare a space with a map of some of its points into the Minkowski plane.
 
     coords maps point indices to planar (t, x).  Returns (error,
-    mismatches, witness, count): the largest |tau - planar tau| over the
-    mapped points, the number of off-diagonal causal entries that disagree,
-    a pair attaining the error, and the number of mapped points.
+    mismatches, witness): the largest |tau - planar tau| over the mapped
+    points, the number of off-diagonal causal entries that disagree, and a
+    pair attaining the error.
     """
     pts = list(coords)
     plane_tau, plane_causal = plane_separations([coords[p] for p in pts])
@@ -109,7 +109,7 @@ def plane_map_check(space: SampledSpace, coords: dict):
     idx = np.unravel_index(int(np.argmax(err)), err.shape)
     mism = space.causal[np.ix_(pts, pts)] != plane_causal
     np.fill_diagonal(mism, False)
-    return float(err[idx]), int(np.count_nonzero(mism)), (int(pts[idx[0]]), int(pts[idx[1]])), len(pts)
+    return float(err[idx]), int(np.count_nonzero(mism)), (int(pts[idx[0]]), int(pts[idx[1]]))
 
 
 @dataclass(frozen=True)
@@ -1135,9 +1135,18 @@ def _hinge_batch(kappa, tau, chains, sides, size, lengths, u, failing, direction
     t_ab, t_bc = owner[on_ab], owner[on_bc]
     start = start.reshape(-1, 3)
     rows = np.concatenate([on_ab, on_ab, on_bc])
+    cols = [start[t_ab, 1], start[t_ab, 2], start[t_bc, 2]]
     counts = [size[t_ab, 1], size[t_ab, 2], size[t_bc, 2]]
+    # a pair p == q counts for nothing, so a run skips its column at a hinge
+    # vertex when the row's own point is that vertex: b is the last ab and
+    # first bc point, a the first ab and ac point, c the last bc and ac point
+    is_b = (on_ab == start[t_ab, 0] + size[t_ab, 0] - 1) & (pt[on_ab] == pt[cols[0]])
+    is_a = (on_ab == start[t_ab, 0]) & (pt[on_ab] == pt[cols[1]])
+    is_c = (on_bc == start[t_bc, 1] + size[t_bc, 1] - 1) & (pt[on_bc] == pt[cols[2] + counts[2] - 1])
+    cols[0], cols[1] = cols[0] + is_b, cols[1] + is_a
+    counts = [counts[0] - is_b, counts[1] - is_a, counts[2] - is_c]
     count = np.concatenate(counts)
-    j = _run_cols(np.concatenate([start[t_ab, 1], start[t_ab, 2], start[t_bc, 2]]), count)
+    j = _run_cols(np.concatenate(cols), count)
     # the blocks of the hinges at b, a and c start at 0, at_a and at_c
     at_a = int(counts[0].sum())
     at_c = at_a + int(counts[1].sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotParallel, ShapeError, WindowExhausted
-from .parallels import LineSample, is_line, sync_parallel_fit, weakly_parallel_offset
+from .parallels import LineSample, _squarable, is_line, sync_parallel_fit, weakly_parallel_offset
 from .sampled import SampledSpace
 from .tolerances import DEFAULT_GEO_TOL, DEFAULT_TOL_TAU, scaled
 
@@ -113,12 +113,6 @@ def build_product(base: MetricSampleIn, t_grid):
     return space, lines
 
 
-@dataclass
-class LineClass:
-    representative: LineSample
-    shift_to_reference: float
-
-
 def same_class(l1: LineSample, l2: LineSample) -> bool:
     """Whether some shift makes the lines agree on more than half the shorter one.
 
@@ -164,8 +158,9 @@ def _grouped(lines):
 def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAULT_TOL_TAU, geo_tol: float = DEFAULT_GEO_TOL):
     """Group lines by shift equivalence and synchronise them to a reference.
 
-    Each line joins the first earlier group whose head it is same_class
-    with, or heads a group of its own.  same_class only holds for lines
+    Returns one LineSample per class: its group's head, shifted onto the
+    reference's parameters.  Each line joins the first earlier group whose
+    head it is same_class with, or heads a group of its own.  same_class only holds for lines
     that share a point, so it is tried only on the (head, line) pairs that
     share one, which one sort of all the lines' points finds.
 
@@ -192,7 +187,7 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
             raise WindowExhausted(f"{label} has fewer than two chronological pairs with the reference to synchronise it")
         if fit is None:
             raise NotParallel(f"{label} cannot be synchronised to the reference")
-        classes.append(LineClass(representative=g[0].shifted(fit.t0), shift_to_reference=fit.t0))
+        classes.append(g[0].shifted(fit.t0))
     return classes
 
 
@@ -208,11 +203,11 @@ def _stacked(reps):
 
 @dataclass
 class BaseMetric:
-    """Recovered distance matrix over synchronised line classes."""
+    """Recovered distance matrix over synchronised line classes, and the
+    (a, b) class pairs with no causal window in the sample (dS = +inf)."""
 
     dS: np.ndarray
     dS_alt: np.ndarray
-    witnesses: dict
     infinite_pairs: list
     step: float
 
@@ -221,26 +216,22 @@ class BaseMetric:
         return self.dS.shape[0]
 
 
-def compute_dS(space, classes, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
-    """Base distance between classes from the causal data.
+def compute_dS(space, reps, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
+    """Base distance between the classes' synchronised representatives from the causal data.
 
     Primary formula: half the infimal causal window (s, t) with
     beta(s) <= alpha(0) <= beta(t); cross-checked against the infimum of
     t - s over alpha(s) <= beta(t).  The two must agree to one grid step.
     Pairs with no causal connection inside the window are flagged +inf.
     """
-    reps = [c.representative for c in classes]
     m = len(reps)
     step = reps[0].step if reps else 0.0
     points, params, starts, _ = _stacked(reps)
     dS = np.zeros((m, m))
     dS_alt = np.zeros((m, m))
-    witnesses = {}
     infinite = []
     for a, alpha in enumerate(reps):
-        k0 = int(np.argmin(np.abs(alpha.params)))
-        a0 = int(alpha.points[k0])
-        s0 = float(alpha.params[k0])
+        a0 = int(alpha.points[np.argmin(np.abs(alpha.params))])
         # per class: last parameter before alpha(s0), first one after it
         s_star = np.maximum.reduceat(np.where(space.causal[points, a0], params, -np.inf), starts)
         t_star = np.minimum.reduceat(np.where(space.causal[a0, points], params, np.inf), starts)
@@ -253,23 +244,14 @@ def compute_dS(space, classes, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
         du = np.where(causal.any(axis=0), params - alpha.params[last], np.inf)
         dS_alt[a] = np.minimum.reduceat(du, starts)
         dS[a, a] = dS_alt[a, a] = 0.0
-        for b in np.flatnonzero(window).tolist():
-            if b != a:
-                witnesses[(a, b)] = {"s": float(s_star[b]), "t": float(t_star[b]), "base": s0}
-        infinite += [(a, b, "window") for b in np.flatnonzero(~window).tolist() if b != a]
+        infinite += [(a, b) for b in np.flatnonzero(~window).tolist() if b != a]
     cross = np.abs(np.subtract(dS, dS_alt, out=np.zeros((m, m)), where=np.isfinite(dS)))  # no inf - inf
     if np.any(cross > step + scaled(tol, step)):
         i, j = np.argwhere(cross > step + scaled(tol, step))[0]
         raise WindowExhausted(
             f"dS cross-check failed for classes ({i},{j}): {dS[i,j]} vs {dS_alt[i,j]}"
         )
-    return BaseMetric(
-        dS=dS,
-        dS_alt=dS_alt,
-        witnesses=witnesses,
-        infinite_pairs=infinite,
-        step=step,
-    )
+    return BaseMetric(dS=dS, dS_alt=dS_alt, infinite_pairs=infinite, step=step)
 
 
 @dataclass
@@ -328,10 +310,10 @@ class EmbeddingReport:
 
 
 _TRIM_STEPS = 3  # half-width, in grid steps, of the model-cone band verify_embedding trims
-_COLUMNS = 128  # columns of a class row verify_embedding compares at a time
+_COLUMNS = 512  # columns of a class row verify_embedding compares at a time
 
 
-def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
+def verify_embedding(space, reps, base: BaseMetric) -> EmbeddingReport:
     """Compare sampled separations against the recovered product model.
 
     For synchronised representatives alpha, beta the model predicts
@@ -344,8 +326,8 @@ def verify_embedding(space, classes, base: BaseMetric) -> EmbeddingReport:
     the block of the class that holds a new largest error is compared
     again, to find that pair.
     """
-    reps = [c.representative for c in classes]
     points, params, starts, lengths = _stacked(reps)
+    _squarable(float(np.abs(params).max(initial=0.0)), "line parameter")  # bounds |du| and dS, which _compared squares
     owner = np.repeat(np.arange(len(reps)), lengths)  # the class of each column
     trim = _TRIM_STEPS * base.step
     rows = lengths.max(initial=0)

@@ -24,7 +24,7 @@ from lorentzgeo import cli
 from lorentzgeo import io as lgio
 from lorentzgeo.cli import main
 from lorentzgeo.errors import GeodesicDeficit, NoSeries, ShapeError
-from lorentzgeo.fixtures import _BASES, base_pair, base_point, minkowski_grid
+from lorentzgeo.fixtures import _BASES, base_pair, base_point, minkowski_grid, product_fixture
 from lorentzgeo.io import (
     PAYLOADS,
     deterministic_view,
@@ -238,6 +238,8 @@ STAGES = {
     "split": {"classes_s", "base_s", "embedding_s"},
     "roundtrip": {"classes_s", "base_s"},
 }
+# The payload layout of valid_fixture(), as a wrong payload length names it
+LAYOUT = "does not fit its layout, two packed 3x3 masks of 2 bytes each, then 8 bytes per chronological bit:"
 
 
 class TestCli:
@@ -388,6 +390,48 @@ class TestCli:
         assert main(["roundtrip", str(path), "-o", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert load_report(out)["checks"] == [{"name": "roundtrip", "status": "SKIP", "reason": reason}]
+
+    @pytest.mark.parametrize("base, flag", [("pair", "--d"), ("tripod", "--edge")])
+    @pytest.mark.parametrize("k", [-6, -3, 3, 10, 20, 50])
+    def test_verdicts_do_not_depend_on_the_unit_of_time(self, tmp_path, base, flag, k):
+        """A product with every length scaled by 10^k is the same geometry, so
+        lines, split, roundtrip and strip give the exit codes and statuses
+        they give at k = 0.  Below about 1e-6 the tolerances are absolute by
+        design, and past about 1e154 squares overflow (the next test)."""
+
+        def verdicts(scale):
+            path = tmp_path / f"{base}.json"
+            gen = ["gen", "product", "--base", base, flag, repr(scale), "--step", repr(0.5 * scale), "--window", repr(4 * scale)]
+            assert main([*gen, "-o", str(path)]) == 0
+            out = tmp_path / "r.json"
+            got = []
+            for command in ("lines", "split", "roundtrip", "strip"):
+                code = main([command, str(path), "-o", str(out)])
+                got.append((command, code, [(c["name"], c["status"]) for c in load_report(out)["checks"]]))
+            return got
+
+        assert verdicts(10.0**k) == verdicts(1.0)
+
+    def test_lengths_too_large_to_square_exit_2(self, tmp_path, capsys):
+        """A pair product whose tau, line t0 and step and base distances are
+        multiplied by 1e160 has separations whose squares overflow float64:
+        split, roundtrip and strip exit 2 with one line, and no float
+        operation overflows or makes a NaN on the way; lines needs no square."""
+        space, lines, base = product_fixture("pair", step=0.5, window=4.0)
+        big = 1e160
+        space = SampledSpace(tau=space.tau * big, causal=space.causal)
+        lines = [dataclasses.replace(ln, t0=ln.t0 * big, step=ln.step * big) for ln in lines]
+        base = dataclasses.replace(base, dist=base.dist * big)
+        path = tmp_path / "big.json"
+        save_fixture(path, space, lines, base)
+        out = tmp_path / "r.json"
+        with np.errstate(all="raise"):
+            assert main(["lines", str(path), "-o", str(out)]) == 0
+            for command in ("split", "roundtrip", "strip"):
+                capsys.readouterr()
+                assert main([command, str(path), "-o", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1 and "too large to square in float64" in err
 
     def test_lines_and_strip(self, tripod_fixture):
         assert main(["lines", str(tripod_fixture)]) == 0
@@ -811,8 +855,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda header, body: header + b"\n" + body[:-1], "fixture space.tau must be whole little-endian float64 values"),
-            (lambda header, body: header + b"\n" + body + b"\0", "fixture space.tau must be whole little-endian float64 values"),
+            (lambda header, body: header + b"\n" + body[:-1], f"fixture payload of 27 bytes {LAYOUT} 23 bytes are left for tau, not a multiple of 8"),
+            (lambda header, body: header + b"\n" + body + b"\0", f"fixture payload of 29 bytes {LAYOUT} 25 bytes are left for tau, not a multiple of 8"),
             (lambda header, body: header, "fixture has no payload: a newline and the payload bytes must follow its header"),
             (
                 lambda header, body: b'{"note": "\xe9", ' + header[1:] + b"\n" + body,
@@ -825,8 +869,11 @@ class TestCli:
             # the body of valid_fixture(): causal EC 80, chronological 64 00, then three float64 values
             (lambda header, body: header + b"\n" + body[:1] + b"\x81" + body[2:], "fixture space.causal must be 3x3 packed bits with zero padding"),
             (lambda header, body: header + b"\n" + body[:3] + b"\x01" + body[4:], "fixture space.chronological must be 3x3 packed bits with zero padding"),
-            (lambda header, body: header + b"\n" + body[:-8], "space.tau must hold one value per chronological bit"),
-            (lambda header, body: header + b"\n" + body + floats(1.0), "space.tau must hold one value per chronological bit"),
+            (lambda header, body: header + b"\n" + body[:-8], f"fixture payload of 20 bytes {LAYOUT} its 3 chronological bits need 28"),
+            (lambda header, body: header + b"\n" + body + floats(1.0), f"fixture payload of 36 bytes {LAYOUT} its 3 chronological bits need 28"),
+            # causal one byte short or long, as in test_malformed_fixture_exit_2: the layout is named, not tau
+            (lambda header, body: header + b"\n" + body[:1] + body[2:], f"fixture payload of 27 bytes {LAYOUT} 23 bytes are left for tau, not a multiple of 8"),
+            (lambda header, body: header + b"\n" + body[:2] + b"\0" + body[2:], f"fixture payload of 29 bytes {LAYOUT} 25 bytes are left for tau, not a multiple of 8"),
             *(
                 (lambda header, body, value=value: header + b"\n" + body[:-8] + floats(value), "space.tau values must be positive and finite")
                 for value in (float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -2.0)
@@ -842,6 +889,8 @@ class TestCli:
             "chronological-padding-bit",
             "one-value-too-few",
             "one-value-too-many",
+            "packed-bytes-too-few",
+            "packed-bytes-too-many",
             "tau-nan",
             "tau-inf",
             "tau-minus-inf",
@@ -1269,6 +1318,40 @@ class TestCli:
                         strings.add(node.value)
         unread = [f"{m}.{name}" for m, name in public if name not in read and f"{m}.{name}" not in strings]
         assert public and unread == []
+
+    def test_every_result_field_is_read(self):
+        """Every annotated field of a class in the package is read as an
+        attribute somewhere in src, demos or bench, so a result field that
+        only tests read is not computed for nothing.  The exceptions are
+        kept on purpose, each for its reason."""
+        kept = {
+            "EmbeddingReport.worst": "the embedding check's witness pair, kept for the report to carry",
+            "AxiomReport.exact_tests": "the screen count that TestAxioms holds to its oracle",
+            "AngleEstimate.table": "the angle ladder, which ROADMAP item 4 reports",
+            "AngleEstimate.monotone": "a ladder diagnostic, which ROADMAP item 4 reports",
+            "AngleEstimate.converged": "a ladder diagnostic, which ROADMAP item 4 reports",
+            "AngleEstimate.last_delta": "a ladder diagnostic, which ROADMAP item 4 reports",
+        }
+        package = Path(cli.__file__).parent
+        root = package.parents[1]
+        fields = [
+            f"{node.name}.{item.target.id}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+        read = {
+            node.attr
+            for path in [package, root / "demos", root / "bench"]
+            for file in sorted(path.rglob("*.py"))
+            for node in ast.walk(ast.parse(file.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        unread = [name for name in fields if name.split(".")[1] not in read]
+        assert set(kept) <= set(fields)
+        assert sorted(set(unread) - set(kept)) == []
 
     def test_every_default_is_passed_somewhere(self):
         """Every defaulted parameter of a function in the package is passed, by

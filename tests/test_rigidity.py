@@ -85,7 +85,8 @@ class TestFillIn:
         fill = fill_in_reconstruct(space, tri, chains)
         assert fill.max_tau_error <= 1e-9
         assert fill.causal_mismatches == 0
-        assert fill.checked_pairs > 100
+        n = len(fill.grid_map)  # every pair of mapped points is checked
+        assert n * (n - 1) // 2 > 100
 
     def test_product_strip_triangle(self):
         # a triangle inside one flat strip of a tripod product fills in exactly
@@ -161,7 +162,7 @@ class TestQuadrangle:
         p1, p2, p4, p3 = int(al[4]), int(be[12]), int(al[24]), int(be[30])
         rep = quadrangle_rigidity(space, p1, p2, p3, p4)
         assert rep.flat
-        xs = [c[1] for c in rep.fill_in.planar_vertices]
+        xs = [rep.fill_in.grid_map[p][1] for p in (p1, p2, p3, p4)]
         width = max(xs) - min(xs)
         assert width == pytest.approx(1.0, abs=1e-9)
 

@@ -1034,6 +1034,41 @@ class TestBatchedCertification:
             assert moved and all(reasons[t] == sampled._PAST_MODEL_DOMAIN for t in moved)
             assert {t: r for t, r in reasons.items() if t % 2} == {t: r for t, r in before.items() if t % 2}
 
+    def test_hinge_pass_leaves_out_the_vertex_pairs(self, monkeypatch):
+        # the last ab and first bc point are b, the first ab and ac point a,
+        # the last bc and ac point c: the kernel never sees these three p == q
+        # pairs of a sampled triangle, and the pair count is unchanged
+        space = small_space("tripod")
+        tris = sample_triangles(space, cap=300, seed=2)
+        seen = []
+        kernel = sampled.hinge_tau_arr
+        monkeypatch.setattr(sampled, "hinge_tau_arr", lambda kappa, r1, *rest: seen.append(len(r1)) or kernel(kappa, r1, *rest))
+        cert = certify_curvature_bound(space, tris, Kappa(0.0), "above")
+        size = np.diff(tris.chains.offsets)[tris.sides]
+        assert sum(seen) == int((size[:, 0] * size[:, 1] + size[:, 2] * (size[:, 0] + size[:, 1])).sum()) - 3 * len(tris)
+        assert_matches_reference(cert, reference_certificate(space, tris, Kappa(0.0), "above"), exact=True)
+
+    @pytest.mark.parametrize("cut", ["first", "last"])
+    @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
+    def test_sides_not_ending_at_their_vertices_match_reference(self, cut, k):
+        # a user-built side may leave out its vertex; then no run of the
+        # hinge pass begins or ends at the row's own point and every pair is
+        # compared, as pair by pair
+        space, kappa = small_space("grid"), Kappa(k)
+        tris = list(sample_triangles(space, cap=80, seed=7))
+        keep = slice(1, None) if cut == "first" else slice(None, -1)
+        cut_tris = []
+        for t, tri in enumerate(tris):
+            chains = [tri.side_xy, tri.side_yz, tri.side_xz]
+            c = chains[t % 3]
+            if len(c) > 2:
+                chains[t % 3] = Chain(c.points[keep], c.params[keep])
+            cut_tris.append(SampledTriangle(tri.x, tri.y, tri.z, *chains))
+        assert any(len(a.side_xy) < len(b.side_xy) for a, b in zip(cut_tris, tris))
+        for direction in ("above", "below"):
+            cert = certify_curvature_bound(space, cut_tris, kappa, direction)
+            assert_matches_reference(cert, reference_certificate(space, cut_tris, kappa, direction), exact=k == 0.0)
+
     @pytest.mark.parametrize("side", [0, 1, 2], ids=["ab", "bc", "ac"])
     @pytest.mark.parametrize("k", [-1.0, 0.0, 1.0])
     def test_nan_chain_parameter_skips_every_triangle_using_it(self, side, k):

@@ -23,7 +23,6 @@ from lorentzgeo.parallels import LineSample
 from lorentzgeo.sampled import SampledSpace, validate_axioms
 from lorentzgeo.splitting import (
     EmbeddingReport,
-    LineClass,
     MetricSampleIn,
     build_product,
     compute_dS,
@@ -68,19 +67,15 @@ def oracle_grouped(lines, same=same_class):
     return groups
 
 
-def oracle_compute_dS(space, classes):
-    """(dS, dS_alt, witnesses, infinite_pairs), one class pair at a time."""
-    reps = [c.representative for c in classes]
+def oracle_compute_dS(space, reps):
+    """(dS, dS_alt, infinite_pairs), one class pair at a time."""
     m = len(reps)
     dS = np.zeros((m, m))
     dS_alt = np.zeros((m, m))
-    witnesses = {}
     infinite = []
     for a in range(m):
         alpha = reps[a]
-        k0 = int(np.argmin(np.abs(alpha.params)))
-        a0 = int(alpha.points[k0])
-        s0 = float(alpha.params[k0])
+        a0 = int(alpha.points[np.argmin(np.abs(alpha.params))])
         for b in range(m):
             if a == b:
                 continue
@@ -92,22 +87,20 @@ def oracle_compute_dS(space, classes):
             causal_ab = space.causal[np.ix_(alpha.points, beta.points)]
             if not before.any() or not after.any():
                 dS[a, b] = np.inf
-                infinite.append((a, b, "window"))
+                infinite.append((a, b))
             else:
                 s_star = float(bp[np.flatnonzero(before)].max())
                 t_star = float(bp[np.flatnonzero(after)].min())
                 dS[a, b] = 0.5 * (t_star - s_star)
-                witnesses[(a, b)] = {"s": s_star, "t": t_star, "base": s0}
             if causal_ab.any():
                 dS_alt[a, b] = float(du[causal_ab].min())
             else:
                 dS_alt[a, b] = np.inf
-    return dS, dS_alt, witnesses, infinite
+    return dS, dS_alt, infinite
 
 
-def oracle_verify_embedding(space, classes, base, trim_steps=3):
+def oracle_verify_embedding(space, reps, base, trim_steps=3):
     """EmbeddingReport from one (T_a x T_b) block per class pair, row-major."""
-    reps = [c.representative for c in classes]
     h = base.step
     max_err = 0.0
     worst = None
@@ -156,10 +149,9 @@ def oracle_verify_embedding(space, classes, base, trim_steps=3):
     )
 
 
-def fullwidth_dS_alt(space, classes):
+def fullwidth_dS_alt(space, reps):
     """compute_dS's dS_alt as one rows x n minimum per class row, over every
     causal row, not only each column's last."""
-    reps = [c.representative for c in classes]
     points, params, starts, _ = splitting._stacked(reps)
     dS_alt = np.zeros((len(reps), len(reps)))
     for a, alpha in enumerate(reps):
@@ -170,9 +162,8 @@ def fullwidth_dS_alt(space, classes):
     return dS_alt
 
 
-def fullwidth_verify_embedding(space, classes, base):
+def fullwidth_verify_embedding(space, reps, base):
     """verify_embedding with each class row compared at its full width at once."""
-    reps = [c.representative for c in classes]
     h = base.step
     points, params, starts, lengths = splitting._stacked(reps)
     max_err = 0.0
@@ -352,7 +343,7 @@ class TestLineClasses:
         space, lines = build_product(base_tripod(), GRID)
         classes = extract_line_classes(space, lines, lines[0])
         assert len(classes) == 4
-        assert all(abs(c.shift_to_reference) <= 1e-9 for c in classes)
+        assert all(abs(rep.t0 - line.t0) <= 1e-9 for rep, line in zip(classes, lines))
 
     def test_shift_merge(self):
         space, lines = build_product(base_pair(1.0), GRID)
@@ -495,9 +486,8 @@ class TestOracles:
         space, lines = PRODUCTS[name]()
         classes = extract_line_classes(space, lines, lines[0])
         rec = compute_dS(space, classes)
-        dS, dS_alt, witnesses, infinite = oracle_compute_dS(space, classes)
+        dS, dS_alt, infinite = oracle_compute_dS(space, classes)
         assert np.array_equal(rec.dS, dS) and np.array_equal(rec.dS_alt, dS_alt)
-        assert list(rec.witnesses.items()) == list(witnesses.items())
         assert rec.infinite_pairs == infinite
         assert verify_embedding(space, classes, rec) == oracle_verify_embedding(space, classes, rec)
         for trim in (0, 1):  # other band widths, through the module constant
@@ -507,13 +497,13 @@ class TestOracles:
     def test_unequal_lengths_are_kept(self):
         space, lines = _unequal_lengths()
         classes = extract_line_classes(space, lines, lines[0])
-        assert [len(c.representative) for c in classes] == [65, 62, 58, 49]
+        assert [len(rep) for rep in classes] == [65, 62, 58, 49]
 
     def test_infinite_window_pinned(self):
         space, lines = _infinite_window()
         classes = extract_line_classes(space, lines, lines[0])
         rec = compute_dS(space, classes)
-        assert rec.infinite_pairs == [(1, 2, "window"), (2, 1, "window")]
+        assert rec.infinite_pairs == [(1, 2), (2, 1)]
         assert rec.dS[1, 2] == np.inf and rec.dS[2, 1] == np.inf
         emb = verify_embedding(space, classes, rec)
         assert emb.worst["classes"] == (1, 2) and emb.worst["pair"] == (17, 50)
@@ -551,10 +541,9 @@ class TestOracles:
 
     def test_empty_representative_rejected(self):
         space, lines = build_product(base_pair(1.0), GRID)
-        empty = LineClass(LineSample(np.zeros(0, dtype=int), 0.0, 0.25), 0.0)
-        full = LineClass(lines[0], 0.0)
+        empty = LineSample(np.zeros(0, dtype=int), 0.0, 0.25)
         with pytest.raises(ShapeError):
-            compute_dS(space, [full, empty])
+            compute_dS(space, [lines[0], empty])
 
 
 class TestComputeDS:
@@ -687,8 +676,8 @@ class TestEmbedding:
 class TestScratch:
     def test_base_and_embedding_scratch_is_bounded(self):
         """On the 1625-point euclid-grid product compute_dS and
-        verify_embedding each peak at most 2 MiB above their inputs (0.5
-        and 0.4 MiB; they held rows x n float temporaries, 2.7 and 6.1 MiB)."""
+        verify_embedding each peak at most 2 MiB above their inputs (0.4
+        and 1.1 MiB; they held rows x n float temporaries, 2.7 and 6.1 MiB)."""
         space, lines = build_product(base_euclid_grid(5), GRID)
         classes = extract_line_classes(space, lines, lines[0])
         rec = compute_dS(space, classes)
@@ -757,8 +746,7 @@ class TestPinnedPipeline:
         classes = extract_line_classes(space, lines, lines[0])
         rec = compute_dS(space, classes)
         digest = hashlib.sha256()
-        for c in classes:
-            rep = c.representative
+        for rep in classes:
             digest.update(rep.points.astype("<i8").tobytes())
             digest.update(np.array([rep.t0]).view(np.uint64).tobytes())
         digest.update(rec.dS.view(np.uint64).tobytes())
