@@ -160,9 +160,10 @@ def extract_line_classes(space, lines, reference: LineSample, tol: float = DEFAU
 
     Returns one LineSample per class: its group's head, shifted onto the
     reference's parameters.  Each line joins the first earlier group whose
-    head it is same_class with, or heads a group of its own.  same_class only holds for lines
-    that share a point, so it is tried only on the (head, line) pairs that
-    share one, which one sort of all the lines' points finds.
+    head it is same_class with, or heads a group of its own.  same_class
+    only holds for lines that share a point, so it is tried only on the
+    (head, line) pairs that share one, which one sort of all the lines'
+    points finds.
 
     Raises NotParallel when a line fails the geodesic witness, is not
     weakly parallel to the reference within the sampled windows, or fails
@@ -232,7 +233,7 @@ def compute_dS(space, reps, tol: float = DEFAULT_TOL_TAU) -> BaseMetric:
     infinite = []
     for a, alpha in enumerate(reps):
         a0 = int(alpha.points[np.argmin(np.abs(alpha.params))])
-        # per class: last parameter before alpha(s0), first one after it
+        # per class: last parameter before a0, alpha's point nearest parameter 0, first one after it
         s_star = np.maximum.reduceat(np.where(space.causal[points, a0], params, -np.inf), starts)
         t_star = np.minimum.reduceat(np.where(space.causal[a0, points], params, np.inf), starts)
         window = np.isfinite(s_star) & np.isfinite(t_star)
