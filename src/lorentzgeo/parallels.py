@@ -94,12 +94,12 @@ def is_line(space: SampledSpace, line: LineSample, tol: float = DEFAULT_GEO_TOL)
     return ok, worst
 
 
-_SQUARABLE = 2.0**510  # (2 * 2**510)**2 = 2**1022: twice such a value still squares finitely
-
-
 def _squarable(value: float, what: str) -> float:
-    """value, raising DomainError when it is too large to square in float64."""
-    if not value < _SQUARABLE:
+    """value, raising DomainError when it is too large to square in float64.
+
+    The limit is 2**510: twice it still squares finitely, (2 * 2**510)**2 = 2**1022.
+    """
+    if not value < 2.0**510:
         raise DomainError(f"{what} {value:.4g} is too large to square in float64")
     return value
 
